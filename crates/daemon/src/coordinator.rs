@@ -7,15 +7,25 @@
 //! [`crate::feed`]), spawns one supervised worker per shard, and
 //! drives the day tick by tick:
 //!
-//! 1. **Dispatch** — each active shard is sent the tick's (possibly
-//!    dirty) interval and awaited under the heartbeat deadline.
+//! 1. **Dispatch** — every round is a scatter/gather. The tick's
+//!    (possibly dirty) interval is first sent to *every* active shard,
+//!    so the shards solve at the same time and a round costs the
+//!    slowest shard's solve, not the sum. Then the shards are settled
+//!    in roster order, each awaited under the heartbeat deadline. A
+//!    later shard's deadline clock starts when the coordinator turns to
+//!    it, so a hang there is detected at most one extra timeout late;
+//!    its result, if it has one, is already waiting in its channel.
 //! 2. **Failure** — a channel disconnect (worker death), a deadline
 //!    miss (hang), or a hard engine error triggers a restart: the
 //!    worker's epoch ends, a fresh engine is restored from the last
 //!    checkpoint, every confirmed tick since that checkpoint is
 //!    replayed from the retained feed, and the failed tick is
-//!    re-delivered. Chaos events are consume-once, so a replay never
-//!    re-fires the failure that caused it.
+//!    re-delivered. Recovery is the one serial path: it runs inside the
+//!    failed shard's settle step, one tick at a time, while the other
+//!    shards' results wait. Chaos events are keyed by `(shard, tick)`
+//!    and consume-once, so a replay never re-fires the failure that
+//!    caused it, and the order in which shards consume them is
+//!    immaterial.
 //! 3. **Quarantine** — a shard that exhausts `max_restarts` is dropped
 //!    from the roster; the rest of the day continues on the surviving
 //!    shards and the loss is reported, never silently absorbed.
@@ -26,13 +36,13 @@
 //! ## Live serving
 //!
 //! [`Daemon::run_live`] additionally publishes a [`LiveView`] through
-//! a [`LiveBus`] after every lockstep round
-//! (and once more, final, after the drain). Tick results are held as
-//! `Arc<StreamTick>`, so a publish clones pointers, not estimates, and
-//! [`crate::protocol`] can answer `status`/`health`/`estimate`/`stats`/
-//! `whatif` from the in-flight run. Telemetry flows through one
-//! [`ShardRecorder`] per shard, shared across that shard's worker
-//! epochs: workers record latencies, the coordinator counts facts
+//! a [`LiveBus`] after every lockstep round, once every shard has
+//! settled (and once more, final, after the drain). Tick results are
+//! held as `Arc<StreamTick>`, so a publish clones pointers, not
+//! estimates, and [`crate::protocol`] can answer `status`/`health`/
+//! `estimate`/`stats`/`whatif` from the in-flight run. Telemetry flows
+//! through one [`ShardRecorder`] per shard, shared across that shard's
+//! worker epochs: workers record latencies, the coordinator counts facts
 //! (accepted ticks, degradations, restarts) — each fact once, on first
 //! acceptance, so the counters reconcile exactly with the finished
 //! [`DaemonReport`].
@@ -293,10 +303,19 @@ impl Daemon {
         ticks: std::ops::Range<usize>,
         live: Option<&LiveBus>,
     ) -> Result<DaemonReport> {
+        let transport = make_transport(&self.config)?;
+        self.run_on(transport.as_ref(), ticks, live)
+    }
+
+    fn run_on(
+        &self,
+        transport: &dyn ShardTransport,
+        ticks: std::ops::Range<usize>,
+        live: Option<&LiveBus>,
+    ) -> Result<DaemonReport> {
         let n_ticks = ticks.len();
         let feeds = build_feeds(&self.shards, &self.config, ticks)?;
         let chaos = ChaosState::new(&self.config.chaos);
-        let transport = make_transport(&self.config)?;
 
         // Labels come from the shared method roster (every shard's
         // engine is built from it, whichever side of a process boundary
@@ -333,8 +352,14 @@ impl Daemon {
         }
 
         for k in 0..n_ticks {
-            for rt in &mut runtimes {
-                self.deliver(rt, k, &chaos, transport.as_ref())?;
+            // Scatter before gather: no shard is awaited until every
+            // active shard holds tick k.
+            let sent: Vec<_> = runtimes
+                .iter_mut()
+                .map(|rt| dispatch(rt, k, &chaos))
+                .collect();
+            for (rt, sent) in runtimes.iter_mut().zip(sent) {
+                self.settle(rt, k, sent, &chaos, transport)?;
             }
             if let Some(bus) = live {
                 bus.publish(self.build_view(
@@ -434,9 +459,8 @@ impl Daemon {
         }
     }
 
-    /// Deliver one tick to a shard, restarting its worker as many times
-    /// as the budget allows. Returns with the tick recorded, or with
-    /// the shard quarantined.
+    /// Deliver one tick to one shard, serially: dispatch, then settle.
+    /// Restart replay uses this form.
     fn deliver(
         &self,
         rt: &mut ShardRuntime,
@@ -444,37 +468,37 @@ impl Daemon {
         chaos: &ChaosState,
         transport: &dyn ShardTransport,
     ) -> Result<()> {
+        let sent = dispatch(rt, tick, chaos);
+        self.settle(rt, tick, sent, chaos, transport)
+    }
+
+    /// Await a dispatched tick, restarting the shard's worker (and
+    /// redispatching the tick) as many times as the budget allows.
+    /// `sent` is the dispatch outcome. Returns with the tick recorded,
+    /// or with the shard quarantined.
+    fn settle(
+        &self,
+        rt: &mut ShardRuntime,
+        tick: usize,
+        mut sent: std::result::Result<(), FailureCause>,
+        chaos: &ChaosState,
+        transport: &dyn ShardTransport,
+    ) -> Result<()> {
         loop {
             if rt.quarantined_at.is_some() {
                 return Ok(());
             }
-            // Chaos is consumed at dispatch (consume-once), shipped
-            // inside the tick message, and executed worker-side —
-            // identically across transports, so a chaos schedule means
-            // the same thing to a thread and to a child process.
-            let msg = ToWorker::Tick {
-                tick,
-                loads: Box::new(rt.feed.dirty[tick].clone()),
-                chaos: chaos.take(rt.index, tick),
-                sent: std::time::Instant::now(),
-            };
-            let channel = rt.handle.as_mut().expect("active shard has a worker");
-            let outcome = if channel.send(msg).is_err() {
-                Err(FailureCause::Panic) // worker died at the dispatch
-            } else {
-                await_tick(rt, tick, self.config.heartbeat_timeout)
-            };
+            let outcome = sent.and_then(|()| await_tick(rt, tick, self.config.heartbeat_timeout));
             if let Some(channel) = rt.handle.as_mut() {
                 rt.transport_events.extend(channel.take_events());
             }
-            match outcome {
-                Ok(()) => return Ok(()),
-                Err(cause) => {
-                    if !self.restart(rt, tick, cause, chaos, transport)? {
-                        return Ok(()); // quarantined
-                    }
-                }
+            let Err(cause) = outcome else {
+                return Ok(());
+            };
+            if !self.restart(rt, tick, cause, chaos, transport)? {
+                return Ok(()); // quarantined
             }
+            sent = dispatch(rt, tick, chaos);
         }
     }
 
@@ -561,6 +585,30 @@ impl Daemon {
     }
 }
 
+/// Send one tick to a shard's worker. `Err` means the worker was
+/// already gone at the dispatch; a quarantined shard is skipped.
+fn dispatch(
+    rt: &mut ShardRuntime,
+    tick: usize,
+    chaos: &ChaosState,
+) -> std::result::Result<(), FailureCause> {
+    if rt.quarantined_at.is_some() {
+        return Ok(());
+    }
+    // Chaos is consumed at dispatch (consume-once), shipped inside the
+    // tick message, and executed worker-side — identically across
+    // transports, so a chaos schedule means the same thing to a thread
+    // and to a child process.
+    let msg = ToWorker::Tick {
+        tick,
+        loads: Box::new(rt.feed.dirty[tick].clone()),
+        chaos: chaos.take(rt.index, tick),
+        sent: std::time::Instant::now(),
+    };
+    let channel = rt.handle.as_mut().expect("active shard has a worker");
+    channel.send(msg).map_err(|()| FailureCause::Panic)
+}
+
 /// Await one tick's completion under the heartbeat deadline. Records
 /// the result (and any checkpoints) on the runtime; returns the failure
 /// cause otherwise.
@@ -628,10 +676,13 @@ fn await_tick(
 #[cfg(test)]
 mod tests {
     use std::collections::VecDeque;
+    use std::sync::Mutex;
 
+    use tm_core::checkpoint::EngineCheckpoint;
     use tm_core::stream::{StreamEngine, StreamTick};
 
     use super::*;
+    use crate::chaos::{ChaosKind, ChaosPlan};
 
     /// A channel that replays a fixed script of worker messages — the
     /// coordinator-side lens for wire behaviors (duplicate delivery)
@@ -753,5 +804,303 @@ mod tests {
             vec![2],
             "checkpoint-covered duplicate stays out of the replay schedule"
         );
+    }
+
+    /// One channel operation, as the coordinator issued it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Op {
+        /// A `Tick` dispatch.
+        Send {
+            shard: usize,
+            epoch: usize,
+            tick: usize,
+        },
+        /// A `recv_deadline` call; `tick` is the channel's newest
+        /// dispatched tick.
+        Recv {
+            shard: usize,
+            epoch: usize,
+            tick: usize,
+        },
+    }
+
+    /// A transport of scripted channels that log every `send` and
+    /// `recv_deadline`. Each channel owns an engine and answers a tick
+    /// in line, at `send`, with the messages a thread worker would
+    /// queue; a chaos directive scripts the failure instead (`Kill`: the
+    /// channel goes down, `Hang`: it times out) once the queued
+    /// messages are read.
+    struct RecordingTransport {
+        log: Arc<Mutex<Vec<Op>>>,
+    }
+
+    struct RecordingChannel {
+        shard: usize,
+        epoch: usize,
+        engine: StreamEngine,
+        checkpoint_every: usize,
+        log: Arc<Mutex<Vec<Op>>>,
+        last_tick: usize,
+        script: VecDeque<FromWorker>,
+        failure: Option<ChannelError>,
+    }
+
+    impl ShardTransport for RecordingTransport {
+        fn spawn(&self, spec: &SpawnSpec<'_>) -> Result<Box<dyn WorkerChannel>> {
+            let mut engine = StreamEngine::for_dataset(
+                &spec.feed.dataset,
+                &spec.config.methods,
+                spec.config.mode,
+            )?;
+            if let Some(json) = spec.checkpoint {
+                engine.restore(&EngineCheckpoint::from_json(json)?)?;
+            }
+            Ok(Box::new(RecordingChannel {
+                shard: spec.index,
+                epoch: spec.epoch,
+                engine,
+                checkpoint_every: spec.config.checkpoint_every,
+                log: Arc::clone(&self.log),
+                last_tick: 0,
+                script: VecDeque::new(),
+                failure: None,
+            }))
+        }
+    }
+
+    impl WorkerChannel for RecordingChannel {
+        fn send(&mut self, msg: ToWorker) -> std::result::Result<(), ()> {
+            let ToWorker::Tick {
+                tick, loads, chaos, ..
+            } = msg
+            else {
+                self.script.push_back(FromWorker::Drained);
+                return Ok(());
+            };
+            self.log.lock().unwrap().push(Op::Send {
+                shard: self.shard,
+                epoch: self.epoch,
+                tick,
+            });
+            self.last_tick = tick;
+            self.script.push_back(FromWorker::Heartbeat);
+            match chaos {
+                Some(ChaosKind::Kill) => self.failure = Some(ChannelError::Down),
+                Some(ChaosKind::Hang) => self.failure = Some(ChannelError::Timeout),
+                Some(ChaosKind::Delay) | None => {
+                    let result = self.engine.push_interval(*loads).expect("clean tick");
+                    self.script.push_back(FromWorker::TickDone {
+                        tick,
+                        result: Box::new(result),
+                    });
+                    if (tick + 1) % self.checkpoint_every == 0 {
+                        self.script.push_back(FromWorker::Checkpoint {
+                            tick,
+                            json: self.engine.checkpoint().to_json(),
+                        });
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn recv_deadline(
+            &mut self,
+            _timeout: Duration,
+        ) -> std::result::Result<FromWorker, ChannelError> {
+            self.log.lock().unwrap().push(Op::Recv {
+                shard: self.shard,
+                epoch: self.epoch,
+                tick: self.last_tick,
+            });
+            match self.script.pop_front() {
+                Some(msg) => Ok(msg),
+                None => Err(self.failure.unwrap_or(ChannelError::Timeout)),
+            }
+        }
+
+        fn take_events(&mut self) -> Vec<TransportEvent> {
+            Vec::new()
+        }
+
+        fn finish(self: Box<Self>, _grace: Duration) {}
+    }
+
+    /// Run `ticks` of `shards` tiny shards over a recording transport.
+    fn recorded_run(
+        shards: usize,
+        ticks: usize,
+        chaos: ChaosPlan,
+    ) -> (Daemon, DaemonReport, Vec<Op>) {
+        let roster = (0..shards)
+            .map(|s| {
+                ShardSpec::new(
+                    format!("s{s}"),
+                    tm_traffic::DatasetSpec::tiny(),
+                    40 + s as u64,
+                )
+            })
+            .collect();
+        let mut config = DaemonConfig::new(vec![
+            "gravity".parse().unwrap(),
+            "vardi:w=0.01,window=6".parse().unwrap(),
+        ]);
+        config.checkpoint_every = 2;
+        config.restart_backoff = Duration::from_millis(1);
+        config.chaos = chaos;
+        let daemon = Daemon::new(roster, config).unwrap();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let transport = RecordingTransport {
+            log: Arc::clone(&log),
+        };
+        let report = daemon.run_on(&transport, 0..ticks, None).unwrap();
+        let ops = log.lock().unwrap().clone();
+        (daemon, report, ops)
+    }
+
+    /// Every estimate equals an uninterrupted in-process engine's.
+    fn assert_bit_identical(daemon: &Daemon, report: &DaemonReport) {
+        let config = &daemon.config;
+        let feeds = build_feeds(&daemon.shards, config, 0..report.ticks).unwrap();
+        for (feed, shard) in feeds.iter().zip(&report.shards) {
+            let mut engine =
+                StreamEngine::for_dataset(&feed.dataset, &config.methods, config.mode).unwrap();
+            for (k, loads) in feed.dirty.iter().enumerate() {
+                let want = engine.push_interval(loads.clone()).unwrap();
+                let got = shard.ticks[k].as_ref().expect("no lost tick");
+                for (g, w) in got.estimates.iter().zip(&want.estimates) {
+                    let (Some(Ok(g)), Some(Ok(w))) = (g, w) else {
+                        assert!(
+                            matches!((g, w), (None, None) | (Some(Err(_)), Some(Err(_)))),
+                            "shard {} tick {k}: outcome shape differs",
+                            shard.name
+                        );
+                        continue;
+                    };
+                    assert!(
+                        g.demands
+                            .iter()
+                            .zip(&w.demands)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "shard {} tick {k} differs from the in-process engine",
+                        shard.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// Position of the first `Recv` issued while `tick` was the newest
+    /// dispatch of its channel.
+    fn first_recv_of(ops: &[Op], tick: usize) -> usize {
+        ops.iter()
+            .position(|op| matches!(*op, Op::Recv { tick: t, .. } if t == tick))
+            .expect("every round awaits")
+    }
+
+    /// Scatter before gather: in every round, every shard's tick is
+    /// sent before the coordinator awaits any shard.
+    #[test]
+    fn every_shard_is_dispatched_before_any_is_awaited() {
+        let (daemon, report, ops) = recorded_run(3, 6, ChaosPlan::none());
+        assert!(report.all_completed());
+        assert_eq!(report.total_restarts(), 0);
+        for k in 0..6 {
+            let sends: Vec<usize> = ops
+                .iter()
+                .enumerate()
+                .filter(|(_, op)| matches!(**op, Op::Send { tick, .. } if tick == k))
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(sends.len(), 3, "tick {k} sent once to each shard");
+            let first_recv = first_recv_of(&ops, k);
+            assert!(
+                sends.iter().all(|&i| i < first_recv),
+                "tick {k}: a shard was awaited before every shard held the tick: {ops:?}"
+            );
+        }
+        assert_bit_identical(&daemon, &report);
+    }
+
+    /// A kill or hang on shard 0 at tick k restarts shard 0 alone:
+    /// shard 1's tick-k result, dispatched before the failure was
+    /// seen, is kept, and every chaos event fires exactly once.
+    #[test]
+    fn a_failed_shard_restarts_alone_and_keeps_its_peers_results() {
+        for (kind, cause) in [
+            (ChaosKind::Kill, FailureCause::Panic),
+            (ChaosKind::Hang, FailureCause::Hang),
+        ] {
+            let k = 3;
+            let mut chaos = ChaosPlan::none().with_delay(1, k);
+            chaos.events.push(crate::chaos::ChaosEvent {
+                shard: 0,
+                at_tick: k,
+                kind,
+            });
+            let (daemon, report, ops) = recorded_run(2, 6, chaos);
+            assert!(report.all_completed(), "{kind:?}");
+            assert_eq!(report.unfired_chaos, 0, "{kind:?}: every event fired");
+
+            let restarts = &report.shards[0].restarts;
+            assert_eq!(restarts.len(), 1, "{kind:?}: the event fired once");
+            assert_eq!(restarts[0].tick, k);
+            assert_eq!(restarts[0].cause, cause);
+            assert_eq!(restarts[0].from_checkpoint, Some(1));
+            assert_eq!(restarts[0].replayed, 1, "tick 2 is replayed");
+            assert!(report.shards[1].restarts.is_empty(), "{kind:?}");
+
+            let sends_of = |shard: usize, tick: usize| -> Vec<usize> {
+                ops.iter()
+                    .filter_map(|op| match *op {
+                        Op::Send {
+                            shard: s,
+                            epoch,
+                            tick: t,
+                        } if s == shard && t == tick => Some(epoch),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                sends_of(1, k),
+                vec![0],
+                "{kind:?}: shard 1 solved tick k once"
+            );
+            assert_eq!(
+                sends_of(0, k),
+                vec![0, 1],
+                "{kind:?}: shard 0 redelivered tick k"
+            );
+            assert_eq!(
+                sends_of(0, k - 1),
+                vec![0, 1],
+                "{kind:?}: and replayed tick k-1"
+            );
+
+            // Shard 1 held tick k before shard 0's failure was seen.
+            let shard1_sent = ops
+                .iter()
+                .position(|op| {
+                    *op == Op::Send {
+                        shard: 1,
+                        epoch: 0,
+                        tick: k,
+                    }
+                })
+                .unwrap();
+            let failure_seen = ops
+                .iter()
+                .position(|op| {
+                    *op == Op::Send {
+                        shard: 0,
+                        epoch: 1,
+                        tick: k - 1,
+                    }
+                })
+                .unwrap();
+            assert!(shard1_sent < first_recv_of(&ops, k) && first_recv_of(&ops, k) < failure_seen);
+            assert_bit_identical(&daemon, &report);
+        }
     }
 }

@@ -718,6 +718,10 @@ fn serve_with(
         // client therefore costs at most one deadline, then the loop
         // accepts the next connection.
         stream.set_read_timeout(Some(read_deadline.max(std::time::Duration::from_millis(1))))?;
+        // Each answer leaves as one segment, at once: with Nagle's
+        // algorithm on, a client's next request would wait on this
+        // one's delayed ACK.
+        stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = stream;
         let mut line = String::new();
@@ -730,8 +734,9 @@ fn serve_with(
             if line.trim().is_empty() {
                 continue;
             }
-            let response = respond(&line);
-            if writeln!(writer, "{response}").is_err() {
+            let mut response = respond(&line);
+            response.push('\n');
+            if writer.write_all(response.as_bytes()).is_err() {
                 break;
             }
             let shutdown = serde_json::from_str::<Value>(line.trim())

@@ -76,6 +76,15 @@ fn as_ns(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Wall clock in ns since the Unix epoch. The child stamps its tick
+/// dequeue with it and the parent its dispatch, so the two can be
+/// subtracted (both ends run on one host).
+fn wall_clock_ns() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, as_ns)
+}
+
 fn retryable(kind: std::io::ErrorKind) -> bool {
     matches!(
         kind,
@@ -193,6 +202,8 @@ struct Inflight {
     tick: usize,
     bytes: Vec<u8>,
     dispatched: Instant,
+    /// [`wall_clock_ns`] at dispatch, the base of the queue delay.
+    dispatched_ns: u64,
     hb_seen: bool,
 }
 
@@ -411,12 +422,15 @@ impl SocketChannel {
 
     fn ingest(&mut self, frame: Frame) {
         match frame {
-            Frame::Heartbeat => {
+            Frame::Heartbeat { dequeued_ns } => {
+                // The child's dequeue stamp, not this read: the
+                // coordinator may read this shard's heartbeat only
+                // after settling the shards before it.
                 if let Some(inflight) = &mut self.inflight {
                     if !inflight.hb_seen {
                         inflight.hb_seen = true;
                         self.recorder
-                            .record_queue_delay(as_ns(inflight.dispatched.elapsed()));
+                            .record_queue_delay(dequeued_ns.saturating_sub(inflight.dispatched_ns));
                     }
                 }
                 self.pending.push_back(FromWorker::Heartbeat);
@@ -467,6 +481,7 @@ impl WorkerChannel for SocketChannel {
                     tick,
                     bytes: bytes.clone(),
                     dispatched: Instant::now(),
+                    dispatched_ns: wall_clock_ns(),
                     hb_seen: false,
                 });
                 let fault = self.faults.take(self.shard, tick);
@@ -821,7 +836,10 @@ pub fn worker_main(args: &[String]) -> i32 {
                 return 0;
             }
             Frame::Tick { tick, chaos, loads } => {
-                if session.send(&Frame::Heartbeat).is_err() {
+                let alive = Frame::Heartbeat {
+                    dequeued_ns: wall_clock_ns(),
+                };
+                if session.send(&alive).is_err() {
                     if session.reconnect() {
                         continue; // the parent resends the tick
                     }

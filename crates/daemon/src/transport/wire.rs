@@ -7,13 +7,24 @@
 //! [magic u32 BE][type u8][payload len u32 BE][crc32 u32 BE][payload]
 //! ```
 //!
-//! The payload is the frame body serialized as JSON through the
+//! Most payloads are the frame body serialized as JSON through the
 //! vendored `serde_json` (exact f64 round-trips, so estimates survive
-//! the wire bit for bit). The CRC-32 (IEEE reflected polynomial,
-//! hand-rolled — the workspace vendors its dependencies) covers the
-//! type byte and the payload, so a flipped bit anywhere in the body
-//! surfaces as a typed [`FrameError::Checksum`] instead of a garbage
-//! deserialization. Decoding is incremental: [`decode`] returns
+//! the wire bit for bit). Two frames carry a fixed little-endian header
+//! and raw bytes instead:
+//!
+//! ```text
+//! Heartbeat:  [dequeued_ns u64 LE]
+//! Checkpoint: [tick u64 LE][ckpt_ns u64 LE][engine checkpoint JSON, raw UTF-8]
+//! ```
+//!
+//! The checkpoint is already JSON text; shipping it raw spares the
+//! escaping of every quote child-side and the unescaping and copies
+//! parent-side that a JSON string inside a JSON body costs.
+//!
+//! The CRC-32 (IEEE reflected polynomial, hand-rolled — the workspace
+//! vendors its dependencies) covers the type byte and the payload, so a
+//! flipped bit anywhere in the body surfaces as a typed
+//! [`FrameError::Checksum`] instead of a garbage deserialization. Decoding is incremental: [`decode`] returns
 //! `Ok(None)` on a partial buffer ("need more bytes"), and a typed
 //! [`FrameError`] only for data that can never become a valid frame —
 //! the caller's cue to drop the connection and reconnect.
@@ -25,8 +36,10 @@ use tm_traffic::{DatasetSpec, IntervalLoads};
 
 use crate::chaos::ChaosKind;
 
-/// Frame preamble (`b"TMW1"` as a big-endian u32).
-pub const MAGIC: u32 = 0x544D_5731;
+/// Frame preamble (`b"TMW2"` as a big-endian u32). Version 2 carries
+/// heartbeats and checkpoints as raw fixed-layout payloads; a version-1
+/// peer fails its handshake with [`FrameError::BadMagic`].
+pub const MAGIC: u32 = 0x544D_5732;
 
 /// Hard ceiling on a frame's payload, far above any real checkpoint.
 /// A corrupted length field fails fast as [`FrameError::TooLarge`]
@@ -55,6 +68,31 @@ pub enum FrameError {
     },
     /// The payload passed its checksum but is not the declared body.
     Json(String),
+    /// A fixed-layout payload is shorter than its header.
+    ShortHeader {
+        /// Frame type byte.
+        kind: u8,
+        /// Header bytes the layout needs.
+        need: usize,
+        /// Payload bytes received.
+        got: usize,
+    },
+    /// A header-only payload carries bytes after its header.
+    TrailingBytes {
+        /// Frame type byte.
+        kind: u8,
+        /// Bytes past the header.
+        extra: usize,
+    },
+    /// A raw tick index does not fit this platform's `usize`.
+    TickRange(u64),
+    /// A text payload is not UTF-8.
+    NotUtf8 {
+        /// Frame type byte.
+        kind: u8,
+        /// Length of the valid UTF-8 prefix.
+        valid_up_to: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -70,6 +108,18 @@ impl std::fmt::Display for FrameError {
                 )
             }
             FrameError::Json(m) => write!(f, "frame body does not deserialize: {m}"),
+            FrameError::ShortHeader { kind, need, got } => write!(
+                f,
+                "frame type {kind}: {got}-byte payload is shorter than its {need}-byte header"
+            ),
+            FrameError::TrailingBytes { kind, extra } => {
+                write!(f, "frame type {kind}: {extra} bytes after its header")
+            }
+            FrameError::TickRange(t) => write!(f, "tick {t} does not fit a usize"),
+            FrameError::NotUtf8 { kind, valid_up_to } => write!(
+                f,
+                "frame type {kind}: payload is not UTF-8 after byte {valid_up_to}"
+            ),
         }
     }
 }
@@ -134,7 +184,12 @@ pub enum Frame {
         loads: Box<IntervalLoads>,
     },
     /// Child → parent: alive, starting the dispatched tick.
-    Heartbeat,
+    Heartbeat {
+        /// Child's wall clock when it dequeued the tick, in ns since the
+        /// Unix epoch. Both ends share the host's clock, so the parent
+        /// prices queue delay against its own dispatch time.
+        dequeued_ns: u64,
+    },
     /// Child → parent: one tick's estimates + degradation record.
     TickDone {
         /// Tick the result belongs to.
@@ -180,13 +235,6 @@ struct TickBody {
 struct TickDoneBody {
     tick: usize,
     result: StreamTick,
-}
-
-#[derive(Serialize, Deserialize)]
-struct CheckpointBody {
-    tick: usize,
-    json: String,
-    ckpt_ns: u64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -245,7 +293,7 @@ fn frame_type(frame: &Frame) -> u8 {
         Frame::Configure(_) => T_CONFIGURE,
         Frame::Ready => T_READY,
         Frame::Tick { .. } => T_TICK,
-        Frame::Heartbeat => T_HEARTBEAT,
+        Frame::Heartbeat { .. } => T_HEARTBEAT,
         Frame::TickDone { .. } => T_TICK_DONE,
         Frame::Checkpoint { .. } => T_CHECKPOINT,
         Frame::Failed { .. } => T_FAILED,
@@ -254,8 +302,11 @@ fn frame_type(frame: &Frame) -> u8 {
     }
 }
 
-fn payload(frame: &Frame) -> String {
-    let json = |r: Result<String, serde_json::Error>| r.expect("wire bodies always serialize");
+/// Append a frame's payload to `out`.
+fn write_payload(frame: &Frame, out: &mut Vec<u8>) {
+    let mut json = |r: Result<String, serde_json::Error>| {
+        out.extend_from_slice(r.expect("wire bodies always serialize").as_bytes())
+    };
     match frame {
         Frame::Hello { token, resume } => json(serde_json::to_string(&HelloBody {
             token: token.clone(),
@@ -271,79 +322,121 @@ fn payload(frame: &Frame) -> String {
             tick: *tick,
             result: (**result).clone(),
         })),
+        Frame::Failed { message } => json(serde_json::to_string(&FailedBody {
+            message: message.clone(),
+        })),
+        Frame::Heartbeat { dequeued_ns } => out.extend_from_slice(&dequeued_ns.to_le_bytes()),
         Frame::Checkpoint {
             tick,
             json: ckpt,
             ckpt_ns,
-        } => json(serde_json::to_string(&CheckpointBody {
-            tick: *tick,
-            json: ckpt.clone(),
-            ckpt_ns: *ckpt_ns,
-        })),
-        Frame::Failed { message } => json(serde_json::to_string(&FailedBody {
-            message: message.clone(),
-        })),
-        Frame::Ready | Frame::Heartbeat | Frame::Drain | Frame::Drained => String::new(),
+        } => {
+            out.extend_from_slice(&(*tick as u64).to_le_bytes());
+            out.extend_from_slice(&ckpt_ns.to_le_bytes());
+            out.extend_from_slice(ckpt.as_bytes());
+        }
+        Frame::Ready | Frame::Drain | Frame::Drained => {}
     }
 }
 
 /// Encode one frame to its wire bytes.
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let kind = frame_type(frame);
-    let body = payload(frame);
-    let body = body.as_bytes();
-    let crc = crc32(&[&[kind], body]);
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+    let hint = match frame {
+        Frame::Checkpoint { json, .. } => CHECKPOINT_HEADER + json.len(),
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(HEADER_LEN + hint);
     out.extend_from_slice(&MAGIC.to_be_bytes());
     out.push(kind);
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc.to_be_bytes());
-    out.extend_from_slice(body);
+    out.extend_from_slice(&[0; 8]); // length and CRC, filled in below
+    write_payload(frame, &mut out);
+    let len = out.len() - HEADER_LEN;
+    let crc = crc32(&[&[kind], &out[HEADER_LEN..]]);
+    out[5..9].copy_from_slice(&(len as u32).to_be_bytes());
+    out[9..13].copy_from_slice(&crc.to_be_bytes());
     out
 }
 
+/// Bytes of the checkpoint frame's fixed header (`tick`, `ckpt_ns`).
+const CHECKPOINT_HEADER: usize = 16;
+
+/// Split `N` little-endian u64 words off the front of a raw payload.
+fn raw_header<const N: usize>(kind: u8, body: &[u8]) -> Result<([u64; N], &[u8]), FrameError> {
+    let need = 8 * N;
+    if body.len() < need {
+        return Err(FrameError::ShortHeader {
+            kind,
+            need,
+            got: body.len(),
+        });
+    }
+    let (head, rest) = body.split_at(need);
+    let mut words = [0u64; N];
+    for (word, bytes) in words.iter_mut().zip(head.chunks_exact(8)) {
+        *word = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+    }
+    Ok((words, rest))
+}
+
+fn utf8(kind: u8, bytes: &[u8]) -> Result<&str, FrameError> {
+    std::str::from_utf8(bytes).map_err(|e| FrameError::NotUtf8 {
+        kind,
+        valid_up_to: e.valid_up_to(),
+    })
+}
+
 fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
-    let text = std::str::from_utf8(body).map_err(|e| FrameError::Json(e.to_string()))?;
     let de = |e: serde_json::Error| FrameError::Json(e.to_string());
+    let text = || utf8(kind, body);
     Ok(match kind {
         T_HELLO => {
-            let b: HelloBody = serde_json::from_str(text).map_err(de)?;
+            let b: HelloBody = serde_json::from_str(text()?).map_err(de)?;
             Frame::Hello {
                 token: b.token,
                 resume: b.resume,
             }
         }
         T_CONFIGURE => {
-            let b: ConfigureBody = serde_json::from_str(text).map_err(de)?;
+            let b: ConfigureBody = serde_json::from_str(text()?).map_err(de)?;
             Frame::Configure(Box::new(b))
         }
         T_READY => Frame::Ready,
         T_TICK => {
-            let b: TickBody = serde_json::from_str(text).map_err(de)?;
+            let b: TickBody = serde_json::from_str(text()?).map_err(de)?;
             Frame::Tick {
                 tick: b.tick,
                 chaos: b.chaos,
                 loads: Box::new(b.loads),
             }
         }
-        T_HEARTBEAT => Frame::Heartbeat,
+        T_HEARTBEAT => {
+            let ([dequeued_ns], rest) = raw_header(kind, body)?;
+            if !rest.is_empty() {
+                return Err(FrameError::TrailingBytes {
+                    kind,
+                    extra: rest.len(),
+                });
+            }
+            Frame::Heartbeat { dequeued_ns }
+        }
         T_TICK_DONE => {
-            let b: TickDoneBody = serde_json::from_str(text).map_err(de)?;
+            let b: TickDoneBody = serde_json::from_str(text()?).map_err(de)?;
             Frame::TickDone {
                 tick: b.tick,
                 result: Box::new(b.result),
             }
         }
         T_CHECKPOINT => {
-            let b: CheckpointBody = serde_json::from_str(text).map_err(de)?;
+            let ([tick, ckpt_ns], json) = raw_header(kind, body)?;
             Frame::Checkpoint {
-                tick: b.tick,
-                json: b.json,
-                ckpt_ns: b.ckpt_ns,
+                tick: usize::try_from(tick).map_err(|_| FrameError::TickRange(tick))?,
+                json: utf8(kind, json)?.to_owned(),
+                ckpt_ns,
             }
         }
         T_FAILED => {
-            let b: FailedBody = serde_json::from_str(text).map_err(de)?;
+            let b: FailedBody = serde_json::from_str(text()?).map_err(de)?;
             Frame::Failed { message: b.message }
         }
         T_DRAIN => Frame::Drain,
@@ -415,7 +508,9 @@ mod tests {
                     egress: vec![2.0],
                 }),
             },
-            Frame::Heartbeat,
+            Frame::Heartbeat {
+                dequeued_ns: 1_700_000_000_123_456_789,
+            },
             Frame::Checkpoint {
                 tick: 15,
                 json: "{\"state\":[1,2]}".into(),
@@ -514,6 +609,108 @@ mod tests {
         // Truncation is not an error.
         assert!(decode(&good[..5]).unwrap().is_none());
         assert!(decode(&[]).unwrap().is_none());
+    }
+
+    /// A frame of type `kind` around an arbitrary payload, with a
+    /// valid checksum, so decoding reaches the body.
+    fn framed(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_be_bytes().to_vec();
+        out.push(kind);
+        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        out.extend_from_slice(&crc32(&[&[kind], payload]).to_be_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn checkpoint_frames_carry_raw_json_behind_a_fixed_header() {
+        let json = "{\"v\":1,\"s\":\"a\\\"b\"}";
+        let bytes = encode(&Frame::Checkpoint {
+            tick: 15,
+            json: json.into(),
+            ckpt_ns: 12_345,
+        });
+        let payload = &bytes[HEADER_LEN..];
+        assert_eq!(payload.len(), CHECKPOINT_HEADER + json.len());
+        assert_eq!(payload[..8], 15u64.to_le_bytes());
+        assert_eq!(payload[8..16], 12_345u64.to_le_bytes());
+        assert_eq!(&payload[16..], json.as_bytes(), "no JSON string escaping");
+        let Some((
+            Frame::Checkpoint {
+                tick,
+                json: got,
+                ckpt_ns,
+            },
+            used,
+        )) = decode(&bytes).unwrap()
+        else {
+            panic!("checkpoint frame");
+        };
+        assert_eq!(
+            (tick, got.as_str(), ckpt_ns, used),
+            (15, json, 12_345, bytes.len())
+        );
+
+        let beat = encode(&Frame::Heartbeat { dequeued_ns: 7 });
+        assert_eq!(beat[HEADER_LEN..], 7u64.to_le_bytes());
+    }
+
+    #[test]
+    fn raw_payload_errors_are_typed() {
+        assert_eq!(
+            decode(&framed(T_CHECKPOINT, &[0; 10])).unwrap_err(),
+            FrameError::ShortHeader {
+                kind: T_CHECKPOINT,
+                need: 16,
+                got: 10
+            }
+        );
+        let mut bad = vec![0u8; 16];
+        bad.extend_from_slice(b"{\"ok\":\xff}");
+        assert_eq!(
+            decode(&framed(T_CHECKPOINT, &bad)).unwrap_err(),
+            FrameError::NotUtf8 {
+                kind: T_CHECKPOINT,
+                valid_up_to: 6
+            }
+        );
+        assert_eq!(
+            decode(&framed(T_HEARTBEAT, &[0; 3])).unwrap_err(),
+            FrameError::ShortHeader {
+                kind: T_HEARTBEAT,
+                need: 8,
+                got: 3
+            }
+        );
+        assert_eq!(
+            decode(&framed(T_HEARTBEAT, &[0; 9])).unwrap_err(),
+            FrameError::TrailingBytes {
+                kind: T_HEARTBEAT,
+                extra: 1
+            }
+        );
+        // JSON frames report non-UTF-8 the same way.
+        assert!(matches!(
+            decode(&framed(T_FAILED, b"\xc3")),
+            Err(FrameError::NotUtf8 {
+                kind: T_FAILED,
+                valid_up_to: 0
+            })
+        ));
+    }
+
+    #[test]
+    fn a_version_one_peer_is_refused() {
+        let mut stale = encode(&Frame::Hello {
+            token: "t".into(),
+            resume: false,
+        });
+        stale[..4].copy_from_slice(b"TMW1");
+        assert_eq!(
+            decode(&stale).unwrap_err(),
+            FrameError::BadMagic(0x544D_5731)
+        );
+        assert_eq!(&MAGIC.to_be_bytes(), b"TMW2");
     }
 
     #[test]

@@ -57,7 +57,9 @@ pub(crate) enum ToWorker {
         /// heartbeat, whichever side of a process boundary it's on.
         chaos: Option<ChaosKind>,
         /// Dispatch instant, for the queue-delay histogram (thread
-        /// transport only — the socket channel clocks parent-side).
+        /// transport only — the socket child stamps its dequeue wall
+        /// clock into its heartbeat, which the parent prices against
+        /// its own dispatch stamp).
         sent: Instant,
     },
     /// Finish up and exit cleanly.
