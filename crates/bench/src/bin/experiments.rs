@@ -14,7 +14,7 @@
 //! (who wins, where methods fail, where curves flatten) are reproduced.
 //!
 //! `bench` times every registry method (`Method::all_defaults()`) at
-//! three topology scales, the prepared-system batch path, and the
+//! three topology scales and the
 //! full-day streaming sweeps (`day288-*`: warm-started StreamEngine vs
 //! the equivalent per-interval cold loop — the full suite at Europe
 //! scale plus the second-order-solver rows at America scale; the
@@ -778,8 +778,7 @@ fn table2() {
 /// `bench` mode: the perf-trajectory harness.
 ///
 /// Times every registry method ([`Method::all_defaults`]) at three
-/// topology scales, the prepared-system batch path over 8-snapshot
-/// sweeps, the full-day streaming sweeps (warm vs cold — the full
+/// topology scales, the full-day streaming sweeps (warm vs cold — the full
 /// suite at Europe scale, the second-order rows at America scale),
 /// and the sparse engine against its densified baseline on the
 /// entropy-SPG, Gram-CD-NNLS and WCB-simplex hot paths; writes
@@ -865,32 +864,11 @@ fn bench_mode() {
             );
         }
 
-        // Prepared-system batch path: 8 busy-hour snapshots through one
-        // SnapshotShard (matrix/Gram/transpose derived once per sweep).
-        // New in PR 3 — these rows become the baseline the next PR's
-        // gate compares against.
-        let b0 = d.busy_hour().start;
-        let batch_samples: Vec<usize> = (b0..(b0 + 8).min(d.series.len())).collect();
-        for spec in ["entropy:lambda=1e3", "bayes:prior=1e3"] {
-            let method: Method = spec.parse().expect("valid spec");
-            let label = format!("batch{}-{}", batch_samples.len(), method.label());
-            push(
-                &label,
-                perf::time_ms(runs.min(3), || {
-                    estimate_snapshots_method(&method, &d, &batch_samples)
-                        .into_iter()
-                        .map(|r| r.expect("ok"))
-                        .collect::<Vec<_>>()
-                }),
-                None,
-            );
-        }
-
         // Full-day streaming sweeps: every method over all 288 intervals
         // through one StreamEngine. `day288-<label>` reports the
         // warm-started engine (the PR 4 tentpole); `cold_ms` and
         // `speedup_vs_cold` record the equivalent per-interval cold
-        // loop (bit-identical to the batch path) it replaces. The full
+        // loop (bit-identical to per-snapshot estimates) it replaces. The full
         // suite runs at Europe scale; America runs the rows the PR 5
         // second-order solvers target (entropy's sparse Newton, Vardi's
         // semismooth Newton) — the remaining methods' full American day

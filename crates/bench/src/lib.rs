@@ -7,12 +7,12 @@
 //!   the paper's evaluation (Figs. 1–16, Tables 1–2) on the synthetic
 //!   datasets, printing aligned text and writing CSV under `results/`.
 //!   Run `cargo run --release -p tm-bench --bin experiments -- all`.
-//! * `benches/` contains criterion micro/meso-benchmarks: one per
-//!   estimator family plus ablations (warm vs cold simplex, CD vs dual
-//!   NNLS, SPG iteration cost, routing).
+//!   Its `bench` mode is the one timing harness: every estimator at
+//!   three topology scales, the full-day streaming sweeps, and the
+//!   sparse-vs-dense ablations, written to `BENCH_PR<n>.json`.
 //!
-//! This library crate exposes the shared experiment plumbing so both the
-//! binary and the benches use identical workloads.
+//! This library crate exposes the shared experiment plumbing so every
+//! mode of the binary uses identical workloads.
 
 #![forbid(unsafe_code)]
 

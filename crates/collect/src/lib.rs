@@ -13,11 +13,11 @@
 //! * [`counters`] — wrapped SNMP byte counters (32/64-bit), rate
 //!   reconstruction adjusted by the *actual* measured interval, and the
 //!   32-bit multi-wrap hazard, demonstrated in tests;
-//! * [`sim`] — distributed pollers on OS threads (crossbeam channels),
-//!   deterministic response jitter, UDP-style loss with backup-poller
-//!   retry or exponential-backoff retry under per-link deadlines,
-//!   central collection, per-cell quality tagging, and gap
-//!   interpolation;
+//! * [`sim`] — distributed pollers on scoped OS threads
+//!   (`std::sync::mpsc` channels), deterministic response jitter,
+//!   UDP-style loss with backup-poller retry or exponential-backoff
+//!   retry under per-link deadlines, central collection, per-cell
+//!   quality tagging, and gap interpolation;
 //! * [`fault`] — seeded, config-driven fault injection (missing polls,
 //!   counter wraps/resets, stale readings, noise bursts, per-link
 //!   outages) applied to the raw reading log before rate

@@ -7,19 +7,17 @@
 //! interval length, failover to a backup poller, and reliable transfer
 //! into a central database.
 //!
-//! Pollers run on OS threads connected by crossbeam channels (blocking
-//! message-passing is exactly the shape the async guides recommend *not*
-//! putting on an async runtime). Determinism: every poller derives its
-//! RNG from the master seed and its own id, routers are partitioned
-//! statically, and the central database orders readings by
-//! `(interval, object)` — so results are bit-identical across runs and
-//! thread schedules.
+//! Pollers run on scoped OS threads connected by `std::sync::mpsc`
+//! channels (blocking message-passing is exactly the shape the async
+//! guides recommend *not* putting on an async runtime). Determinism:
+//! every poller derives its RNG from the master seed and its own id,
+//! routers are partitioned statically, and the central database orders
+//! readings by `(interval, object)` — so results are bit-identical
+//! across runs and thread schedules.
 
-use crossbeam::channel;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{mpsc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -338,8 +336,7 @@ pub fn run_collection(
         .collect();
     // Reading log: readings[k][p] = Some((timestamp_ms, counter)).
     type ReadingLog = Vec<Vec<Option<(u64, u64)>>>;
-    let readings: Arc<Mutex<ReadingLog>> =
-        Arc::new(Mutex::new(vec![vec![None; p_count]; k_len + 1]));
+    let readings: Mutex<ReadingLog> = Mutex::new(vec![vec![None; p_count]; k_len + 1]);
     let mut lost_polls = 0usize;
 
     // Counter snapshot at t=0 (interval boundary 0) is polled before any
@@ -349,14 +346,14 @@ pub fn run_collection(
     // are identical.)
     for boundary in 0..=k_len {
         // Partition routers round-robin across pollers.
-        let (tx_done, rx_done) = channel::unbounded::<usize>();
-        crossbeam::scope(|scope| {
+        let (tx_done, rx_done) = mpsc::channel::<usize>();
+        std::thread::scope(|scope| {
             for poller in 0..config.pollers {
                 let agents = &agents;
-                let readings = Arc::clone(&readings);
+                let readings = &readings;
                 let tx_done = tx_done.clone();
                 let cfg = config.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut lost_here = 0usize;
                     let mut rng = StdRng::seed_from_u64(
                         seed ^ (boundary as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -398,12 +395,12 @@ pub fn run_collection(
                             };
                             // Encode/decode both directions: the wire
                             // codec is exercised on every poll.
-                            let req = PollRequest::decode(req.encode())
+                            let req = PollRequest::decode(&req.encode())
                                 .expect("self-encoded request decodes");
                             let resp = agent.respond(&req, ts_ms);
-                            let resp = PollResponse::decode(resp.encode())
+                            let resp = PollResponse::decode(&resp.encode())
                                 .expect("self-encoded response decodes");
-                            let mut log = readings.lock();
+                            let mut log = readings.lock().expect("reading log never poisoned");
                             for (o, v) in resp.readings {
                                 log[boundary][o as usize] = Some((resp.timestamp_ms, v));
                             }
@@ -418,8 +415,7 @@ pub fn run_collection(
                 });
             }
             drop(tx_done);
-        })
-        .expect("poller threads never panic");
+        });
         lost_polls += rx_done.iter().sum::<usize>();
     }
 
@@ -436,7 +432,7 @@ pub fn run_collection(
                 }
             }
         }
-        let mut log = readings.lock();
+        let mut log = readings.lock().expect("reading log never poisoned");
         apply_fault_plan(plan, &mut log, &truth, config.counter_mode);
     }
 
@@ -446,7 +442,7 @@ pub fn run_collection(
     // its intervals and counted as interpolated. Suspect pairs (reset,
     // implausible rate) contribute no value: their span is left for
     // interpolation and tagged so downstream estimators can mask it.
-    let log = readings.lock();
+    let log = readings.lock().expect("reading log never poisoned");
     let mut rates = vec![vec![f64::NAN; p_count]; k_len];
     let mut quality = vec![vec![CellQuality::Interpolated; p_count]; k_len];
     let mut interpolated = 0usize;

@@ -75,7 +75,7 @@ impl EntropyEstimator {
     /// strictly convex, the minimizer does not depend on the solver or
     /// starting point — warm results agree with the cold path up to
     /// solver tolerance (below the dense gate the cold path stays SPG,
-    /// bit-identical to the batch layer).
+    /// bit-identical to a plain `estimate_system`).
     pub fn estimate_system_warm(
         &self,
         sys: &MeasurementSystem<'_>,
@@ -177,7 +177,7 @@ impl EntropyEstimator {
         // variables handled by row pinning so the one symbolic serves
         // every active set. The dense warm path stays as before (its
         // `2AᵀA` base cached in the warm handle); the *small-system*
-        // cold path stays SPG, bit-identical to the batch layer; the
+        // cold path stays SPG, bit-identical to `estimate_system`; the
         // large-system cold path (America scale) runs the sparse Newton
         // with an SPG fallback on non-convergence.
         let mut x_solution: Option<Vec<f64>> = None;

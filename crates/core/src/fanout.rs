@@ -35,7 +35,7 @@ use crate::Result;
 /// Below this many OD pairs the streaming path solves the fanout QP by
 /// one direct dense KKT factorization (projected CG pays hundreds of
 /// sparse matvecs per tick for the same unique minimizer at that
-/// size); the cold/batch path always uses the sparse CG solver.
+/// size); the cold path always uses the sparse CG solver.
 pub const DENSE_KKT_PAIRS: usize = 256;
 
 /// Constant-fanout time-series estimator.
@@ -71,7 +71,7 @@ impl FanoutEstimator {
     }
 
     /// [`FanoutEstimator::estimate`] drawing scratch vectors from a
-    /// [`Workspace`] pool (allocation-free steady state in batch loops).
+    /// [`Workspace`] pool (allocation-free steady state in long loops).
     pub fn estimate_with(
         &self,
         problem: &EstimationProblem,
@@ -83,8 +83,8 @@ impl FanoutEstimator {
     /// [`FanoutEstimator::estimate`] from a prepared system, reusing
     /// its cached measurement matrix and Gram `AᵀA` — the by-far
     /// largest per-problem precomputation, identical for every interval
-    /// of a snapshot shard (`crate::batch::SnapshotShard` holds one
-    /// shared system).
+    /// of one routing pattern (a [`MeasurementSystem::reanchor`]ed view
+    /// shares it).
     pub fn estimate_prepared(
         &self,
         sys: &MeasurementSystem<'_>,

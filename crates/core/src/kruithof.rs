@@ -31,8 +31,8 @@ enum Mode {
 /// safeguarded adaptive scheme in `tm_opt::ipf` halves it on any
 /// violation growth, so convergence — to the same I-projection — is
 /// preserved; ω = 3 cuts sweep counts ~3x on the backbone systems).
-/// The cold path keeps ω = 1 and stays bit-identical to the batch
-/// layer.
+/// The cold path keeps ω = 1 and stays bit-identical to a plain
+/// `estimate_system`.
 const WARM_RELAXATION: f64 = 3.0;
 
 /// Kruithof / iterative-scaling estimator.
@@ -71,8 +71,8 @@ impl KruithofEstimator {
     /// 3, safeguarded — see [`IpfOptions::anderson_depth`]): the fixed
     /// point, the I-projection of the prior, is unchanged; only the
     /// sweep count collapses. This applies to the cold path too — the
-    /// projection is solver-independent, so batch and streaming results
-    /// agree as before.
+    /// projection is solver-independent, so cold and warm streaming
+    /// results agree as before.
     pub fn full() -> Self {
         KruithofEstimator {
             mode: Mode::Full,

@@ -58,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bayes;
 pub mod cao;
 pub mod checkpoint;
@@ -92,10 +91,6 @@ pub type Result<T> = std::result::Result<T, EstimationError>;
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::batch::{
-        estimate_batch, estimate_batch_method, estimate_snapshots, estimate_snapshots_method,
-        SnapshotShard,
-    };
     pub use crate::bayes::BayesianEstimator;
     pub use crate::cao::CaoEstimator;
     pub use crate::entropy::EntropyEstimator;

@@ -459,8 +459,8 @@ impl Method {
     }
 
     /// Construct the boxed estimator this method describes. The box is
-    /// `Send + Sync`, so one built method drives a parallel batch sweep
-    /// directly.
+    /// `Send + Sync`, so one built method can be shared across worker
+    /// threads.
     pub fn build(&self) -> Box<dyn Estimator + Send + Sync> {
         match self.build_typed() {
             TypedEstimator::Gravity(e) => Box::new(e),

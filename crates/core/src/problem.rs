@@ -362,15 +362,16 @@ impl From<Estimate> for Vec<f64> {
 /// reads a prepared [`MeasurementSystem`](crate::system::MeasurementSystem)
 /// whose derived state (stacked matrix, Gram, transpose, GIS plan,
 /// WCB basis) is computed once and shared by every method and every
-/// interval. [`Estimator::estimate`] and [`Estimator::estimate_with`]
-/// are compatibility wrappers that prepare a throwaway system from the
-/// bare problem; they produce bit-identical results.
+/// interval. [`Estimator::estimate`] is a compatibility wrapper that
+/// prepares a throwaway system from the bare problem; it produces
+/// bit-identical results.
 pub trait Estimator {
     /// Estimate the traffic matrix from a prepared measurement system,
     /// drawing scratch and result vectors from a
     /// [`Workspace`](tm_linalg::Workspace) pool. Long-running pipelines
-    /// (`crate::batch`) hold one shared system and one pool per worker,
-    /// so at steady state an estimate costs only its own solve.
+    /// (the [`StreamEngine`](crate::stream::StreamEngine)) hold one
+    /// shared system and one pool, so at steady state an estimate costs
+    /// only its own solve.
     fn estimate_system(
         &self,
         sys: &crate::system::MeasurementSystem<'_>,
@@ -384,16 +385,6 @@ pub trait Estimator {
             &crate::system::MeasurementSystem::prepare(problem),
             &mut tm_linalg::Workspace::new(),
         )
-    }
-
-    /// Estimate from a bare problem with a caller-held workspace pool
-    /// (compatibility wrapper: prepares a throwaway system).
-    fn estimate_with(
-        &self,
-        problem: &EstimationProblem,
-        ws: &mut tm_linalg::Workspace,
-    ) -> Result<Estimate> {
-        self.estimate_system(&crate::system::MeasurementSystem::prepare(problem), ws)
     }
 
     /// Method name (for tables and figures).

@@ -26,11 +26,12 @@
 //!   re-anchored per tick via [`WcbSolver::rebase`] (with its
 //!   dual-repair fallback) instead of a fresh phase 1 per interval.
 //!
-//! [`StreamMode::Cold`] runs every tick through the exact same code
-//! path as the batch layer ([`crate::batch`]) — per-interval results
-//! are **bit-identical** to `SnapshotShard` sweeps — and is the
-//! baseline the warm mode's speedups are measured against
-//! (`day288-*` entries in the perf harness). Warm-mode solutions agree
+//! [`StreamMode::Cold`] runs every tick from scratch through
+//! [`MeasurementSystem::reanchor`] + [`Estimator::estimate_system`] —
+//! per-interval results are **bit-identical** to estimating each
+//! snapshot problem on its own — and is the baseline the warm mode's
+//! speedups are measured against (`day288-*` entries in the perf
+//! harness). Warm-mode solutions agree
 //! with cold ones up to solver tolerance: every warm start either
 //! targets the same unique optimum (strictly convex objectives, LP
 //! optima, the GIS fixed point) or re-derives the same aggregates
@@ -78,8 +79,8 @@ const DIVERGENCE_FACTOR: f64 = 10.0;
 /// Whether a [`StreamEngine`] carries per-method state across ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StreamMode {
-    /// Every tick is estimated from scratch through the same code path
-    /// as the batch layer — bit-identical to a `SnapshotShard` sweep.
+    /// Every tick is estimated from scratch — bit-identical to
+    /// estimating each interval's problem on its own.
     Cold,
     /// Per-method incremental state (rolling windows, warm starts, the
     /// carried WCB basis) persists across ticks; results agree with
@@ -371,6 +372,15 @@ struct MethodSlot {
     state: MethodState,
 }
 
+/// Minimum history length before `m` can produce output (Vardi/Cao
+/// need two intervals for a covariance).
+fn min_window(m: &Method) -> usize {
+    match m.config() {
+        MethodConfig::Vardi { .. } | MethodConfig::Cao { .. } => 2,
+        _ => 1,
+    }
+}
+
 /// The streaming interval engine — see the [module docs](self).
 pub struct StreamEngine {
     anchor: MeasurementSystem<'static>,
@@ -383,9 +393,8 @@ pub struct StreamEngine {
     src_of: Vec<usize>,
     ws: Workspace,
     ticks: usize,
-    /// Input classification options; `None` disables the degradation
-    /// ladder entirely (the PR 5 fail-fast behavior).
-    quality: Option<QualityOptions>,
+    /// Input classification options driving the degradation ladder.
+    quality: QualityOptions,
     /// Max consecutive ticks a row may be bridged from its last clean
     /// value before it is masked instead.
     impute_horizon: usize,
@@ -403,27 +412,13 @@ impl StreamEngine {
     /// its load values are never estimated. Matrix-derived caches fill
     /// lazily on the shared system and serve every tick.
     pub fn new(anchor: EstimationProblem, methods: &[Method], mode: StreamMode) -> Result<Self> {
-        Self::from_system(MeasurementSystem::new(anchor), methods, mode)
-    }
-
-    /// Build from an already prepared (possibly shared) measurement
-    /// system: a `SnapshotShard`'s engine view shares the shard's
-    /// caches this way.
-    pub fn from_system(
-        system: MeasurementSystem<'static>,
-        methods: &[Method],
-        mode: StreamMode,
-    ) -> Result<Self> {
         if methods.is_empty() {
             return Err(EstimationError::InvalidProblem(
                 "stream engine: no methods registered".into(),
             ));
         }
         for m in methods {
-            let min = match m.config() {
-                MethodConfig::Vardi { .. } | MethodConfig::Cao { .. } => 2,
-                _ => 1,
-            };
+            let min = min_window(m);
             if let Some(w) = m.window() {
                 if w < min {
                     return Err(EstimationError::InvalidProblem(format!(
@@ -433,6 +428,7 @@ impl StreamEngine {
                 }
             }
         }
+        let system = MeasurementSystem::new(anchor);
         let pairs = system.problem().pairs();
         let src_of: Vec<usize> = (0..pairs.count()).map(|p| pairs.pair(p).0 .0).collect();
         let slots: Vec<MethodSlot> = methods
@@ -440,10 +436,7 @@ impl StreamEngine {
             .map(|m| MethodSlot {
                 label: m.label(),
                 window: m.window(),
-                min_window: match m.config() {
-                    MethodConfig::Vardi { .. } | MethodConfig::Cao { .. } => 2,
-                    _ => 1,
-                },
+                min_window: min_window(m),
                 method: m.clone(),
                 state: build_state(&system, m, mode),
             })
@@ -460,7 +453,7 @@ impl StreamEngine {
             src_of,
             ws: Workspace::new(),
             ticks: 0,
-            quality: Some(QualityOptions::default()),
+            quality: QualityOptions::default(),
             impute_horizon: DEFAULT_IMPUTE_HORIZON,
             last_clean: vec![None; ext_rows],
             gap: vec![0; ext_rows],
@@ -498,15 +491,6 @@ impl StreamEngine {
         &self.anchor
     }
 
-    /// Set (or disable, with `None`) the input-quality classification
-    /// driving the degradation ladder. Enabled by default with
-    /// [`QualityOptions::default`]; clean inputs take a fast path whose
-    /// estimates are bit-identical to a disabled ladder.
-    pub fn with_quality(mut self, quality: Option<QualityOptions>) -> Self {
-        self.quality = quality;
-        self
-    }
-
     /// Set how many consecutive ticks a missing/suspect row may be
     /// bridged from its last clean value before it is masked out of the
     /// system instead (default 3).
@@ -515,24 +499,19 @@ impl StreamEngine {
         self
     }
 
-    /// The active quality options (`None` when the degradation ladder
-    /// is disabled).
-    pub fn quality(&self) -> Option<&QualityOptions> {
-        self.quality.as_ref()
-    }
-
     /// Consume one interval and estimate every registered method.
     ///
     /// Engine-level failures (dimension mismatches, a routing change)
-    /// fail the whole tick. With the quality ladder enabled (the
-    /// default), dirty inputs and per-method solver failures degrade
-    /// instead of erroring: rows are imputed or masked, failing methods
-    /// fall back to their last good estimate, suspect carried state is
-    /// quarantined, and the whole story is reported in
-    /// [`StreamTick::degradation`]. With the ladder disabled
-    /// ([`Self::with_quality`]`(None)`), per-method solver failures are
-    /// recorded in the tick's `estimates` and do not disturb the other
-    /// methods — the PR 5 behavior, bit for bit.
+    /// fail the whole tick. Everything else runs the degradation
+    /// ladder — classify → repair/mask → solve → validate →
+    /// quarantine/fall back: dirty inputs and per-method solver
+    /// failures degrade instead of erroring. Rows are imputed or
+    /// masked, failing methods fall back to their last good estimate,
+    /// suspect carried state is quarantined, and the whole story is
+    /// reported in [`StreamTick::degradation`]. On a clean tick the
+    /// ladder never engages: every method runs its plain solve, a
+    /// solver failure is recorded in that method's `estimates` entry
+    /// without disturbing the others, and the tick carries no report.
     pub fn push_interval(&mut self, loads: IntervalLoads) -> Result<StreamTick> {
         let anchor_p = self.anchor.problem();
         if loads.link_loads.len() != anchor_p.n_links()
@@ -548,101 +527,15 @@ impl StreamEngine {
                 anchor_p.n_nodes(),
             )));
         }
-        match self.quality {
-            None => self.push_interval_raw(loads),
-            Some(opts) => self.push_interval_checked(loads, opts),
-        }
-    }
-
-    /// The ladder-free tick: trust every row, fail fast. Exactly the
-    /// PR 5 solve sequence.
-    fn push_interval_raw(&mut self, loads: IntervalLoads) -> Result<StreamTick> {
-        let use_edge = self.anchor.problem().uses_edge_measurements();
-        let mut t_stacked = loads.link_loads.clone();
-        if use_edge {
-            t_stacked.extend_from_slice(&loads.ingress);
-            t_stacked.extend_from_slice(&loads.egress);
-        }
-
-        // The window includes the current interval.
-        self.history.push_back(loads);
-        if self.history.len() > self.max_window {
-            self.history.pop_front();
-        }
-
-        // The transposed product Aᵀ·t feeds the rolling fanout window;
-        // compute it once per tick, only when a fanout method streams.
-        let needs_u = self
-            .methods
-            .iter()
-            .any(|m| matches!(m.state, MethodState::Fanout(..)));
-        let u = if needs_u {
-            Some(self.anchor.matrix().tr_matvec(&t_stacked))
-        } else {
-            None
-        };
-
-        let interval = self.ticks;
-        self.ticks += 1;
-
-        // Lazily built per-tick systems, shared across methods: one
-        // snapshot system plus one window system per distinct length.
-        let StreamEngine {
-            anchor,
-            methods,
-            history,
-            src_of,
-            ws,
-            ..
-        } = self;
-        let current = history.back().expect("pushed above");
-        let mut snap_sys: Option<MeasurementSystem<'static>> = None;
-        let mut win_sys: Vec<(usize, MeasurementSystem<'static>)> = Vec::new();
-
-        let mut estimates = Vec::with_capacity(methods.len());
-        let mut solve_ns = Vec::with_capacity(methods.len());
-        for slot in methods.iter_mut() {
-            let started = std::time::Instant::now();
-            let (out, _) = solve_slot(
-                slot,
-                anchor,
-                history,
-                current,
-                &t_stacked,
-                u.as_deref(),
-                src_of,
-                ws,
-                &mut snap_sys,
-                &mut win_sys,
-                &TickCtx::Clean,
-            );
-            solve_ns.push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            estimates.push(out);
-        }
-
-        Ok(StreamTick {
-            interval,
-            estimates,
-            degradation: None,
-            solve_ns,
-        })
-    }
-
-    /// The degradation-ladder tick: classify → repair/mask → solve →
-    /// validate → quarantine/fall back. Clean inputs run the same solve
-    /// sequence as [`Self::push_interval_raw`] (bit-identical
-    /// estimates); the ladder engages only on dirty rows or suspect
-    /// solver outcomes.
-    fn push_interval_checked(
-        &mut self,
-        loads: IntervalLoads,
-        opts: QualityOptions,
-    ) -> Result<StreamTick> {
-        let anchor_p = self.anchor.problem();
         let use_edge = anchor_p.uses_edge_measurements();
         let n_links = anchor_p.n_links();
         let n_nodes = anchor_p.n_nodes();
-        let q = LoadQuality::assess(&loads.link_loads, &loads.ingress, &loads.egress, &opts);
+        let q = LoadQuality::assess(
+            &loads.link_loads,
+            &loads.ingress,
+            &loads.egress,
+            &self.quality,
+        );
 
         // Repair pass over the extended row space
         // [links | ingress | egress] (kept even when edge rows are not
@@ -818,7 +711,7 @@ impl StreamEngine {
             // report before any quarantine resets it. The ladder only
             // engages on degraded ticks: a clean tick's output —
             // including a hypothetical non-converged or diverged solve —
-            // must stay bit-identical to the fail-fast path, so suspect
+            // is the method's plain solve, bit for bit, so suspect
             // outcomes are only intercepted once the inputs themselves
             // were suspect.
             let conv = slot_convergence(&slot.state);
@@ -1167,8 +1060,8 @@ fn build_state(system: &MeasurementSystem<'_>, method: &Method, mode: StreamMode
 }
 
 /// The per-tick snapshot problem: the anchor's routing pattern, peering
-/// roles and edge flag with the tick's load values — exactly what the
-/// batch layer's `snapshot_problem` builds (minus the ground truth no
+/// roles and edge flag with the tick's load values — exactly what
+/// `DatasetExt::snapshot_problem` builds (minus the ground truth no
 /// estimator reads).
 fn tick_problem(
     anchor: &MeasurementSystem<'_>,
@@ -1287,7 +1180,7 @@ fn tick_wcb(
 
 /// Input classification for one tick, steering the per-method solve.
 enum TickCtx<'a> {
-    /// All rows usable — the verbatim fail-fast solve sequence.
+    /// All rows usable — every method's plain solve, untouched.
     Clean,
     /// Some rows bridged from their last clean value; the repaired
     /// loads run through the same full-system solve as a clean tick.
@@ -1762,10 +1655,10 @@ impl serde::Deserialize for FanoutRolling {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::SnapshotShard;
     use crate::measure::LoadFaultPlan;
     use crate::metrics::{mean_relative_error, CoverageThreshold};
     use crate::problem::DatasetExt;
+    use crate::wcb::worst_case_bounds;
     use tm_traffic::DatasetSpec;
 
     fn tiny() -> EvalDataset {
@@ -1793,11 +1686,12 @@ mod tests {
             "bayes:prior=1e3",
             "wcb",
         ]);
-        let shard = SnapshotShard::new(&d);
-        let ticks = shard.stream(&ms, StreamMode::Cold, 0..5).unwrap();
+        let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Cold).unwrap();
+        let ticks = engine.run(dataset_stream(&d, 0..5).unwrap()).unwrap();
         assert_eq!(ticks.len(), 5);
         for (k, tick) in ticks.iter().enumerate() {
             assert_eq!(tick.interval, k);
+            assert!(tick.degradation.is_none(), "clean tick {k} degraded");
             for (i, m) in ms.iter().enumerate() {
                 let got = tick.estimates[i]
                     .as_ref()
@@ -1817,6 +1711,7 @@ mod tests {
         let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Cold).unwrap();
         let ticks = engine.run(dataset_stream(&d, 0..7).unwrap()).unwrap();
         for (k, tick) in ticks.iter().enumerate() {
+            assert!(tick.degradation.is_none(), "clean tick {k} degraded");
             // fanout: window = min(k+1, 4), ready from the first tick.
             let w = (k + 1).min(4);
             let got = tick.estimates[0].as_ref().unwrap().as_ref().unwrap();
@@ -1857,6 +1752,8 @@ mod tests {
         let cold_ticks = cold.run(dataset_stream(&d, 0..8).unwrap()).unwrap();
         let warm_ticks = warm.run(dataset_stream(&d, 0..8).unwrap()).unwrap();
         for (k, (ct, wt)) in cold_ticks.iter().zip(&warm_ticks).enumerate() {
+            assert!(ct.degradation.is_none(), "clean cold tick {k} degraded");
+            assert!(wt.degradation.is_none(), "clean warm tick {k} degraded");
             for (i, m) in ms.iter().enumerate() {
                 let (Some(c), Some(w)) = (&ct.estimates[i], &wt.estimates[i]) else {
                     assert_eq!(
@@ -1898,19 +1795,21 @@ mod tests {
     #[test]
     fn rolling_moments_match_batch_sample_moments() {
         let d = tiny();
-        let shard = SnapshotShard::new(&d);
-        let sms = shard.system().second_moments().clone();
+        let sys = MeasurementSystem::new(d.snapshot_problem(0));
+        let sms = sys.second_moments().clone();
         let window = 6usize;
-        let mut rolling = RollingMoments::new(&sms, shard.system().n_rows(), window);
+        let mut rolling = RollingMoments::new(&sms, sys.n_rows(), window);
         for k in 0..12 {
-            let t = shard.measurements_at(k);
+            let t = d.snapshot_problem(k).measurements();
             let ing: f64 = d.interval_loads(k).unwrap().ingress.iter().sum();
             rolling.push(t, ing);
             if rolling.len() < 2 {
                 continue;
             }
             let lo = (k + 1).saturating_sub(window);
-            let series: Vec<Vec<f64>> = (lo..=k).map(|j| shard.measurements_at(j)).collect();
+            let series: Vec<Vec<f64>> = (lo..=k)
+                .map(|j| d.snapshot_problem(j).measurements())
+                .collect();
             let want = sms.sample_moments(&series).unwrap();
             let got = rolling.moments().unwrap();
             for (a, b) in got.mean.iter().zip(&want.mean) {
@@ -1929,7 +1828,7 @@ mod tests {
     #[test]
     fn fanout_rolling_matches_cold_aggregation() {
         let d = tiny();
-        let shard = SnapshotShard::new(&d);
+        let sys = MeasurementSystem::new(d.snapshot_problem(0));
         let p_count = d.n_pairs();
         let n = d.topology.n_nodes();
         let pairs = d.routing.pairs();
@@ -1938,11 +1837,11 @@ mod tests {
         let mut rolling = FanoutRolling::new(window, n, p_count);
         for k in 0..10 {
             let loads = d.interval_loads(k).unwrap();
-            let t = shard.measurements_at(k);
-            let u = shard.measurement_matrix().tr_matvec(&t);
+            let t = d.snapshot_problem(k).measurements();
+            let u = sys.matrix().tr_matvec(&t);
             rolling.push(&loads, &u, &src_of);
             let lo = (k + 1).saturating_sub(window);
-            let wsys = shard.window_system(lo..k + 1);
+            let wsys = sys.reanchor(d.window_problem(lo..k + 1)).unwrap();
             let want = FanoutWindowStats::from_series(&wsys).unwrap();
             assert_eq!(rolling.stats.k_len, want.k_len, "k_len at {k}");
             for (a, b) in rolling.stats.cross.iter().zip(&want.cross) {
@@ -1987,34 +1886,34 @@ mod tests {
     }
 
     #[test]
-    fn checked_clean_ticks_match_the_raw_path_bit_for_bit() {
-        // The quality ladder is on by default; on clean inputs it must
-        // be invisible — same estimates, bit for bit, no degradation.
-        let d = tiny();
-        let ms = methods(&[
-            "gravity",
-            "entropy:lambda=1e3",
-            "vardi:w=0.01,window=5",
-            "wcb",
-        ]);
-        let mut checked = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).unwrap();
-        let mut raw = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm)
-            .unwrap()
-            .with_quality(None);
-        assert!(checked.quality().is_some());
-        assert!(raw.quality().is_none());
-        let ct = checked.run(dataset_stream(&d, 0..6).unwrap()).unwrap();
-        let rt = raw.run(dataset_stream(&d, 0..6).unwrap()).unwrap();
-        for (k, (c, r)) in ct.iter().zip(&rt).enumerate() {
-            assert!(c.degradation.is_none(), "clean tick {k} degraded");
-            assert!(r.degradation.is_none());
-            for (i, (ce, re)) in c.estimates.iter().zip(&r.estimates).enumerate() {
-                match (ce, re) {
-                    (None, None) => {}
-                    (Some(Ok(a)), Some(Ok(b))) => {
-                        assert_eq!(a.demands, b.demands, "tick {k} method {i}")
-                    }
-                    other => panic!("tick {k} method {i}: outcomes diverge: {other:?}"),
+    fn wcb_ticks_never_read_the_anchor_loads() {
+        // The engine anchors on snapshot 0 for its routing pattern
+        // only. Garble that snapshot (a negative demand large enough to
+        // drive an edge total negative, which no s ≥ 0 can reproduce):
+        // every later tick must still solve its own loads, in both
+        // modes, warm basis included.
+        let mut d = EvalDataset::generate(DatasetSpec::tiny(), 29).unwrap();
+        let total: f64 = d.series.samples[0].iter().sum();
+        d.series.samples[0][0] = -2.0 * total;
+        let scale = d.snapshot_problem(1).total_traffic();
+        for mode in [StreamMode::Cold, StreamMode::Warm] {
+            let mut engine = StreamEngine::for_dataset(&d, &methods(&["wcb"]), mode).unwrap();
+            assert!(
+                engine.system().wcb_solver().is_err(),
+                "snapshot 0's own system is infeasible"
+            );
+            for k in 1..5 {
+                let tick = engine.push_interval(d.interval_loads(k).unwrap()).unwrap();
+                assert!(tick.degradation.is_none(), "{mode:?} tick {k} degraded");
+                let got = tick.estimates[0].as_ref().unwrap().as_ref().unwrap();
+                let want = worst_case_bounds(&d.snapshot_problem(k))
+                    .unwrap()
+                    .midpoint();
+                for (p, (a, b)) in got.demands.iter().zip(&want.demands).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-7 * scale,
+                        "{mode:?} snapshot {k} pair {p}: {a} vs {b}"
+                    );
                 }
             }
         }

@@ -17,14 +17,14 @@
 //!   [`Estimator::estimate_system`](crate::problem::Estimator::estimate_system)
 //!   is the primary estimation entry point; every estimator reads the
 //!   cached state instead of rebuilding it.
-//!   `estimate()`/`estimate_with()` are compatibility wrappers over a
-//!   throwaway borrowed system.
+//!   `estimate()` is a compatibility wrapper over a throwaway borrowed
+//!   system.
 //! * **Across intervals** — [`MeasurementSystem::reanchor`] produces a
 //!   system for a new snapshot of the *same routing pattern* that
 //!   shares the matrix-derived caches (matrix, transpose, Gram, column
-//!   norms, second-moment system) through an [`Arc`], so a batch sweep
-//!   derives them once per shard. The whole system is `Sync` and can be
-//!   shared by `Arc` across batch workers.
+//!   norms, second-moment system) through an [`Arc`], so a day of
+//!   intervals derives them once. The whole system is `Sync` and can be
+//!   shared by `Arc` across worker threads.
 
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
@@ -172,7 +172,7 @@ impl<'p> MeasurementSystem<'p> {
     }
 
     /// Prepare an owned system (shareable via `Arc` across threads and
-    /// intervals; the long-lived form batch pipelines hold).
+    /// intervals; the long-lived form the stream engine holds).
     pub fn new(problem: EstimationProblem) -> MeasurementSystem<'static> {
         MeasurementSystem {
             problem: Cow::Owned(problem),
@@ -531,7 +531,7 @@ mod tests {
     #[test]
     fn negative_loads_error_instead_of_panicking() {
         // A garbled counter must surface as a per-problem Err (as the
-        // pre-redesign `ipf::gis` did), never a panic in a batch worker.
+        // pre-redesign `ipf::gis` did), never a panic in a worker.
         let d = tiny();
         let p = d.snapshot_problem(0);
         let mut loads = p.link_loads().to_vec();

@@ -206,7 +206,7 @@ impl VardiEstimator {
         // the previous one — the same face-diameter divergence class as
         // the SPG warm start it replaces (pinned at ≤ 2e-5 MRE in the
         // stream tests). The cold path below stays SPG, bit-identical
-        // to the batch layer.
+        // to a plain `estimate_system`.
         let mut x_solution: Option<Vec<f64>> = None;
         let mut final_step = 0.0;
         let mut spg_conv: Option<Convergence> = None;

@@ -15,10 +15,10 @@
 //! baseline for the `wcb_simplex` ablation in `tm_bench`).
 //!
 //! A [`WcbSolver`] owns the phase-1-complete basis. Within one snapshot
-//! the `2·P` objectives warm-start from it; across snapshots of a shard
-//! (same routing pattern, different measurement vectors)
+//! the `2·P` objectives warm-start from it; across snapshots of one
+//! routing pattern (different measurement vectors)
 //! [`WcbSolver::rebase`] re-anchors the *same* basis on a new `t`, so
-//! the phase-1 work is shared by the whole shard (`tm_core::batch`).
+//! the warm stream engine shares the phase-1 work across the day.
 //!
 //! The midpoint `(lower+upper)/2` turns out to be a strong prior for the
 //! regularized estimators (Fig. 9 / Fig. 15 / Table 2).
@@ -188,8 +188,9 @@ impl WcbSolver {
         Self::from_parts(sys.matrix(), sys.measurements().to_vec(), engine)
     }
 
-    /// Build from a prepared measurement system — the entry point used
-    /// by [`crate::batch::SnapshotShard`], which owns the shared matrix.
+    /// Build from a shared measurement matrix and one interval's
+    /// measurement vector — the entry point the stream engine uses, so
+    /// every tick solves its own loads on the day's one matrix.
     pub fn from_parts(a: &Csr, b: Vec<f64>, engine: LpEngine) -> Result<Self> {
         let p_count = a.cols();
         let use_dense = match engine {
@@ -332,7 +333,7 @@ impl WcbSolver {
     }
 
     /// [`WcbSolver::bounds`] drawing the result vectors from a
-    /// [`Workspace`] pool, for allocation-free steady state in batch
+    /// [`Workspace`] pool, for allocation-free steady state in long
     /// loops (give the vectors back to the pool after use).
     pub fn bounds_ws(&self, ws: &mut Workspace) -> Result<DemandBounds> {
         let p_count = self.p_count;
@@ -395,7 +396,7 @@ pub fn worst_case_bounds(problem: &EstimationProblem) -> Result<DemandBounds> {
 }
 
 /// [`worst_case_bounds`] with scratch/result vectors drawn from a
-/// [`Workspace`] pool (the batch steady-state path).
+/// [`Workspace`] pool (the allocation-free steady-state path).
 pub fn worst_case_bounds_ws(
     problem: &EstimationProblem,
     ws: &mut Workspace,

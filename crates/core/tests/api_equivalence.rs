@@ -91,22 +91,23 @@ fn estimate_and_estimate_system_are_bit_identical_europe() {
 
 #[test]
 fn shard_systems_match_throwaway_systems() {
-    // The third sharing axis: a re-anchored shard system (shared
-    // matrix-derived caches) must also be bit-identical to per-problem
-    // estimation.
+    // The third sharing axis: a system re-anchored from one shared
+    // anchor (shared matrix-derived caches, as each stream shard holds)
+    // must also be bit-identical to per-problem estimation.
     let d = EvalDataset::generate(DatasetSpec::tiny(), 43).expect("valid spec");
-    let shard = SnapshotShard::new(&d);
+    let anchor = MeasurementSystem::new(d.snapshot_problem(0));
     let mut ws = Workspace::new();
     for spec in ["entropy:lambda=1e3", "bayes:prior=1e3", "kruithof-full"] {
         let est: Box<dyn Estimator + Send + Sync> = spec.parse::<Method>().expect(spec).build();
         for k in [0usize, 3, 7] {
-            let via_shard = est
-                .estimate_system(&shard.system_at(k), &mut ws)
-                .expect(spec);
+            let shared = anchor
+                .reanchor(d.snapshot_problem(k))
+                .expect("one routing pattern");
+            let via_shared = est.estimate_system(&shared, &mut ws).expect(spec);
             let direct = est.estimate(&d.snapshot_problem(k)).expect(spec);
             assert_eq!(
                 bits(&direct.demands),
-                bits(&via_shard.demands),
+                bits(&via_shared.demands),
                 "{spec} snapshot {k}"
             );
         }

@@ -1,17 +1,16 @@
 //! Parallel sweeps must be *bit-identical* to serial execution.
 //!
 //! The parallel helpers in `tm_par` and the parallelized estimators
-//! (WCB's chunked LP sweep, fanout's per-interval accumulation, the
-//! batch snapshot API) are designed so that floating-point reduction
-//! order never depends on scheduling. This test pins that contract by
-//! running the same workloads with the worker pool forced to one thread
-//! and at full width, comparing every output bit.
+//! (WCB's chunked LP sweep, fanout's per-interval accumulation) are
+//! designed so that floating-point reduction order never depends on
+//! scheduling. This test pins that contract by running the same
+//! workloads with the worker pool forced to one thread and at full
+//! width, comparing every output bit.
 //!
 //! Single `#[test]` on purpose: `TM_PAR_THREADS` is process-global, so
 //! the serial and parallel phases must not interleave with other tests
 //! in this binary.
 
-use tm_core::batch::{estimate_snapshots, SnapshotShard};
 use tm_core::fanout::FanoutEstimator;
 use tm_core::prelude::*;
 use tm_core::wcb::worst_case_bounds;
@@ -26,34 +25,28 @@ fn parallel_results_are_bit_identical_to_serial() {
     let d = EvalDataset::generate(DatasetSpec::europe(), 7).expect("valid spec");
     let p = d.snapshot_problem(d.busy_hour().start);
     let w = d.window_problem(d.busy_hour());
-    let samples: Vec<usize> = (0..6).collect();
+    let wcb: Vec<Method> = vec!["wcb".parse().expect("valid spec")];
 
     let run_all = || {
-        let wcb = worst_case_bounds(&p).expect("ok");
+        let bounds = worst_case_bounds(&p).expect("ok");
         let fanout = FanoutEstimator::new().estimate(&w).expect("ok");
-        let snaps = estimate_snapshots(&EntropyEstimator::new(1e3), &d, &samples);
-        let snaps: Vec<Vec<u64>> = snaps
+        // Warm engine: the carried basis is re-anchored per tick
+        // (`WcbSolver::rebase`), which must be equally deterministic.
+        let mut engine = StreamEngine::for_dataset(&d, &wcb, StreamMode::Warm).expect("engine");
+        let ticks: Vec<Vec<u64>> = engine
+            .run(dataset_stream(&d, 0..6).expect("in range"))
+            .expect("ok")
             .into_iter()
-            .map(|r| bits(&r.expect("ok").demands))
-            .collect();
-        // Shard path: shared basis + rebase must be equally deterministic.
-        let shard = SnapshotShard::new(&d);
-        let shard_wcb: Vec<Vec<u64>> = shard
-            .wcb_bounds(&samples)
-            .into_iter()
-            .map(|r| {
-                let b = r.expect("ok");
-                let mut both = bits(&b.lower);
-                both.extend(bits(&b.upper));
-                both
+            .map(|t| {
+                let est = t.estimates.into_iter().next().flatten().expect("ready");
+                bits(&est.expect("ok").demands)
             })
             .collect();
         (
-            bits(&wcb.lower),
-            bits(&wcb.upper),
+            bits(&bounds.lower),
+            bits(&bounds.upper),
             bits(&fanout.estimate.demands),
-            snaps,
-            shard_wcb,
+            ticks,
         )
     };
 
@@ -68,6 +61,5 @@ fn parallel_results_are_bit_identical_to_serial() {
     assert_eq!(serial.0, parallel.0, "wcb lower bounds diverged");
     assert_eq!(serial.1, parallel.1, "wcb upper bounds diverged");
     assert_eq!(serial.2, parallel.2, "fanout demands diverged");
-    assert_eq!(serial.3, parallel.3, "snapshot sweep diverged");
-    assert_eq!(serial.4, parallel.4, "shard wcb sweep diverged");
+    assert_eq!(serial.3, parallel.3, "warm wcb ticks diverged");
 }

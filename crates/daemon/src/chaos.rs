@@ -7,6 +7,12 @@
 //! tick `k` is restarted by the coordinator and replays tick `k`
 //! without re-triggering the event, so every scheduled failure costs
 //! exactly one restart and the run always terminates.
+//!
+//! The schedule itself is generic: [`FaultSchedule`] and its armed,
+//! consume-once [`FaultState`] carry any [`FaultKind`]. Process chaos
+//! ([`ChaosPlan`]) and wire faults
+//! ([`NetFaultPlan`](crate::transport::netchaos::NetFaultPlan)) are the
+//! two instances.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,115 +38,151 @@ pub enum ChaosKind {
     Delay,
 }
 
-/// One scheduled failure.
+/// A fault taxonomy a [`FaultSchedule`] can carry.
+pub trait FaultKind: Copy + PartialEq + std::fmt::Debug {
+    /// What one event is called in validation errors (names the plan
+    /// that failed).
+    const EVENT: &'static str;
+
+    /// Draw one kind for [`FaultSchedule::random`].
+    fn draw(rng: &mut StdRng) -> Self;
+
+    /// Whether recovering from this fault costs a supervisor restart.
+    fn restarts(self) -> bool;
+}
+
+impl FaultKind for ChaosKind {
+    const EVENT: &'static str = "chaos event";
+
+    /// Kills and hangs are drawn 2:1 over delays (delays don't exercise
+    /// the restart path).
+    fn draw(rng: &mut StdRng) -> Self {
+        match rng.random_range(0..5u32) {
+            0 | 1 => ChaosKind::Kill,
+            2 | 3 => ChaosKind::Hang,
+            _ => ChaosKind::Delay,
+        }
+    }
+
+    fn restarts(self) -> bool {
+        self != ChaosKind::Delay
+    }
+}
+
+/// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosEvent {
+pub struct FaultEvent<K> {
     /// Shard index (coordinator roster order).
     pub shard: usize,
-    /// Feed-relative tick at which the failure fires.
+    /// Feed-relative tick at whose dispatch the fault fires.
     pub at_tick: usize,
-    /// Failure mode.
-    pub kind: ChaosKind,
+    /// Fault mode.
+    pub kind: K,
 }
 
-/// A deterministic schedule of process-level failures.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosPlan {
+/// A deterministic schedule of faults.
+#[derive(Debug, Clone)]
+pub struct FaultSchedule<K> {
     /// Scheduled events (order irrelevant; each fires once).
-    pub events: Vec<ChaosEvent>,
+    pub events: Vec<FaultEvent<K>>,
 }
 
-impl ChaosPlan {
-    /// No injected failures.
+impl<K> Default for FaultSchedule<K> {
+    fn default() -> Self {
+        FaultSchedule { events: Vec::new() }
+    }
+}
+
+impl<K: FaultKind> FaultSchedule<K> {
+    /// No injected faults.
     pub fn none() -> Self {
-        ChaosPlan::default()
+        Self::default()
     }
 
-    /// Builder: add a worker kill at `(shard, tick)`.
-    pub fn with_kill(mut self, shard: usize, at_tick: usize) -> Self {
-        self.events.push(ChaosEvent {
+    /// Builder: add one event.
+    pub fn with(mut self, shard: usize, at_tick: usize, kind: K) -> Self {
+        self.events.push(FaultEvent {
             shard,
             at_tick,
-            kind: ChaosKind::Kill,
+            kind,
         });
         self
     }
 
-    /// Builder: add a worker hang at `(shard, tick)`.
-    pub fn with_hang(mut self, shard: usize, at_tick: usize) -> Self {
-        self.events.push(ChaosEvent {
-            shard,
-            at_tick,
-            kind: ChaosKind::Hang,
-        });
-        self
-    }
-
-    /// Builder: add a sub-deadline delay at `(shard, tick)`.
-    pub fn with_delay(mut self, shard: usize, at_tick: usize) -> Self {
-        self.events.push(ChaosEvent {
-            shard,
-            at_tick,
-            kind: ChaosKind::Delay,
-        });
-        self
-    }
-
-    /// A random plan for the chaos property tests: `n_events` failures
-    /// spread over `n_shards` shards and `ticks` feed ticks,
-    /// deterministic under `seed`. Kills and hangs are drawn 2:1 over
-    /// delays (delays don't exercise the restart path).
+    /// A random plan for property tests: `n_events` faults spread over
+    /// `n_shards` shards and `ticks` feed ticks, deterministic under
+    /// `seed`. Each event draws its shard, then its tick, then its kind
+    /// ([`FaultKind::draw`]).
     pub fn random(seed: u64, n_shards: usize, ticks: usize, n_events: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let events = (0..n_events)
-            .map(|_| ChaosEvent {
+            .map(|_| FaultEvent {
                 shard: rng.random_range(0..n_shards.max(1)),
                 at_tick: rng.random_range(0..ticks.max(1)),
-                kind: match rng.random_range(0..5u32) {
-                    0 | 1 => ChaosKind::Kill,
-                    2 | 3 => ChaosKind::Hang,
-                    _ => ChaosKind::Delay,
-                },
+                kind: K::draw(&mut rng),
             })
             .collect();
-        ChaosPlan { events }
+        FaultSchedule { events }
     }
 
-    /// Restart-triggering events (kills + hangs) — the number of
-    /// restarts a clean supervisor run must report.
+    /// Restart-triggering events — the number of restarts a clean
+    /// supervisor run must report.
     pub fn restart_events(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.kind != ChaosKind::Delay)
-            .count()
+        self.events.iter().filter(|e| e.kind.restarts()).count()
     }
 
     /// Check shard indices against the roster size.
     pub fn validate(&self, n_shards: usize) -> std::result::Result<(), String> {
-        for e in &self.events {
-            if e.shard >= n_shards {
-                return Err(format!(
-                    "chaos event targets shard {} of a {}-shard roster",
-                    e.shard, n_shards
-                ));
-            }
+        match self.events.iter().find(|e| e.shard >= n_shards) {
+            Some(e) => Err(format!(
+                "{} targets shard {} of a {}-shard roster",
+                K::EVENT,
+                e.shard,
+                n_shards
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
-/// Shared consume-once state the workers poll at each tick. Lives in
-/// an `Arc` so replacement workers (and abandoned zombies) see the
-/// same consumption record.
-#[derive(Debug)]
-pub struct ChaosState {
-    events: Mutex<Vec<(ChaosEvent, bool)>>,
+/// One scheduled worker failure.
+pub type ChaosEvent = FaultEvent<ChaosKind>;
+
+/// A deterministic schedule of process-level failures.
+pub type ChaosPlan = FaultSchedule<ChaosKind>;
+
+/// The armed [`ChaosPlan`] the coordinator consumes at dispatch.
+pub type ChaosState = FaultState<ChaosKind>;
+
+impl ChaosPlan {
+    /// Builder: add a worker kill at `(shard, tick)`.
+    pub fn with_kill(self, shard: usize, at_tick: usize) -> Self {
+        self.with(shard, at_tick, ChaosKind::Kill)
+    }
+
+    /// Builder: add a worker hang at `(shard, tick)`.
+    pub fn with_hang(self, shard: usize, at_tick: usize) -> Self {
+        self.with(shard, at_tick, ChaosKind::Hang)
+    }
+
+    /// Builder: add a sub-deadline delay at `(shard, tick)`.
+    pub fn with_delay(self, shard: usize, at_tick: usize) -> Self {
+        self.with(shard, at_tick, ChaosKind::Delay)
+    }
 }
 
-impl ChaosState {
+/// Shared consume-once state polled at each dispatch. One instance per
+/// run, shared (through an `Arc`) by every replacement worker or shard
+/// channel, so a replayed or resent tick never re-fires a spent event.
+#[derive(Debug)]
+pub struct FaultState<K> {
+    events: Mutex<Vec<(FaultEvent<K>, bool)>>,
+}
+
+impl<K: FaultKind> FaultState<K> {
     /// Arm a plan.
-    pub fn new(plan: &ChaosPlan) -> Self {
-        ChaosState {
+    pub fn new(plan: &FaultSchedule<K>) -> Self {
+        FaultState {
             events: Mutex::new(plan.events.iter().map(|&e| (e, false)).collect()),
         }
     }
@@ -148,8 +190,8 @@ impl ChaosState {
     /// Consume the next unfired event for `(shard, tick)`, if any.
     /// Subsequent calls with the same coordinates (a restarted worker
     /// replaying the tick) find the event spent and proceed normally.
-    pub fn take(&self, shard: usize, tick: usize) -> Option<ChaosKind> {
-        let mut events = self.events.lock().expect("chaos state never poisoned");
+    pub fn take(&self, shard: usize, tick: usize) -> Option<K> {
+        let mut events = self.events.lock().expect("fault state never poisoned");
         for (event, fired) in events.iter_mut() {
             if !*fired && event.shard == shard && event.at_tick == tick {
                 *fired = true;
@@ -164,7 +206,7 @@ impl ChaosState {
     pub fn unfired(&self) -> usize {
         self.events
             .lock()
-            .expect("chaos state never poisoned")
+            .expect("fault state never poisoned")
             .iter()
             .filter(|(_, fired)| !fired)
             .count()
@@ -174,6 +216,7 @@ impl ChaosState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::netchaos::{NetFaultKind, NetFaultPlan};
 
     #[test]
     fn events_fire_exactly_once() {
@@ -187,6 +230,45 @@ mod tests {
     }
 
     #[test]
+    fn random_plans_match_their_pinned_draws() {
+        // Seeded plans drive the matrix gates and the TOML configs: the
+        // shard → tick → kind draw order must never change.
+        use ChaosKind::{Delay, Hang, Kill};
+        use NetFaultKind::{DropConn, DuplicateFrame, Kill9, SlowLink, TruncateFrame};
+        fn ev<K>(shard: usize, at_tick: usize, kind: K) -> FaultEvent<K> {
+            FaultEvent {
+                shard,
+                at_tick,
+                kind,
+            }
+        }
+        assert_eq!(
+            ChaosPlan::random(9, 3, 20, 6).events,
+            [
+                ev(1, 8, Kill),
+                ev(2, 1, Kill),
+                ev(1, 4, Delay),
+                ev(2, 19, Hang),
+                ev(1, 5, Hang),
+                ev(2, 11, Delay),
+            ]
+        );
+        assert_eq!(
+            NetFaultPlan::random(5, 2, 40, 8).events,
+            [
+                ev(0, 24, DropConn),
+                ev(0, 21, SlowLink),
+                ev(0, 2, Kill9),
+                ev(1, 36, Kill9),
+                ev(1, 17, DuplicateFrame),
+                ev(1, 29, SlowLink),
+                ev(0, 21, TruncateFrame),
+                ev(0, 27, TruncateFrame),
+            ]
+        );
+    }
+
+    #[test]
     fn random_plans_are_deterministic_and_in_range() {
         let a = ChaosPlan::random(9, 3, 20, 6);
         let b = ChaosPlan::random(9, 3, 20, 6);
@@ -194,6 +276,7 @@ mod tests {
         assert_eq!(a.events.len(), 6);
         assert!(a.validate(3).is_ok());
         assert!(a.events.iter().all(|e| e.shard < 3 && e.at_tick < 20));
-        assert!(ChaosPlan::none().with_kill(5, 0).validate(3).is_err());
+        let err = ChaosPlan::none().with_kill(5, 0).validate(3).unwrap_err();
+        assert_eq!(err, "chaos event targets shard 5 of a 3-shard roster");
     }
 }

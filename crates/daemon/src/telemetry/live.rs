@@ -5,8 +5,8 @@
 //! — latest per-shard results (shared as `Arc<StreamTick>`, so a
 //! publish clones pointers, not estimates), supervision health, and a
 //! [`TelemetrySnapshot`] — and publishes it through the [`LiveBus`].
-//! The bus is the vendored-dependency rendition of an `ArcSwap`: a
-//! `parking_lot::Mutex<Arc<LiveView>>` plus a monotone epoch counter.
+//! The bus is a std-only rendition of an `ArcSwap`: a
+//! `std::sync::Mutex<Arc<LiveView>>` plus a monotone epoch counter.
 //! Readers take the lock only long enough to clone an `Arc` (no
 //! allocation, no copying), so a protocol client polling every tick
 //! never stalls the solve loop; writers publish at most once per
@@ -24,9 +24,8 @@
 //!   post-run answer bit for bit (pinned by the `live-matrix` gate).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use tm_core::stream::{StreamMode, StreamTick};
 use tm_traffic::EvalDataset;
 
@@ -174,7 +173,7 @@ impl LiveBus {
     /// stored views order identically — readers can never observe the
     /// epoch go backwards.
     pub fn publish(&self, mut view: LiveView) -> u64 {
-        let mut slot = self.current.lock();
+        let mut slot = self.current.lock().expect("live view never poisoned");
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         view.epoch = epoch;
         *slot = Arc::new(view);
@@ -183,7 +182,7 @@ impl LiveBus {
 
     /// The latest published view (cheap: one lock, one `Arc` clone).
     pub fn load(&self) -> Arc<LiveView> {
-        Arc::clone(&self.current.lock())
+        Arc::clone(&self.current.lock().expect("live view never poisoned"))
     }
 
     /// The latest published epoch without touching the view.

@@ -4,12 +4,13 @@
 //! `tm_collect::FaultPlan` (counter faults).
 //!
 //! A [`NetFaultPlan`] schedules transport failures at `(shard, tick)`
-//! coordinates. Events are consume-once, exactly like chaos events:
-//! the parent-side channel takes the event when it dispatches the
-//! tick, injects the fault, and the recovery machinery (reconnect,
-//! resend, restart) carries the run forward — a resent or replayed
-//! tick never re-fires the fault, so every scheduled event costs a
-//! bounded amount of recovery and the run always terminates.
+//! coordinates — the same generic [`FaultSchedule`] as chaos plans,
+//! over the wire-fault taxonomy. Events are consume-once, exactly like
+//! chaos events: the parent-side channel takes the event when it
+//! dispatches the tick, injects the fault, and the recovery machinery
+//! (reconnect, resend, restart) carries the run forward — a resent or
+//! replayed tick never re-fires the fault, so every scheduled event
+//! costs a bounded amount of recovery and the run always terminates.
 //!
 //! Injection is parent-side by design: the coordinator's channel
 //! wrapper damages its own writes (drop, truncate, corrupt, duplicate,
@@ -18,8 +19,9 @@
 //! the session. See `docs/ROBUSTNESS.md` for the full taxonomy.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
+use rand::Rng;
+
+use crate::chaos::{FaultEvent, FaultKind, FaultSchedule, FaultState};
 
 /// What the injected fault does to the shard's wire session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,128 +84,43 @@ impl std::fmt::Display for NetFaultKind {
     }
 }
 
-/// One scheduled network fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetFaultEvent {
-    /// Shard index (coordinator roster order).
-    pub shard: usize,
-    /// Feed-relative tick at whose dispatch the fault fires.
-    pub at_tick: usize,
-    /// Fault mode.
-    pub kind: NetFaultKind,
+impl FaultKind for NetFaultKind {
+    const EVENT: &'static str = "net fault event";
+
+    /// Reconnect-class faults are drawn most often; `kill9` sparingly
+    /// (each costs a restart from the shared budget).
+    fn draw(rng: &mut StdRng) -> Self {
+        match rng.random_range(0..8u32) {
+            0 => NetFaultKind::DropConn,
+            1 => NetFaultKind::BlackHole,
+            2 => NetFaultKind::CorruptFrame,
+            3 => NetFaultKind::TruncateFrame,
+            4 => NetFaultKind::DuplicateFrame,
+            5 | 6 => NetFaultKind::SlowLink,
+            _ => NetFaultKind::Kill9,
+        }
+    }
+
+    /// Only `kill9` is recovered by a supervisor restart.
+    fn restarts(self) -> bool {
+        self == NetFaultKind::Kill9
+    }
 }
+
+/// One scheduled network fault.
+pub type NetFaultEvent = FaultEvent<NetFaultKind>;
 
 /// A deterministic schedule of network faults.
-#[derive(Debug, Clone, Default)]
-pub struct NetFaultPlan {
-    /// Scheduled events (order irrelevant; each fires once).
-    pub events: Vec<NetFaultEvent>,
-}
+pub type NetFaultPlan = FaultSchedule<NetFaultKind>;
+
+/// The armed [`NetFaultPlan`] the per-shard channels consume at
+/// dispatch.
+pub type NetFaultState = FaultState<NetFaultKind>;
 
 impl NetFaultPlan {
-    /// No injected faults.
-    pub fn none() -> Self {
-        NetFaultPlan::default()
-    }
-
-    /// Builder: add one event.
-    pub fn with(mut self, shard: usize, at_tick: usize, kind: NetFaultKind) -> Self {
-        self.events.push(NetFaultEvent {
-            shard,
-            at_tick,
-            kind,
-        });
-        self
-    }
-
-    /// A random plan for property tests: `n_events` faults spread over
-    /// `n_shards` shards and `ticks` ticks, deterministic under
-    /// `seed`. Reconnect-class faults are drawn most often; `kill9`
-    /// sparingly (each costs a restart from the shared budget).
-    pub fn random(seed: u64, n_shards: usize, ticks: usize, n_events: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let events = (0..n_events)
-            .map(|_| NetFaultEvent {
-                shard: rng.random_range(0..n_shards.max(1)),
-                at_tick: rng.random_range(0..ticks.max(1)),
-                kind: match rng.random_range(0..8u32) {
-                    0 => NetFaultKind::DropConn,
-                    1 => NetFaultKind::BlackHole,
-                    2 => NetFaultKind::CorruptFrame,
-                    3 => NetFaultKind::TruncateFrame,
-                    4 => NetFaultKind::DuplicateFrame,
-                    5 | 6 => NetFaultKind::SlowLink,
-                    _ => NetFaultKind::Kill9,
-                },
-            })
-            .collect();
-        NetFaultPlan { events }
-    }
-
-    /// Events whose recovery is a supervisor restart (`kill9`) — these
-    /// consume the shard's restart budget.
-    pub fn restart_events(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.kind == NetFaultKind::Kill9)
-            .count()
-    }
-
     /// Events whose recovery is a reconnect + resend.
     pub fn reconnect_events(&self) -> usize {
         self.events.iter().filter(|e| e.kind.reconnects()).count()
-    }
-
-    /// Check shard indices against the roster size.
-    pub fn validate(&self, n_shards: usize) -> std::result::Result<(), String> {
-        for e in &self.events {
-            if e.shard >= n_shards {
-                return Err(format!(
-                    "net fault event targets shard {} of a {}-shard roster",
-                    e.shard, n_shards
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Shared consume-once state the per-shard channels poll at dispatch.
-/// One instance per run, shared across shard channels and epochs, so a
-/// resend or replay never re-fires a spent event.
-#[derive(Debug, Default)]
-pub struct NetFaultState {
-    events: Mutex<Vec<(NetFaultEvent, bool)>>,
-}
-
-impl NetFaultState {
-    /// Arm a plan.
-    pub fn new(plan: &NetFaultPlan) -> Self {
-        NetFaultState {
-            events: Mutex::new(plan.events.iter().map(|&e| (e, false)).collect()),
-        }
-    }
-
-    /// Consume the next unfired event for `(shard, tick)`, if any.
-    pub fn take(&self, shard: usize, tick: usize) -> Option<NetFaultKind> {
-        let mut events = self.events.lock().expect("net fault state never poisoned");
-        for (event, fired) in events.iter_mut() {
-            if !*fired && event.shard == shard && event.at_tick == tick {
-                *fired = true;
-                return Some(event.kind);
-            }
-        }
-        None
-    }
-
-    /// Events that never fired.
-    pub fn unfired(&self) -> usize {
-        self.events
-            .lock()
-            .expect("net fault state never poisoned")
-            .iter()
-            .filter(|(_, fired)| !fired)
-            .count()
     }
 }
 
@@ -234,10 +151,11 @@ mod tests {
         assert_eq!(a.events.len(), 8);
         assert!(a.validate(2).is_ok());
         assert!(a.events.iter().all(|e| e.shard < 2 && e.at_tick < 40));
-        assert!(NetFaultPlan::none()
+        let err = NetFaultPlan::none()
             .with(9, 0, NetFaultKind::SlowLink)
             .validate(2)
-            .is_err());
+            .unwrap_err();
+        assert_eq!(err, "net fault event targets shard 9 of a 2-shard roster");
     }
 
     #[test]

@@ -27,11 +27,11 @@ fn main() {
             dataset.topology.n_links()
         );
 
-        // Prepare once: the shard's shared system serves the snapshot
-        // methods directly and re-anchors onto the window problems of
-        // the time-series methods.
-        let shard = SnapshotShard::new(&dataset);
-        let snap_sys = shard.system_at(dataset.busy_hour().start);
+        // Prepare once: the busy-hour snapshot system serves the
+        // snapshot methods directly and re-anchors onto the window
+        // problems of the time-series methods, sharing its
+        // matrix-derived caches.
+        let snap_sys = MeasurementSystem::new(snap);
         let mut ws = Workspace::new();
 
         for method in Method::all_defaults() {
@@ -50,7 +50,9 @@ fn main() {
                         println!("  {:<28} skipped (series too short)", method.label());
                         continue;
                     }
-                    let wsys = shard.window_system(start..start + len);
+                    let wsys = snap_sys
+                        .reanchor(dataset.window_problem(start..start + len))
+                        .expect("one routing pattern");
                     let truth_w = wsys.problem().true_demands().expect("truth").to_vec();
                     let e = method
                         .build()

@@ -5,7 +5,7 @@
 //! The method comes from the registry via the first CLI argument; the
 //! optional second argument selects the engine mode (`warm` carries
 //! per-method state across ticks, `cold` re-solves every interval from
-//! scratch through the batch code path).
+//! scratch).
 //!
 //! ```sh
 //! cargo run --release --example streaming_day [method] [warm|cold]
