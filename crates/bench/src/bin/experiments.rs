@@ -38,7 +38,8 @@
 //! gate (Europe day x2 shards as child processes under the full
 //! wire-fault taxonomy — zero lost intervals, every reconnect/resend
 //! surfaced and reconciled, aggregates bit-identical to the in-process
-//! engine). None of the five is part of `all`.
+//! engine). None of the five is part of `all`. An unknown target name
+//! exits 2 and lists the known ones.
 
 use tm_bench::{europe, networks, paper_mre, perf, scales, snapshot, window, CsvOut, SEED};
 use tm_core::cao::CaoEstimator;
@@ -46,91 +47,118 @@ use tm_core::fanout::FanoutEstimator;
 use tm_core::measure::{greedy_selection, largest_first_selection};
 use tm_core::prelude::*;
 use tm_core::vardi::VardiEstimator;
-use tm_core::wcb::{worst_case_bounds, worst_case_bounds_with_engine, LpEngine};
+use tm_core::wcb::{worst_case_bounds, LpEngine, WcbSolver};
 use tm_linalg::{stats, vector, LinOp};
 use tm_opt::nnls;
 use tm_traffic::series::poisson_series;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "bench") {
-        bench_mode();
-        return;
+    match parse_targets(&args) {
+        Ok(Plan::Mode(m, config)) => (MODES[m].2)(&config),
+        Ok(Plan::Sections(list)) => {
+            for s in list {
+                (SECTIONS[s].1)();
+            }
+            println!("\nCSV outputs in ./results/");
+        }
+        Err(unknown) => {
+            let mut known = vec!["all"];
+            known.extend(SECTIONS.iter().flat_map(|(names, _)| names.iter().copied()));
+            known.extend(MODES.iter().map(|m| m.0));
+            eprintln!(
+                "experiments: unknown target `{unknown}`; known targets: {}",
+                known.join(", ")
+            );
+            std::process::exit(2);
+        }
     }
-    if args.iter().any(|a| a == "fault-matrix") {
-        fault_matrix_mode();
-        return;
-    }
-    if args.iter().any(|a| a == "daemon-matrix") {
-        daemon_matrix_mode();
-        return;
-    }
-    if args.iter().any(|a| a == "live-matrix") {
-        let config = args
-            .iter()
-            .position(|a| a == "live-matrix")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("configs/live_matrix.toml");
-        live_matrix_mode(config);
-        return;
-    }
-    if args.iter().any(|a| a == "net-matrix") {
-        let config = args
-            .iter()
-            .position(|a| a == "net-matrix")
-            .and_then(|i| args.get(i + 1))
-            .map(String::as_str)
-            .unwrap_or("configs/net_matrix.toml");
-        net_matrix_mode(config);
-        return;
-    }
-    let run_all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| run_all || args.iter().any(|a| a == name);
+}
 
-    if want("fig1") {
-        fig1();
+/// A standalone mode, which runs alone and is not part of `all`: its
+/// name, the default config path of a mode that reads one from its next
+/// argument (`None`: it takes no argument), and the function it runs.
+type Mode = (&'static str, Option<&'static str>, fn(&str));
+
+/// Every standalone mode. When several are named, the first in this
+/// table runs.
+const MODES: &[Mode] = &[
+    ("bench", None, |_| bench_mode()),
+    ("fault-matrix", None, |_| fault_matrix_mode()),
+    ("daemon-matrix", None, |_| daemon_matrix_mode()),
+    (
+        "live-matrix",
+        Some("configs/live_matrix.toml"),
+        live_matrix_mode,
+    ),
+    (
+        "net-matrix",
+        Some("configs/net_matrix.toml"),
+        net_matrix_mode,
+    ),
+];
+
+/// A figure or table section: the names that select it and the
+/// function that regenerates it.
+type Section = (&'static [&'static str], fn());
+
+/// Every section, in run order.
+const SECTIONS: &[Section] = &[
+    (&["fig1"], fig1),
+    (&["fig2"], fig2),
+    (&["fig3"], fig3),
+    (&["fig4", "fig5"], fig4_fig5),
+    (&["fig6"], fig6),
+    (&["fig7"], fig7),
+    (&["fig8", "fig9"], fig8_fig9),
+    (&["fig10", "fig11"], fig10_fig11),
+    (&["fig12"], fig12),
+    (&["fig13", "fig14", "fig15"], fig13_14_15),
+    (&["fig16"], fig16),
+    (&["table1"], table1),
+    (&["table2"], table2),
+    (&["cao"], cao_extension),
+];
+
+/// What one invocation runs.
+#[derive(Debug, PartialEq)]
+enum Plan {
+    /// `MODES[i]`, with its config path (empty for modes without one).
+    Mode(usize, String),
+    /// `SECTIONS` indices in table order, each once.
+    Sections(Vec<usize>),
+}
+
+/// Parse the command line against [`MODES`] and [`SECTIONS`]. No
+/// argument, or `all`, selects every section. The argument after a
+/// mode with a config path is that path. Any other argument that names
+/// no target is returned as the error.
+fn parse_targets(args: &[String]) -> Result<Plan, String> {
+    let mut mode: Option<(usize, String)> = None;
+    let mut selected = vec![args.is_empty(); SECTIONS.len()];
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let arg = arg.as_str();
+        if let Some(m) = MODES.iter().position(|mode| mode.0 == arg) {
+            let config = match MODES[m].1 {
+                Some(default) => rest.next().map_or(default, String::as_str),
+                None => "",
+            };
+            if mode.as_ref().is_none_or(|(first, _)| m < *first) {
+                mode = Some((m, config.to_string()));
+            }
+        } else if arg == "all" {
+            selected.fill(true);
+        } else if let Some(s) = SECTIONS.iter().position(|(names, _)| names.contains(&arg)) {
+            selected[s] = true;
+        } else {
+            return Err(arg.to_string());
+        }
     }
-    if want("fig2") {
-        fig2();
-    }
-    if want("fig3") {
-        fig3();
-    }
-    if want("fig4") || want("fig5") {
-        fig4_fig5();
-    }
-    if want("fig6") {
-        fig6();
-    }
-    if want("fig7") {
-        fig7();
-    }
-    if want("fig8") || want("fig9") {
-        fig8_fig9();
-    }
-    if want("fig10") || want("fig11") {
-        fig10_fig11();
-    }
-    if want("fig12") {
-        fig12();
-    }
-    if want("fig13") || want("fig14") || want("fig15") {
-        fig13_14_15();
-    }
-    if want("fig16") {
-        fig16();
-    }
-    if want("table1") {
-        table1();
-    }
-    if want("table2") {
-        table2();
-    }
-    if want("cao") {
-        cao_extension();
-    }
-    println!("\nCSV outputs in ./results/");
+    Ok(match mode {
+        Some((m, config)) => Plan::Mode(m, config),
+        None => Plan::Sections((0..SECTIONS.len()).filter(|&s| selected[s]).collect()),
+    })
 }
 
 fn banner(name: &str, paper: &str) {
@@ -1153,12 +1181,14 @@ fn bench_mode() {
         });
         // The PR 2 tentpole ablation: the same 2·P warm-started bound
         // LPs on the revised sparse-LU engine vs the dense full tableau.
-        let wcb_sparse_ms = perf::time_ms(runs.min(3), || {
-            worst_case_bounds_with_engine(&p, LpEngine::RevisedSparse).expect("ok")
-        });
-        let wcb_dense_ms = perf::time_ms(runs.min(3), || {
-            worst_case_bounds_with_engine(&p, LpEngine::DenseTableau).expect("ok")
-        });
+        let wcb_on = |engine| {
+            WcbSolver::from_parts(&p.measurement_matrix(), p.measurements(), engine)
+                .expect("ok")
+                .bounds(&mut tm_linalg::Workspace::new())
+                .expect("ok")
+        };
+        let wcb_sparse_ms = perf::time_ms(runs.min(3), || wcb_on(LpEngine::RevisedSparse));
+        let wcb_dense_ms = perf::time_ms(runs.min(3), || wcb_on(LpEngine::DenseTableau));
         let mut ablations: Vec<Value> = Vec::new();
         for (label, sparse_ms, dense_ms) in [
             ("entropy_spg", entropy_sparse_ms, entropy_dense_ms),
@@ -1869,6 +1899,56 @@ fn cao_extension() {
             "  {name:<8} MRE {:.3} (fitted phi {:.2e})",
             paper_mre(&truth, &est.estimate.demands),
             est.phi
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Plan, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_targets(&args)
+    }
+
+    fn mode(name: &str) -> usize {
+        MODES.iter().position(|m| m.0 == name).unwrap()
+    }
+
+    #[test]
+    fn targets_parse_against_the_tables() {
+        let every: Vec<usize> = (0..SECTIONS.len()).collect();
+        assert_eq!(parse(&[]), Ok(Plan::Sections(every.clone())));
+        assert_eq!(parse(&["all"]), Ok(Plan::Sections(every)));
+        // Aliases select their section once, in table order.
+        assert_eq!(
+            parse(&["table1", "fig5", "fig4"]),
+            Ok(Plan::Sections(vec![3, 11]))
+        );
+        // Unknown names (a missing figure, a typo) are errors.
+        assert_eq!(parse(&["fig17"]), Err("fig17".into()));
+        assert_eq!(parse(&["fig1", "fault-matrx"]), Err("fault-matrx".into()));
+        // Modes run alone; the earlier table entry wins.
+        assert_eq!(
+            parse(&["fig1", "fault-matrix"]),
+            Ok(Plan::Mode(mode("fault-matrix"), String::new()))
+        );
+        assert_eq!(
+            parse(&["daemon-matrix", "bench"]),
+            Ok(Plan::Mode(mode("bench"), String::new()))
+        );
+        // Config-taking modes read their next argument, or the default.
+        assert_eq!(
+            parse(&["live-matrix", "my.toml"]),
+            Ok(Plan::Mode(mode("live-matrix"), "my.toml".into()))
+        );
+        assert_eq!(
+            parse(&["net-matrix"]),
+            Ok(Plan::Mode(
+                mode("net-matrix"),
+                "configs/net_matrix.toml".into()
+            ))
         );
     }
 }

@@ -111,7 +111,7 @@ impl BayesianEstimator {
             Some(state) => {
                 nnls::ridge_nnls_kernel(a, sys.transpose(), &t, mu, &prior, 0, &mut state.kernel)?
             }
-            None => nnls::ridge_nnls_with(a, sys.transpose(), &t, mu, &prior, 0)?,
+            None => nnls::ridge_nnls(a, sys.transpose(), &t, mu, &prior, 0, None)?,
         };
         let mut demands = ws.take(sol.x.len());
         for (d, &v) in demands.iter_mut().zip(&sol.x) {

@@ -30,7 +30,6 @@ const FLOOR: f64 = 1e-12;
 pub struct EntropyEstimator {
     lambda: f64,
     prior: Option<Vec<f64>>,
-    opts: SpgOptions,
 }
 
 impl EntropyEstimator {
@@ -40,23 +39,12 @@ impl EntropyEstimator {
         EntropyEstimator {
             lambda,
             prior: None,
-            opts: SpgOptions {
-                max_iter: 4000,
-                tol: 1e-9,
-                ..Default::default()
-            },
         }
     }
 
     /// Supply an explicit prior (defaults to simple gravity).
     pub fn with_prior(mut self, prior: impl Into<Vec<f64>>) -> Self {
         self.prior = Some(prior.into());
-        self
-    }
-
-    /// Override solver options.
-    pub fn with_options(mut self, opts: SpgOptions) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -69,13 +57,12 @@ impl EntropyEstimator {
     /// across the intervals of a streaming sweep. At moderate scale
     /// the solve switches to a projected Newton on the dense Hessian
     /// (from the first call on — the handle's presence selects the
-    /// streaming path); past the dense gate the at-scale second-order
-    /// engines (dual-kernel / sparse Newton) run on cold and warm
-    /// paths alike, with SPG as the fallback. Because the objective is
-    /// strictly convex, the minimizer does not depend on the solver or
-    /// starting point — warm results agree with the cold path up to
-    /// solver tolerance (below the dense gate the cold path stays SPG,
-    /// bit-identical to a plain `estimate_system`).
+    /// streaming path); past the dense gate the dual-kernel Newton
+    /// runs on cold and warm paths alike, with SPG as the fallback.
+    /// Because the objective is strictly convex, the minimizer does not
+    /// depend on the solver or starting point — warm results agree with
+    /// the cold path up to solver tolerance (below the dense gate the
+    /// cold path stays SPG, bit-identical to a plain `estimate_system`).
     pub fn estimate_system_warm(
         &self,
         sys: &MeasurementSystem<'_>,
@@ -131,7 +118,7 @@ impl EntropyEstimator {
         // Warm start: previous interval's solution (normalized to this
         // interval's traffic) and its final spectral step.
         let mut warm = warm;
-        let mut opts = self.opts;
+        let mut opts = spg_options();
         let x0 = match warm.as_deref() {
             Some(Some(state)) if state.demands.len() == q.len() => {
                 opts.initial_step = state.step;
@@ -169,16 +156,14 @@ impl EntropyEstimator {
         // first-order methods pay hundreds of iterations for this
         // conditioning no matter how warm the start. The dense engine
         // is cubic in the pair count, so past `NEWTON_MAX_PAIRS` the
-        // solve switches to the **sparse** projected Newton instead: the
-        // Hessian splitting `2AᵀA + D` is factored by a sparse Cholesky
-        // against the system's cached symbolic analysis
-        // (`MeasurementSystem::newton_kernel`, matrix-derived and
-        // shared across a stream's reanchored views), with active
-        // variables handled by row pinning so the one symbolic serves
-        // every active set. The dense warm path stays as before (its
-        // `2AᵀA` base cached in the warm handle); the *small-system*
-        // cold path stays SPG, bit-identical to `estimate_system`; the
-        // large-system cold path (America scale) runs the sparse Newton
+        // solve switches to the **dual** projected Newton instead: the
+        // Hessian splitting `2AᵀA + D` is inverted through the `m×m`
+        // Woodbury kernel `½I + A·D⁻¹·Aᵀ`, which is SPD for any row
+        // count. Backbone systems are wide (rows < pairs), where that
+        // kernel is also the small side. The dense warm path keeps its
+        // `2AᵀA` base in the warm handle; the *small-system* cold path
+        // stays SPG, bit-identical to `estimate_system`; the
+        // large-system cold path (America scale) runs the dual Newton
         // with an SPG fallback on non-convergence.
         let mut x_solution: Option<Vec<f64>> = None;
         let mut final_step = 0.0;
@@ -234,63 +219,29 @@ impl EntropyEstimator {
                 }
             }
         }
-        if x_solution.is_none() && q.len() > NEWTON_MAX_PAIRS && q.len() <= NEWTON_SPARSE_MAX_PAIRS
-        {
+        if x_solution.is_none() && q.len() > NEWTON_MAX_PAIRS && q.len() <= NEWTON_DUAL_MAX_PAIRS {
             let lo = vec![FLOOR; q.len()];
             // The KL diagonal drifts by orders of magnitude near the
             // floor, so stale-metric steps converge only linearly at
-            // this scale — refresh the factorization every step; both
-            // at-scale engines make it cheap.
-            let at_scale_opts = NewtonOptions {
-                tol: opts.tol,
-                refresh_every: 1,
-                ..Default::default()
-            };
-            // Engine choice: every backbone measurement system is wide
-            // (rows m < pairs n), which makes the Gram rank-deficient
-            // and its Cholesky fill toward dense — the dual (Woodbury)
-            // kernel factors `m×m` instead. A hypothetical tall system
-            // (m ≥ n) keeps the sparse primal Cholesky with its cached
-            // symbolic analysis.
-            let newton = if a.rows() < q.len() {
-                newton::projected_newton_dual(
-                    &mut value_grad,
-                    |x: &[f64], d: &mut [f64]| {
-                        for (dj, &xj) in d.iter_mut().zip(x) {
-                            *dj = inv_lambda / xj.max(FLOOR);
-                        }
-                    },
-                    a,
-                    sys.transpose(),
-                    &lo,
-                    x0.clone(),
-                    at_scale_opts,
-                )?
-            } else {
-                let kern = sys.newton_kernel();
-                newton::projected_newton_sparse(
-                    &mut value_grad,
-                    |x: &[f64], free: &[bool]| {
-                        kern.h_base.mapped_values(|i, j, v| {
-                            if i == j {
-                                if free[i] {
-                                    v + inv_lambda / x[i].max(FLOOR)
-                                } else {
-                                    1.0
-                                }
-                            } else if free[i] && free[j] {
-                                v
-                            } else {
-                                0.0
-                            }
-                        })
-                    },
-                    &kern.sym,
-                    &lo,
-                    x0.clone(),
-                    at_scale_opts,
-                )?
-            };
+            // this scale — refresh the factorization every step; the
+            // dual kernel makes it cheap.
+            let newton = newton::projected_newton_dual(
+                &mut value_grad,
+                |x: &[f64], d: &mut [f64]| {
+                    for (dj, &xj) in d.iter_mut().zip(x) {
+                        *dj = inv_lambda / xj.max(FLOOR);
+                    }
+                },
+                a,
+                sys.transpose(),
+                &lo,
+                x0.clone(),
+                NewtonOptions {
+                    tol: opts.tol,
+                    refresh_every: 1,
+                    ..Default::default()
+                },
+            )?;
             conv = Some(newton.convergence());
             if newton.converged {
                 x_solution = Some(newton.x);
@@ -331,17 +282,25 @@ impl EntropyEstimator {
     }
 }
 
+/// SPG options of every entropy solve; their tolerance is also the
+/// Newton engines' stopping tolerance.
+fn spg_options() -> SpgOptions {
+    SpgOptions {
+        max_iter: 4000,
+        tol: 1e-9,
+        ..Default::default()
+    }
+}
+
 /// Above this many OD pairs the dense Newton engine hands over to the
-/// sparse one: the dense factorization is cubic in the pair count and
-/// loses to the sparse Cholesky at America scale (600 pairs).
+/// dual (Woodbury) one: the dense factorization is cubic in the pair
+/// count and loses to the `m×m` kernel at America scale (600 pairs).
 const NEWTON_MAX_PAIRS: usize = 256;
 
-/// Above this many OD pairs the solve stays on SPG: the Gram's fill
-/// eventually approaches dense and the sparse factorization loses its
-/// edge over the first-order iteration. The PR 5 gate lift — the dense
-/// engine stopped at 256 pairs, the sparse engine carries the Newton
-/// path through America scale (600) and well beyond.
-const NEWTON_SPARSE_MAX_PAIRS: usize = 2048;
+/// Above this many OD pairs the solve stays on SPG and never tries the
+/// dual Newton engine, which assembles and factors its `m×m` kernel
+/// every step. The largest backbone system, America, has 600 pairs.
+const NEWTON_DUAL_MAX_PAIRS: usize = 2048;
 
 /// Warm-start state carried across the intervals of a streaming sweep —
 /// see [`EntropyEstimator::estimate_system_warm`].
@@ -382,7 +341,7 @@ impl Estimator for EntropyEstimator {
 mod tests {
     use super::*;
     use crate::metrics::{mean_relative_error, CoverageThreshold};
-    use crate::problem::DatasetExt;
+    use crate::problem::{DatasetExt, EstimationProblem};
     use tm_traffic::{DatasetSpec, EvalDataset};
 
     fn dataset() -> EvalDataset {
@@ -441,21 +400,48 @@ mod tests {
     }
 
     #[test]
-    fn sparse_newton_path_matches_spg_at_america_scale() {
+    fn dual_newton_path_matches_spg_at_america_scale() {
         // 600 pairs is past the dense-Newton gate: the cold solve runs
-        // the sparse projected Newton. It targets the same unique
-        // minimizer as SPG; compare against a direct SPG solve of the
-        // identical normalized objective.
+        // the dual projected Newton on the wide America system.
         let d = EvalDataset::generate(DatasetSpec::america(), 42).unwrap();
         let p = d.snapshot_problem(d.busy_start);
         assert!(p.n_pairs() > 256, "america must exceed the dense gate");
-        let est = EntropyEstimator::new(1e3).estimate(&p).unwrap();
+        assert_reaches_spg_minimizer(&p);
+    }
+
+    #[test]
+    fn dual_newton_path_matches_spg_on_a_tall_system() {
+        // 17 nodes whose routing gives every pair its own link: 272
+        // pairs (past the dense gate) and 272 + 2·17 = 306 rows, so the
+        // dual kernel is larger than the primal Hessian. It must still
+        // reach the minimizer.
+        let pairs = tm_net::OdPairs::new(17);
+        let n = pairs.count();
+        let demands: Vec<f64> = (0..n).map(|p| 1.0 + ((p * 37) % 11) as f64).collect();
+        let routing = tm_linalg::Csr::from_triplets(n, n, (0..n).map(|p| (p, p, 1.0))).unwrap();
+        let mut ingress = vec![0.0; 17];
+        let mut egress = vec![0.0; 17];
+        for (p, src, dst) in pairs.iter() {
+            ingress[src.0] += demands[p];
+            egress[dst.0] += demands[p];
+        }
+        let p = EstimationProblem::new(routing, demands, ingress, egress).unwrap();
+        assert!(p.n_pairs() > 256, "must exceed the dense gate");
+        assert!(p.measurement_matrix().rows() >= p.n_pairs(), "must be tall");
+        assert_reaches_spg_minimizer(&p);
+    }
+
+    /// Entropy (λ = 1e3) must reach the minimizer of a long SPG run on
+    /// the identical normalized objective: at least as low an objective
+    /// and the same traffic-weighted shape.
+    fn assert_reaches_spg_minimizer(p: &EstimationProblem) {
+        let est = EntropyEstimator::new(1e3).estimate(p).unwrap();
 
         let a = p.measurement_matrix();
         let stot = p.total_traffic();
         let t: Vec<f64> = p.measurements().iter().map(|v| v / stot).collect();
         let q: Vec<f64> = GravityModel::simple()
-            .estimate(&p)
+            .estimate(p)
             .unwrap()
             .demands
             .iter()

@@ -24,7 +24,7 @@
 //! `prior_weight` to ~0 to recover the paper's exact formulation.
 
 use serde::{Deserialize, Serialize};
-use tm_linalg::{Csr, Workspace};
+use tm_linalg::Workspace;
 use tm_opt::qp::{self, SumConstraints};
 
 use crate::error::EstimationError;
@@ -67,17 +67,7 @@ impl FanoutEstimator {
     /// Estimated fanouts and the implied mean demands over the window
     /// (compatibility wrapper that prepares a throwaway system).
     pub fn estimate(&self, problem: &EstimationProblem) -> Result<FanoutEstimate> {
-        self.estimate_with(problem, &mut Workspace::new())
-    }
-
-    /// [`FanoutEstimator::estimate`] drawing scratch vectors from a
-    /// [`Workspace`] pool (allocation-free steady state in long loops).
-    pub fn estimate_with(
-        &self,
-        problem: &EstimationProblem,
-        ws: &mut Workspace,
-    ) -> Result<FanoutEstimate> {
-        self.estimate_impl(&MeasurementSystem::prepare(problem), None, ws)
+        self.estimate_prepared(&MeasurementSystem::prepare(problem), &mut Workspace::new())
     }
 
     /// [`FanoutEstimator::estimate`] from a prepared system, reusing
@@ -90,20 +80,8 @@ impl FanoutEstimator {
         sys: &MeasurementSystem<'_>,
         ws: &mut Workspace,
     ) -> Result<FanoutEstimate> {
-        self.estimate_impl(sys, None, ws)
-    }
-
-    /// [`FanoutEstimator::estimate`] with an explicitly supplied Gram
-    /// matrix `G = AᵀA` (compatibility entry point; prefer
-    /// [`FanoutEstimator::estimate_prepared`], which caches the Gram on
-    /// the system itself).
-    pub fn estimate_shared(
-        &self,
-        problem: &EstimationProblem,
-        gram: &Csr,
-        ws: &mut Workspace,
-    ) -> Result<FanoutEstimate> {
-        self.estimate_impl(&MeasurementSystem::prepare(problem), Some(gram), ws)
+        let stats = FanoutWindowStats::from_series(sys)?;
+        self.solve_from_stats(sys, &stats, ws, false)
     }
 
     /// Estimate directly from precomputed raw window aggregates — the
@@ -126,23 +104,12 @@ impl FanoutEstimator {
         ws: &mut Workspace,
     ) -> Result<FanoutEstimate> {
         let dense = sys.n_pairs() <= DENSE_KKT_PAIRS;
-        self.solve_from_stats(sys, None, stats, ws, dense)
-    }
-
-    fn estimate_impl(
-        &self,
-        sys: &MeasurementSystem<'_>,
-        gram_override: Option<&Csr>,
-        ws: &mut Workspace,
-    ) -> Result<FanoutEstimate> {
-        let stats = FanoutWindowStats::from_series(sys)?;
-        self.solve_from_stats(sys, gram_override, &stats, ws, false)
+        self.solve_from_stats(sys, stats, ws, dense)
     }
 
     fn solve_from_stats(
         &self,
         sys: &MeasurementSystem<'_>,
-        gram_override: Option<&Csr>,
         stats: &FanoutWindowStats,
         ws: &mut Workspace,
         dense_kkt: bool,
@@ -183,20 +150,7 @@ impl FanoutEstimator {
         // table, carried by the window aggregates. This replaces the
         // per-interval dense accumulation with O(nnz(G) + N²) work and
         // keeps H sparse for the projected-CG solve below.
-        let g_mat = match gram_override {
-            Some(g) => {
-                if g.rows() != p_count || g.cols() != p_count {
-                    return Err(EstimationError::InvalidProblem(format!(
-                        "shared gram is {}x{} for {} pairs",
-                        g.rows(),
-                        g.cols(),
-                        p_count
-                    )));
-                }
-                g
-            }
-            None => sys.gram(),
-        };
+        let g_mat = sys.gram();
         // Flattened N×N cross-moment table, normalized from the raw sums.
         let inv2 = 1.0 / (stot * stot);
         let mut cross = ws.take(n * n);

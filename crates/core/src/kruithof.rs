@@ -142,7 +142,7 @@ impl KruithofEstimator {
         if opts.relaxation <= 1.0 {
             opts.relaxation = WARM_RELAXATION;
         }
-        let res = ipf::gis_planned_warm(&prior, a, t, plan, opts, warm_iterate.as_deref())?;
+        let res = ipf::gis(&prior, a, t, plan, opts, warm_iterate.as_deref())?;
         let multipliers = res
             .values
             .iter()
@@ -206,7 +206,7 @@ impl Estimator for KruithofEstimator {
             Mode::Full => {
                 let a = sys.matrix();
                 let t = sys.measurements();
-                let res = ipf::gis_planned(&prior, a, t, sys.gis_plan()?, self.opts)?;
+                let res = ipf::gis(&prior, a, t, sys.gis_plan()?, self.opts, None)?;
                 res.values
             }
         };

@@ -112,8 +112,5 @@ pub mod prelude {
     };
     pub use crate::system::MeasurementSystem;
     pub use crate::vardi::VardiEstimator;
-    pub use crate::wcb::{
-        worst_case_bounds, worst_case_bounds_prepared, worst_case_bounds_with_engine, DemandBounds,
-        LpEngine, WcbEstimator, WcbSolver,
-    };
+    pub use crate::wcb::{worst_case_bounds, DemandBounds, LpEngine, WcbEstimator, WcbSolver};
 }

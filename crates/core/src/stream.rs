@@ -1164,7 +1164,7 @@ fn tick_wcb(
             Err(EstimationError::Opt(OptError::Infeasible { .. })) => {
                 let (relaxed, _slack) =
                     WcbSolver::from_parts_relaxed(anchor.matrix(), t.to_vec(), engine)?;
-                let bounds = relaxed.bounds_ws(ws)?;
+                let bounds = relaxed.bounds(ws)?;
                 let mut estimate = bounds.midpoint();
                 estimate.method = name.to_string();
                 return Ok(estimate);
@@ -1172,7 +1172,7 @@ fn tick_wcb(
             Err(e) => return Err(e),
         }
     }
-    let bounds = solver.as_ref().expect("installed above").bounds_ws(ws)?;
+    let bounds = solver.as_ref().expect("installed above").bounds(ws)?;
     let mut estimate = bounds.midpoint();
     estimate.method = name.to_string();
     Ok(estimate)
@@ -1333,7 +1333,7 @@ fn solve_slot_masked(
                 let view = sys.masked_view(usable)?;
                 let solver =
                     WcbSolver::from_parts(view.matrix(), view.measurements().to_vec(), *engine)?;
-                let bounds = solver.bounds_ws(ws)?;
+                let bounds = solver.bounds(ws)?;
                 let mut estimate = bounds.midpoint();
                 estimate.method = name.clone();
                 Ok(estimate)
@@ -2152,10 +2152,14 @@ mod tests {
         // the exact form again and matches a cold solve.
         let t3 = engine.push_interval(d.interval_loads(3).unwrap()).unwrap();
         let got = t3.estimates[0].as_ref().unwrap().as_ref().unwrap();
-        let cold = crate::wcb::worst_case_bounds_with_engine(
-            &d.snapshot_problem(3),
+        let p3 = d.snapshot_problem(3);
+        let cold = WcbSolver::from_parts(
+            &p3.measurement_matrix(),
+            p3.measurements(),
             LpEngine::RevisedSparse,
         )
+        .unwrap()
+        .bounds(&mut Workspace::new())
         .unwrap()
         .midpoint();
         let scale = d.snapshot_problem(3).total_traffic();
@@ -2179,10 +2183,14 @@ mod tests {
         let ticks = warm.run(dataset_stream(&d, 0..6).unwrap()).unwrap();
         for (k, tick) in ticks.iter().enumerate() {
             let got = tick.estimates[0].as_ref().unwrap().as_ref().unwrap();
-            let cold = crate::wcb::worst_case_bounds_with_engine(
-                &d.snapshot_problem(k),
+            let pk = d.snapshot_problem(k);
+            let cold = WcbSolver::from_parts(
+                &pk.measurement_matrix(),
+                pk.measurements(),
                 LpEngine::RevisedSparse,
             )
+            .unwrap()
+            .bounds(&mut Workspace::new())
             .unwrap()
             .midpoint();
             let scale = d.snapshot_problem(k).total_traffic();

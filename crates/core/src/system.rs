@@ -7,9 +7,9 @@
 //! solver needed — the Gram `AᵀA`, the transpose column view, GIS
 //! row-activity lists, WCB's phase-1 simplex basis. A
 //! [`MeasurementSystem`] is built **once** from an
-//! [`EstimationProblem`] (or directly from routing + loads) and caches
-//! all of that lazily behind [`OnceLock`], so the second method — or the
-//! second interval — pays only for its own solve.
+//! [`EstimationProblem`] and caches all of that lazily behind
+//! [`OnceLock`], so the second method — or the second interval — pays
+//! only for its own solve.
 //!
 //! Two sharing axes:
 //!
@@ -54,9 +54,6 @@ struct StackedCaches {
     col_sq_norms: OnceLock<Vec<f64>>,
     /// The second-moment system `M` of Vardi/Cao.
     second_moments: OnceLock<SecondMomentSystem>,
-    /// Sparse-Newton kernel: the padded `2AᵀA` Hessian base and its
-    /// symbolic factorization (the entropy second-order path).
-    newton_kernel: OnceLock<NewtonKernel>,
     /// Stacked-Gram kernel of the second-moment system (the
     /// semismooth-Newton path of Vardi/Cao).
     moment_kernel: OnceLock<MomentKernel>,
@@ -71,23 +68,6 @@ struct StackedCaches {
 /// One masked-view cache registry entry: the (sorted) retained-row
 /// mask and the reduced system's shared caches.
 type MaskedEntry = (Arc<Vec<usize>>, Arc<StackedCaches>);
-
-/// The sparse second-order kernel of the snapshot objectives: the
-/// Hessian splitting `2AᵀA + D(x)` shares the Gram's sparsity pattern
-/// for every diagonal `D`, so **one** symbolic factorization — derived
-/// from the measurement matrix alone — serves every interval, iterate
-/// and active set (active variables are handled by row pinning, which
-/// never changes the pattern). Cached behind the system's matrix-derived
-/// `OnceLock`s and therefore shared across [`MeasurementSystem::reanchor`]
-/// views; see `docs/API.md` for the cache lifecycle.
-#[derive(Debug)]
-pub struct NewtonKernel {
-    /// `2AᵀA` with every diagonal entry structurally present (padded
-    /// entries carry value 0; solvers add their diagonal term on top).
-    pub h_base: Csr,
-    /// Symbolic factorization of `h_base`'s pattern.
-    pub sym: SparseCholSymbolic,
-}
 
 /// The sparse second-order kernel of the second-moment (Vardi/Cao)
 /// objectives. The stacked system `[A; √w·M·diag(d)]` has Gram
@@ -184,19 +164,6 @@ impl<'p> MeasurementSystem<'p> {
         }
     }
 
-    /// Build directly from routing + loads (no dataset required): the
-    /// service-facing constructor.
-    pub fn from_parts(
-        routing: Csr,
-        link_loads: Vec<f64>,
-        ingress: Vec<f64>,
-        egress: Vec<f64>,
-    ) -> Result<MeasurementSystem<'static>> {
-        Ok(MeasurementSystem::new(EstimationProblem::new(
-            routing, link_loads, ingress, egress,
-        )?))
-    }
-
     /// Re-anchor the prepared state on a new snapshot of the **same
     /// routing pattern**: the returned system shares every
     /// matrix-derived cache (matrix, transpose, Gram, column norms,
@@ -234,7 +201,7 @@ impl<'p> MeasurementSystem<'p> {
     /// the stacked rows in `rows` (sorted, strictly increasing), the
     /// degraded-mode path of the streaming engine. The reduced
     /// measurement matrix and everything derived from it (transpose,
-    /// Gram, second moments, Newton kernels) are cached **per mask** in
+    /// Gram, second moments, moment kernel) are cached **per mask** in
     /// the shared [`reanchor`](Self::reanchor) caches, so every interval
     /// that drops the same rows — a link down for an hour — pays the
     /// derivation once. The view borrows `self`'s problem; per-interval
@@ -407,23 +374,6 @@ impl<'p> MeasurementSystem<'p> {
             Ok(s) => Ok(s),
             Err(e) => Err(e.clone()),
         }
-    }
-
-    /// Cached sparse-Newton kernel (`2AᵀA` base + symbolic
-    /// factorization): the entropy estimator's second-order engine at
-    /// scales where the dense factorization is cubic-prohibitive.
-    /// Matrix-derived — shared across [`MeasurementSystem::reanchor`]
-    /// views, so a streaming day pays the analysis once.
-    pub fn newton_kernel(&self) -> &NewtonKernel {
-        self.caches.newton_kernel.get_or_init(|| {
-            let h_base = self
-                .gram()
-                .scale(2.0)
-                .plus_diag(0.0)
-                .expect("gram is square");
-            let sym = SparseCholSymbolic::analyze(&h_base).expect("pattern is square");
-            NewtonKernel { h_base, sym }
-        })
     }
 
     /// Cached second-moment stacked-Gram kernel (pattern, split value
@@ -635,18 +585,7 @@ mod tests {
     fn second_order_kernels_are_cached_and_shared_across_reanchor() {
         let d = tiny();
         let base = MeasurementSystem::new(d.snapshot_problem(0));
-        let nk = base.newton_kernel();
-        // The Hessian base is 2AᵀA with a structurally full diagonal.
         let g = base.gram();
-        for j in 0..base.n_pairs() {
-            assert!(
-                (nk.h_base.get(j, j) - 2.0 * g.get(j, j)).abs() < 1e-15,
-                "diag {j}"
-            );
-            let (idx, _) = nk.h_base.row(j);
-            assert!(idx.contains(&j), "diagonal must be structurally present");
-        }
-        assert_eq!(nk.sym.n(), base.n_pairs());
         // Moment kernel splits reproduce the weighted stacked Gram.
         let mk = base.moment_kernel();
         let w = 0.37;
@@ -672,10 +611,8 @@ mod tests {
             }
         }
         // Kernels are matrix-derived: pointer-shared across reanchor.
-        let nk_ptr = nk as *const NewtonKernel;
         let mk_ptr = mk as *const MomentKernel;
         let re = base.reanchor(d.snapshot_problem(3)).unwrap();
-        assert!(std::ptr::eq(nk_ptr, re.newton_kernel()));
         assert!(std::ptr::eq(mk_ptr, re.moment_kernel()));
     }
 
@@ -687,7 +624,11 @@ mod tests {
         let s1 = sys.wcb_solver().unwrap() as *const WcbSolver;
         let s2 = sys.wcb_solver().unwrap() as *const WcbSolver;
         assert!(std::ptr::eq(s1, s2));
-        let bounds = sys.wcb_solver().unwrap().bounds().unwrap();
+        let bounds = sys
+            .wcb_solver()
+            .unwrap()
+            .bounds(&mut tm_linalg::Workspace::new())
+            .unwrap();
         let fresh = crate::wcb::worst_case_bounds(&p).unwrap();
         assert_eq!(bounds.lower, fresh.lower);
         assert_eq!(bounds.upper, fresh.upper);
@@ -768,7 +709,11 @@ mod tests {
         assert!(est.demands.iter().all(|v| v.is_finite() && *v >= 0.0));
         // The reduced GIS plan and WCB basis come from the masked rows.
         assert_eq!(view.gis_plan().unwrap().active_rows.len(), view.n_rows());
-        let b = view.wcb_solver().unwrap().bounds().unwrap();
+        let b = view
+            .wcb_solver()
+            .unwrap()
+            .bounds(&mut tm_linalg::Workspace::new())
+            .unwrap();
         assert_eq!(b.lower.len(), base.n_pairs());
     }
 
@@ -776,15 +721,17 @@ mod tests {
     fn from_parts_builds_a_system() {
         let d = tiny();
         let p = d.snapshot_problem(0);
-        let sys = MeasurementSystem::from_parts(
-            p.routing().clone(),
-            p.link_loads().to_vec(),
-            p.ingress().to_vec(),
-            p.egress().to_vec(),
-        )
-        .unwrap();
+        let sys = MeasurementSystem::new(
+            EstimationProblem::new(
+                p.routing().clone(),
+                p.link_loads().to_vec(),
+                p.ingress().to_vec(),
+                p.egress().to_vec(),
+            )
+            .unwrap(),
+        );
         assert_eq!(sys.matrix(), &p.measurement_matrix());
-        assert!(MeasurementSystem::from_parts(
+        assert!(EstimationProblem::new(
             p.routing().clone(),
             vec![1.0],
             p.ingress().to_vec(),

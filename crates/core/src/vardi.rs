@@ -21,7 +21,7 @@ use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
 use crate::error::EstimationError;
-use crate::problem::{Estimate, EstimationProblem, Estimator};
+use crate::problem::{Estimate, Estimator};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -57,12 +57,6 @@ impl VardiEstimator {
     /// The configured σ⁻².
     pub fn moment_weight(&self) -> f64 {
         self.moment_weight
-    }
-
-    /// Estimate mean rates λ from the problem's time-series window
-    /// (compatibility wrapper over [`VardiEstimator::estimate_prepared`]).
-    pub fn estimate(&self, problem: &EstimationProblem) -> Result<Estimate> {
-        self.estimate_prepared(&MeasurementSystem::prepare(problem))
     }
 
     /// Estimate mean rates λ from a prepared system's time-series

@@ -9,16 +9,22 @@
 //!
 //! The LP backend is the **revised simplex with a sparse LU basis**
 //! ([`tm_opt::revised`]): pricing walks CSR columns and each pivot costs
-//! `O(nnz)` instead of the dense tableau's `O(m·n)`. Below
-//! [`DENSE_FALLBACK_PAIRS`] unknowns the old full-tableau solver is used
-//! instead (cache-friendly at that size, and it remains the measured
-//! baseline for the `wcb_simplex` ablation in `tm_bench`).
+//! `O(nnz)` instead of the dense tableau's `O(m·n)`. The dense
+//! full-tableau solver runs only for one-shot [`LpEngine::Auto`] solves
+//! below [`DENSE_FALLBACK_PAIRS`] unknowns ([`worst_case_bounds`],
+//! [`WcbEstimator`], cold stream ticks; cache-friendly at that size) or
+//! for an explicit `wcb:engine=dense`; it remains the measured baseline
+//! for the `wcb_simplex` ablation in `tm_bench`.
 //!
-//! A [`WcbSolver`] owns the phase-1-complete basis. Within one snapshot
-//! the `2·P` objectives warm-start from it; across snapshots of one
-//! routing pattern (different measurement vectors)
-//! [`WcbSolver::rebase`] re-anchors the *same* basis on a new `t`, so
-//! the warm stream engine shares the phase-1 work across the day.
+//! A [`WcbSolver`] owns the phase-1-complete basis. It is built by
+//! [`WcbSolver::from_parts`], or [`WcbSolver::from_parts_relaxed`] on
+//! infeasible ticks, and swept by [`WcbSolver::bounds`]. Within one
+//! snapshot the `2·P` objectives warm-start from it; across snapshots of
+//! one routing pattern (different measurement vectors)
+//! [`WcbSolver::rebase`] re-anchors the *same* basis on a new `t`. The
+//! warm `StreamEngine` therefore always carries a revised basis (unless
+//! `wcb:engine=dense` was asked for) and shares the phase-1 work across
+//! the day.
 //!
 //! The midpoint `(lower+upper)/2` turns out to be a strong prior for the
 //! regularized estimators (Fig. 9 / Fig. 15 / Table 2).
@@ -169,28 +175,11 @@ pub struct WcbSolver {
 }
 
 impl WcbSolver {
-    /// Build the solver for one snapshot problem (engine chosen by
-    /// problem size).
-    pub fn for_problem(problem: &EstimationProblem) -> Result<Self> {
-        Self::with_engine(problem, LpEngine::Auto)
-    }
-
-    /// Build with an explicit engine choice (the ablation hook).
-    pub fn with_engine(problem: &EstimationProblem, engine: LpEngine) -> Result<Self> {
-        Self::for_system(&MeasurementSystem::prepare(problem), engine)
-    }
-
-    /// Build from a prepared measurement system, reading its cached
-    /// stacked matrix and measurement vector. For [`LpEngine::Auto`]
-    /// prefer [`MeasurementSystem::wcb_solver`], which additionally
-    /// caches the phase-1-complete solver itself.
-    pub fn for_system(sys: &MeasurementSystem<'_>, engine: LpEngine) -> Result<Self> {
-        Self::from_parts(sys.matrix(), sys.measurements().to_vec(), engine)
-    }
-
-    /// Build from a shared measurement matrix and one interval's
-    /// measurement vector — the entry point the stream engine uses, so
-    /// every tick solves its own loads on the day's one matrix.
+    /// Build the solver for `{s ≥ 0 : A·s = b}` from a measurement
+    /// matrix and one interval's measurement vector, running phase 1 on
+    /// the chosen engine. The stream engine passes the day's one shared
+    /// matrix with each tick's loads; [`MeasurementSystem::wcb_solver`]
+    /// caches the [`LpEngine::Auto`] solver of a prepared system.
     pub fn from_parts(a: &Csr, b: Vec<f64>, engine: LpEngine) -> Result<Self> {
         let p_count = a.cols();
         let use_dense = match engine {
@@ -327,15 +316,11 @@ impl WcbSolver {
     }
 
     /// Sweep the `2·P` bound LPs from the held basis (parallel in
-    /// fixed-size chunks, each warm-starting a clone of the basis).
-    pub fn bounds(&self) -> Result<DemandBounds> {
-        self.bounds_ws(&mut Workspace::new())
-    }
-
-    /// [`WcbSolver::bounds`] drawing the result vectors from a
-    /// [`Workspace`] pool, for allocation-free steady state in long
-    /// loops (give the vectors back to the pool after use).
-    pub fn bounds_ws(&self, ws: &mut Workspace) -> Result<DemandBounds> {
+    /// fixed-size chunks, each warm-starting a clone of the basis). The
+    /// result vectors are drawn from the [`Workspace`] pool, for
+    /// allocation-free steady state in long loops (give them back to
+    /// the pool after use).
+    pub fn bounds(&self, ws: &mut Workspace) -> Result<DemandBounds> {
         let p_count = self.p_count;
         let chunks: Vec<(usize, usize)> = (0..p_count)
             .step_by(PAIRS_PER_CHUNK)
@@ -385,43 +370,20 @@ impl WcbSolver {
     }
 }
 
-/// Compute worst-case bounds for every demand.
+/// Compute worst-case bounds for every demand of one snapshot problem
+/// (engine chosen by problem size).
 ///
 /// Sparse-first and parallel: phase 1 runs **once** on the sparse
 /// measurement system, then the `2·P` objectives are swept in fixed-size
 /// chunks across worker threads, each warm-starting from a clone of the
 /// phase-1 basis.
 pub fn worst_case_bounds(problem: &EstimationProblem) -> Result<DemandBounds> {
-    WcbSolver::for_problem(problem)?.bounds()
-}
-
-/// [`worst_case_bounds`] with scratch/result vectors drawn from a
-/// [`Workspace`] pool (the allocation-free steady-state path).
-pub fn worst_case_bounds_ws(
-    problem: &EstimationProblem,
-    ws: &mut Workspace,
-) -> Result<DemandBounds> {
-    WcbSolver::for_problem(problem)?.bounds_ws(ws)
-}
-
-/// [`worst_case_bounds`] with an explicit LP engine (the `wcb_simplex`
-/// sparse-vs-dense ablation hook).
-pub fn worst_case_bounds_with_engine(
-    problem: &EstimationProblem,
-    engine: LpEngine,
-) -> Result<DemandBounds> {
-    WcbSolver::with_engine(problem, engine)?.bounds()
-}
-
-/// [`worst_case_bounds`] from a prepared system: the phase-1-complete
-/// basis is taken from (or installed into) the system's cache, so
-/// repeated calls — and the other WCB consumers of the same system —
-/// pay for phase 1 exactly once.
-pub fn worst_case_bounds_prepared(
-    sys: &MeasurementSystem<'_>,
-    ws: &mut Workspace,
-) -> Result<DemandBounds> {
-    sys.wcb_solver()?.bounds_ws(ws)
+    WcbSolver::from_parts(
+        &problem.measurement_matrix(),
+        problem.measurements(),
+        LpEngine::Auto,
+    )?
+    .bounds(&mut Workspace::new())
 }
 
 /// The worst-case-bound **midpoint prior** as a first-class
@@ -453,8 +415,9 @@ impl Estimator for WcbEstimator {
     fn estimate_system(&self, sys: &MeasurementSystem<'_>, ws: &mut Workspace) -> Result<Estimate> {
         let bounds = match self.engine {
             // Auto shares the system's cached phase-1 basis.
-            LpEngine::Auto => sys.wcb_solver()?.bounds_ws(ws)?,
-            engine => WcbSolver::for_system(sys, engine)?.bounds_ws(ws)?,
+            LpEngine::Auto => sys.wcb_solver()?.bounds(ws)?,
+            engine => WcbSolver::from_parts(sys.matrix(), sys.measurements().to_vec(), engine)?
+                .bounds(ws)?,
         };
         let mut estimate = bounds.midpoint();
         estimate.method = self.name();
@@ -482,6 +445,14 @@ mod tests {
     use crate::metrics::{mean_relative_error, CoverageThreshold};
     use crate::problem::DatasetExt;
     use tm_traffic::{DatasetSpec, EvalDataset};
+
+    /// One-shot bounds of a snapshot problem on an explicit engine.
+    fn bounds_with(p: &EstimationProblem, engine: LpEngine) -> DemandBounds {
+        WcbSolver::from_parts(&p.measurement_matrix(), p.measurements(), engine)
+            .unwrap()
+            .bounds(&mut Workspace::new())
+            .unwrap()
+    }
 
     #[test]
     fn bounds_bracket_truth() {
@@ -514,7 +485,7 @@ mod tests {
         let d = EvalDataset::generate(DatasetSpec::europe(), 13).unwrap();
         let p = d.snapshot_problem(d.busy_start);
         let truth = p.true_demands().unwrap();
-        let b = worst_case_bounds_with_engine(&p, LpEngine::RevisedSparse).unwrap();
+        let b = bounds_with(&p, LpEngine::RevisedSparse);
         for i in 0..truth.len() {
             assert!(
                 b.lower[i] <= truth[i] + 1e-6 * (1.0 + truth[i]),
@@ -537,8 +508,8 @@ mod tests {
         // same numbers up to solver tolerance.
         let d = EvalDataset::generate(DatasetSpec::europe(), 42).unwrap();
         let p = d.snapshot_problem(d.busy_start);
-        let dense = worst_case_bounds_with_engine(&p, LpEngine::DenseTableau).unwrap();
-        let revised = worst_case_bounds_with_engine(&p, LpEngine::RevisedSparse).unwrap();
+        let dense = bounds_with(&p, LpEngine::DenseTableau);
+        let revised = bounds_with(&p, LpEngine::RevisedSparse);
         let scale = p.total_traffic();
         for i in 0..p.n_pairs() {
             assert!(
@@ -560,7 +531,12 @@ mod tests {
     fn rebase_shares_phase1_across_snapshots() {
         let d = EvalDataset::generate(DatasetSpec::europe(), 7).unwrap();
         let p0 = d.snapshot_problem(d.busy_start);
-        let mut solver = WcbSolver::with_engine(&p0, LpEngine::RevisedSparse).unwrap();
+        let mut solver = WcbSolver::from_parts(
+            &p0.measurement_matrix(),
+            p0.measurements(),
+            LpEngine::RevisedSparse,
+        )
+        .unwrap();
         // A uniformly scaled load vector keeps the same vertex basis
         // feasible (x_B scales with it), so the rebase must succeed and
         // the rebased bounds must match a cold start on the scaled data.
@@ -569,11 +545,11 @@ mod tests {
             solver.rebase(&t2).unwrap(),
             "scaled loads share the feasible basis"
         );
-        let rebased = solver.bounds().unwrap();
+        let rebased = solver.bounds(&mut Workspace::new()).unwrap();
         let a = p0.measurement_matrix();
         let fresh = WcbSolver::from_parts(&a, t2, LpEngine::RevisedSparse)
             .unwrap()
-            .bounds()
+            .bounds(&mut Workspace::new())
             .unwrap();
         let scale = p0.total_traffic() * 1.25;
         for i in 0..p0.n_pairs() {
@@ -596,8 +572,8 @@ mod tests {
         let p1 = d.snapshot_problem(d.busy_start + 1);
         let reusable = solver.rebase(&p1.measurements()).unwrap();
         if reusable {
-            let b1 = solver.bounds().unwrap();
-            let f1 = worst_case_bounds_with_engine(&p1, LpEngine::RevisedSparse).unwrap();
+            let b1 = solver.bounds(&mut Workspace::new()).unwrap();
+            let f1 = bounds_with(&p1, LpEngine::RevisedSparse);
             for i in 0..p1.n_pairs() {
                 assert!((f1.upper[i] - b1.upper[i]).abs() < 1e-7 * scale, "pair {i}");
             }
@@ -629,7 +605,7 @@ mod tests {
             WcbSolver::from_parts_relaxed(sys.matrix(), t, LpEngine::Auto).unwrap();
         assert_eq!(solver.slack_rel(), Some(slack));
         assert!(slack > 0.0 && slack <= 1.0, "slack on the ladder: {slack}");
-        let b = solver.bounds().unwrap();
+        let b = solver.bounds(&mut Workspace::new()).unwrap();
         assert_eq!(b.lower.len(), p.n_pairs());
         for i in 0..p.n_pairs() {
             assert!(
@@ -660,7 +636,7 @@ mod tests {
             slack, RELAXED_SLACK_LADDER[0],
             "a consistent snapshot must accept the first rung"
         );
-        let relaxed = solver.bounds().unwrap();
+        let relaxed = solver.bounds(&mut Workspace::new()).unwrap();
         let scale = p.total_traffic();
         for i in 0..p.n_pairs() {
             assert!(

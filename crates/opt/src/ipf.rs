@@ -165,7 +165,7 @@ pub fn ras(prior: &Mat, row_sums: &[f64], col_sums: &[f64], opts: IpfOptions) ->
 /// the active rows. Deriving it walks every row of `R`, so callers that
 /// project many priors onto the *same* measurement system (the
 /// prepare-once/estimate-many lifecycle of `tm_core`) build the plan
-/// once and pass it to [`gis_planned`].
+/// once and pass it to every [`gis`] call.
 #[derive(Debug, Clone)]
 pub struct GisPlan {
     /// Rows with `t_l > 0`, in row order.
@@ -232,27 +232,12 @@ impl GisPlan {
 /// link `l` to zero and are eliminated up front. If the constraints are
 /// inconsistent the method cannot converge; the iteration cap then
 /// returns [`OptError::DidNotConverge`] carrying the best violation.
-pub fn gis(prior: &[f64], r: &Csr, t: &[f64], opts: IpfOptions) -> Result<IpfResult> {
-    let plan = GisPlan::build(r, t)?;
-    gis_planned(prior, r, t, &plan, opts)
-}
-
-/// [`gis`] with a precomputed [`GisPlan`] for the system `(R, t)`. The
-/// plan must come from [`GisPlan::build`] on the same system; results
-/// are bit-identical to [`gis`].
-pub fn gis_planned(
-    prior: &[f64],
-    r: &Csr,
-    t: &[f64],
-    plan: &GisPlan,
-    opts: IpfOptions,
-) -> Result<IpfResult> {
-    gis_planned_warm(prior, r, t, plan, opts, None)
-}
-
-/// [`gis_planned`] with an optional warm-start iterate.
 ///
-/// GIS converges to the I-projection of its **starting iterate** onto
+/// `plan` must come from [`GisPlan::build`] on the same `(R, t)`; the
+/// target checks (length, nonnegativity) live there.
+///
+/// `warm` is an optional starting iterate. GIS converges to the
+/// I-projection of its **starting iterate** onto
 /// `{s ≥ 0 : R·s = t}` — the iterates stay on the exponential manifold
 /// `{s⁰ ∘ exp(Rᵀν)}` of the starting point. Starting from the prior
 /// yields the KL projection of the prior; starting from any other
@@ -267,8 +252,7 @@ pub fn gis_planned(
 /// where the prior is positive outside the plan's zeroed set) cannot
 /// be on it and is **ignored** — the solve falls back to the cold
 /// start rather than silently converging to a different projection.
-/// With `warm = None` this is exactly [`gis_planned`].
-pub fn gis_planned_warm(
+pub fn gis(
     prior: &[f64],
     r: &Csr,
     t: &[f64],
@@ -514,6 +498,11 @@ pub fn kl_divergence(x: &[f64], q: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// A cold GIS solve with its plan built for the call.
+    fn cold_gis(prior: &[f64], r: &Csr, t: &[f64], opts: IpfOptions) -> Result<IpfResult> {
+        gis(prior, r, t, &GisPlan::build(r, t)?, opts, None)
+    }
+
     #[test]
     fn ras_fits_marginals() {
         let prior = Mat::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
@@ -574,7 +563,7 @@ mod tests {
         .unwrap();
         let prior = vec![1.0, 1.0, 1.0, 1.0];
         let t = vec![3.0, 1.0, 2.0, 2.0];
-        let res = gis(
+        let res = cold_gis(
             &prior,
             &r,
             &t,
@@ -611,7 +600,7 @@ mod tests {
     fn gis_zero_link_load_zeroes_demands() {
         // One link carries demands 0 and 1; t = 0 forces both to zero.
         let r = Csr::from_triplets(2, 3, vec![(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let res = gis(&[1.0, 1.0, 1.0], &r, &[0.0, 5.0], IpfOptions::default()).unwrap();
+        let res = cold_gis(&[1.0, 1.0, 1.0], &r, &[0.0, 5.0], IpfOptions::default()).unwrap();
         assert_eq!(res.values[0], 0.0);
         assert_eq!(res.values[1], 0.0);
         assert!((res.values[2] - 5.0).abs() < 1e-8);
@@ -622,12 +611,12 @@ mod tests {
         // Underdetermined: x0 + x1 = 4 with prior (3, 1): the KL projection
         // is (3, 1) (prior already feasible).
         let r = Csr::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]).unwrap();
-        let res = gis(&[3.0, 1.0], &r, &[4.0], IpfOptions::default()).unwrap();
+        let res = cold_gis(&[3.0, 1.0], &r, &[4.0], IpfOptions::default()).unwrap();
         assert!((res.values[0] - 3.0).abs() < 1e-9);
         assert!((res.values[1] - 1.0).abs() < 1e-9);
 
         // Prior (1,1) with sum 4 scales to (2,2).
-        let res2 = gis(&[1.0, 1.0], &r, &[4.0], IpfOptions::default()).unwrap();
+        let res2 = cold_gis(&[1.0, 1.0], &r, &[4.0], IpfOptions::default()).unwrap();
         assert!((res2.values[0] - 2.0).abs() < 1e-9);
         assert!((res2.values[1] - 2.0).abs() < 1e-9);
     }
@@ -636,7 +625,7 @@ mod tests {
     fn gis_inconsistent_does_not_converge() {
         // x0 = 1 and x0 = 2 simultaneously.
         let r = Csr::from_triplets(2, 1, vec![(0, 0, 1.0), (1, 0, 1.0)]).unwrap();
-        let res = gis(
+        let res = cold_gis(
             &[1.0],
             &r,
             &[1.0, 2.0],
@@ -652,13 +641,13 @@ mod tests {
     #[test]
     fn gis_shape_validation() {
         let r = Csr::from_triplets(1, 2, vec![(0, 0, 1.0)]).unwrap();
-        assert!(gis(&[1.0], &r, &[1.0], IpfOptions::default()).is_err());
-        assert!(gis(&[1.0, 1.0], &r, &[1.0, 2.0], IpfOptions::default()).is_err());
-        assert!(gis(&[-1.0, 1.0], &r, &[1.0], IpfOptions::default()).is_err());
+        assert!(cold_gis(&[1.0], &r, &[1.0], IpfOptions::default()).is_err());
+        assert!(cold_gis(&[1.0, 1.0], &r, &[1.0, 2.0], IpfOptions::default()).is_err());
+        assert!(cold_gis(&[-1.0, 1.0], &r, &[1.0], IpfOptions::default()).is_err());
     }
 
     #[test]
-    fn gis_planned_matches_gis_bitwise() {
+    fn one_plan_serves_every_prior_bitwise() {
         let r = Csr::from_triplets(
             3,
             3,
@@ -676,10 +665,14 @@ mod tests {
         let plan = GisPlan::build(&r, &t).unwrap();
         assert_eq!(plan.active_rows, vec![0, 1, 2]);
         assert!(plan.zeroed.is_empty());
-        let a = gis(&prior, &r, &t, IpfOptions::default()).unwrap();
-        let b = gis_planned(&prior, &r, &t, &plan, IpfOptions::default()).unwrap();
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.iterations, b.iterations);
+        // A plan built once for (R, t) serves several priors with the
+        // same bits as a plan built afresh for each solve.
+        for prior in [prior.clone(), vec![0.5, 4.0, 1.0]] {
+            let shared = gis(&prior, &r, &t, &plan, IpfOptions::default(), None).unwrap();
+            let fresh = cold_gis(&prior, &r, &t, IpfOptions::default()).unwrap();
+            assert_eq!(shared.values, fresh.values);
+            assert_eq!(shared.iterations, fresh.iterations);
+        }
 
         // Zero-load rows land in the plan's zeroed list.
         let t0 = vec![0.0, 3.0, 2.5];
@@ -717,12 +710,12 @@ mod tests {
             tol: 1e-10,
             ..Default::default()
         };
-        let cold1 = gis_planned(&prior, &r, &t1, &plan, opts).unwrap();
+        let cold1 = gis(&prior, &r, &t1, &plan, opts, None).unwrap();
         // A drifted target: warm start from the previous solution.
         let t2 = vec![4.2, 3.1, 2.4];
         let plan2 = GisPlan::build(&r, &t2).unwrap();
-        let cold2 = gis_planned(&prior, &r, &t2, &plan2, opts).unwrap();
-        let warm2 = gis_planned_warm(&prior, &r, &t2, &plan2, opts, Some(&cold1.values)).unwrap();
+        let cold2 = gis(&prior, &r, &t2, &plan2, opts, None).unwrap();
+        let warm2 = gis(&prior, &r, &t2, &plan2, opts, Some(&cold1.values)).unwrap();
         for (w, c) in warm2.values.iter().zip(&cold2.values) {
             assert!(
                 (w - c).abs() < 1e-6 * (1.0 + c.abs()),
@@ -736,7 +729,7 @@ mod tests {
             cold2.iterations
         );
         // Warm-starting from the exact solution converges immediately.
-        let again = gis_planned_warm(&prior, &r, &t2, &plan2, opts, Some(&warm2.values)).unwrap();
+        let again = gis(&prior, &r, &t2, &plan2, opts, Some(&warm2.values)).unwrap();
         assert!(again.iterations <= 2, "{} sweeps", again.iterations);
         // A zero warm entry where the prior is positive is off the
         // prior's manifold: the warm start must be ignored entirely
@@ -744,11 +737,11 @@ mod tests {
         // projection.
         let mut pinned = cold1.values.clone();
         pinned[0] = 0.0;
-        let fallback = gis_planned_warm(&prior, &r, &t2, &plan2, opts, Some(&pinned)).unwrap();
+        let fallback = gis(&prior, &r, &t2, &plan2, opts, Some(&pinned)).unwrap();
         assert_eq!(fallback.values, cold2.values);
         assert_eq!(fallback.iterations, cold2.iterations);
         // Validation: wrong warm length.
-        assert!(gis_planned_warm(&prior, &r, &t2, &plan2, opts, Some(&[1.0])).is_err());
+        assert!(gis(&prior, &r, &t2, &plan2, opts, Some(&[1.0])).is_err());
     }
 
     #[test]
@@ -782,8 +775,8 @@ mod tests {
             tol: 1e-11,
             ..Default::default()
         };
-        let plain = gis_planned(&prior, &r, &t, &plan, opts).unwrap();
-        let aa = gis_planned(
+        let plain = gis(&prior, &r, &t, &plan, opts, None).unwrap();
+        let aa = gis(
             &prior,
             &r,
             &t,
@@ -792,6 +785,7 @@ mod tests {
                 anderson_depth: 3,
                 ..opts
             },
+            None,
         )
         .unwrap();
         for (a, b) in aa.values.iter().zip(&plain.values) {
@@ -808,7 +802,7 @@ mod tests {
         );
         // Depth 0 is bit-identical to the plain path (fixed point AND
         // trajectory).
-        let zero = gis_planned(
+        let zero = gis(
             &prior,
             &r,
             &t,
@@ -817,12 +811,13 @@ mod tests {
                 anderson_depth: 0,
                 ..opts
             },
+            None,
         )
         .unwrap();
         assert_eq!(zero.values, plain.values);
         assert_eq!(zero.iterations, plain.iterations);
         // Anderson composes with over-relaxation and its safeguard.
-        let both = gis_planned(
+        let both = gis(
             &prior,
             &r,
             &t,
@@ -832,6 +827,7 @@ mod tests {
                 relaxation: 3.0,
                 ..opts
             },
+            None,
         )
         .unwrap();
         for (a, b) in both.values.iter().zip(&plain.values) {
@@ -840,7 +836,7 @@ mod tests {
         // Zero-load rows (pinned demands) survive acceleration.
         let t0 = vec![0.0, 2.0, 3.0, 5.0];
         let plan0 = GisPlan::build(&r, &t0).unwrap();
-        let aa0 = gis_planned(
+        let aa0 = gis(
             &prior,
             &r,
             &t0,
@@ -849,9 +845,10 @@ mod tests {
                 anderson_depth: 3,
                 ..opts
             },
+            None,
         )
         .unwrap();
-        let plain0 = gis_planned(&prior, &r, &t0, &plan0, opts).unwrap();
+        let plain0 = gis(&prior, &r, &t0, &plan0, opts, None).unwrap();
         assert_eq!(aa0.values[0], 0.0);
         assert_eq!(aa0.values[1], 0.0);
         assert_eq!(aa0.values[2], 0.0);

@@ -11,9 +11,9 @@
 //! | paper method                | program                                | solver |
 //! |-----------------------------|----------------------------------------|--------|
 //! | worst-case bounds (§4.3.1)  | LP `max/min s_p  s.t. R s = t, s ≥ 0`   | [`revised`] (sparse-LU revised simplex, warm-started multi-objective); [`simplex`] (full tableau: small systems, measured baseline) |
-//! | Bayesian / MAP (§4.2.3)     | Tikhonov NNLS                          | [`nnls::cd_nnls`] |
-//! | entropy / Kruithof (§4.2.1) | KL-regularized least squares            | [`spg`], [`ipf`] |
-//! | Vardi moments (§4.2.2)      | stacked NNLS                           | [`spg`] / [`nnls`] |
+//! | Bayesian / MAP (§4.2.3)     | Tikhonov NNLS                          | [`nnls::ridge_nnls`], [`nnls::ridge_nnls_kernel`] |
+//! | entropy / Kruithof (§4.2.1) | KL-regularized least squares            | [`spg`], [`newton`], [`ipf`] |
+//! | Vardi / Cao moments (§4.2.2)| stacked NNLS                           | [`spg`], [`nnls::ssn_nnls`] |
 //! | fanout estimation (§4.2.4)  | equality-constrained QP                | [`qp`] |
 //!
 //! All solvers are deterministic, allocation-light, and come with

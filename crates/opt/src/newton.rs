@@ -17,7 +17,7 @@
 //! system on the free set; a monotone Armijo backtracking line search
 //! over the *projected* path globalizes the iteration.
 
-use tm_linalg::decomp::{Cholesky, SparseCholFactor, SparseCholSymbolic};
+use tm_linalg::decomp::Cholesky;
 use tm_linalg::{vector, Csr, Mat};
 
 use crate::error::OptError;
@@ -252,166 +252,6 @@ where
     bail(x, f, opts.max_iter, pg_norm)
 }
 
-/// [`projected_newton`] with a **sparse** Hessian: the reduced Newton
-/// system on the free set is solved by a sparse Cholesky against one
-/// cached symbolic analysis (`sym`), with active variables handled by
-/// *pinning* — their rows are replaced by identity rows in the numeric
-/// matrix, so every free set shares the same elimination structure and
-/// no per-set symbolic work is ever done. This is what lifts the
-/// entropy estimator's Newton gate past the dense `O(n³)` wall: the
-/// typical Hessian is the splitting `2AᵀA + D(x)` whose `2AᵀA` part is
-/// a sparse Gram with clustered fill.
-///
-/// * `hessian_values(x, free)` must return the pinned numeric Hessian:
-///   same pattern as the matrix `sym` was analyzed on, identity rows
-///   for `!free[j]`, and the true `∇²f` values on the free block. (The
-///   caller typically keeps a pattern-fixed base matrix and maps its
-///   values — `Csr::mapped_values` — which guarantees the pattern.)
-/// * Everything else — active-set rule, Armijo projected line search,
-///   `refresh_every` amortization, soft-failure semantics — matches
-///   [`projected_newton`].
-pub fn projected_newton_sparse<FG, FH>(
-    mut value_grad: FG,
-    mut hessian_values: FH,
-    sym: &SparseCholSymbolic,
-    lo: &[f64],
-    x0: Vec<f64>,
-    opts: NewtonOptions,
-) -> Result<NewtonResult>
-where
-    FG: FnMut(&[f64], &mut [f64]) -> f64,
-    FH: FnMut(&[f64], &[bool]) -> Csr,
-{
-    let n = x0.len();
-    if lo.len() != n || sym.n() != n {
-        return Err(OptError::Invalid(format!(
-            "projected newton (sparse): lo has {} entries / symbolic is {} for {} variables",
-            lo.len(),
-            sym.n(),
-            n
-        )));
-    }
-    let mut x = x0;
-    for (xi, &l) in x.iter_mut().zip(lo) {
-        if *xi < l {
-            *xi = l;
-        }
-    }
-    let mut grad = vec![0.0; n];
-    let mut f = value_grad(&x, &mut grad);
-    if !f.is_finite() {
-        return Err(OptError::Invalid(
-            "projected newton (sparse): objective not finite at the initial point".into(),
-        ));
-    }
-    let scale = 1.0 + vector::norm_inf(&x);
-    let mut xnew = vec![0.0; n];
-    let mut gnew = vec![0.0; n];
-    let mut rhs = vec![0.0; n];
-    let mut d = vec![0.0; n];
-    let mut pg_norm = f64::INFINITY;
-    let refresh_every = opts.refresh_every.max(1);
-    let mut cached: Option<(Vec<bool>, SparseCholFactor)> = None;
-    let mut its_since_factor = 0usize;
-    let mut last_alpha = 1.0f64;
-
-    let bail = |x: Vec<f64>, f: f64, it: usize, pg: f64| {
-        Ok(NewtonResult {
-            x,
-            objective: f,
-            iterations: it,
-            pg_norm: pg,
-            converged: false,
-        })
-    };
-
-    for it in 0..opts.max_iter {
-        pg_norm = 0.0;
-        for j in 0..n {
-            let step = (x[j] - grad[j]).max(lo[j]);
-            pg_norm = pg_norm.max((step - x[j]).abs());
-        }
-        if pg_norm <= opts.tol * scale {
-            return Ok(NewtonResult {
-                x,
-                objective: f,
-                iterations: it,
-                pg_norm,
-                converged: true,
-            });
-        }
-
-        let free: Vec<bool> = (0..n)
-            .map(|j| x[j] - lo[j] > opts.active_eps * scale || grad[j] < 0.0)
-            .collect();
-        if free.iter().all(|&fr| !fr) {
-            return bail(x, f, it, pg_norm);
-        }
-
-        // Same refresh policy as the dense engine, including the
-        // damped-step (α < 1) staleness trigger.
-        let needs_factor = match &cached {
-            Some((cached_free, _)) => {
-                *cached_free != free || its_since_factor >= refresh_every || last_alpha < 1.0
-            }
-            None => true,
-        };
-        if needs_factor {
-            let numeric = hessian_values(&x, &free);
-            let mut factor = match cached.take() {
-                Some((_, fac)) => fac,
-                None => SparseCholFactor::default(),
-            };
-            match sym.refactor(&numeric, &mut factor) {
-                Ok(()) => {
-                    cached = Some((free.clone(), factor));
-                    its_since_factor = 0;
-                }
-                Err(_) => return bail(x, f, it, pg_norm),
-            }
-        }
-        its_since_factor += 1;
-        for j in 0..n {
-            rhs[j] = if free[j] { -grad[j] } else { 0.0 };
-        }
-        let (_, factor) = cached.as_ref().expect("installed above");
-        if sym.solve_into(factor, &rhs, &mut d).is_err() {
-            return bail(x, f, it, pg_norm);
-        }
-
-        // Monotone Armijo backtracking along the projected path (the
-        // pinned solve leaves d = 0 on the active set).
-        let mut alpha = 1.0f64;
-        let mut accepted = false;
-        for _ in 0..40 {
-            for j in 0..n {
-                xnew[j] = (x[j] + alpha * d[j]).max(lo[j]);
-            }
-            let fnew = value_grad(&xnew, &mut gnew);
-            let mut gdx = 0.0;
-            for j in 0..n {
-                gdx += grad[j] * (xnew[j] - x[j]);
-            }
-            if fnew.is_finite()
-                && (gdx < 0.0 || pg_norm <= opts.tol * scale)
-                && fnew <= f + opts.gamma * gdx
-            {
-                x.copy_from_slice(&xnew);
-                grad.copy_from_slice(&gnew);
-                f = fnew;
-                accepted = true;
-                last_alpha = alpha;
-                break;
-            }
-            alpha *= 0.5;
-        }
-        if !accepted {
-            return bail(x, f, it, pg_norm);
-        }
-    }
-    bail(x, f, opts.max_iter, pg_norm)
-}
-
 /// CG step budget per Newton system in [`projected_newton_dual`]
 /// before the solve is declared stalled.
 const PCG_MAX_STEPS: usize = 60;
@@ -434,6 +274,8 @@ const PCG_REFRESH_STEPS: usize = 24;
 /// `m³/6` flops instead of `~n³/6`. The active set enters by dropping
 /// columns from the assembly; `D` is captured at factorization time so
 /// the amortized (`refresh_every`) steps use a consistent metric.
+/// `K` is symmetric positive definite for any row count, so the same
+/// engine also serves tall systems (`m ≥ n`), just without the size win.
 ///
 /// * `diag(x, d)` must write the diagonal part `D(x)` (strictly
 ///   positive) into `d`.
@@ -838,100 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_newton_matches_dense_newton() {
-        // Same entropy-like objective as above, solved by both engines.
-        use tm_linalg::decomp::SparseCholSymbolic;
-        let a_rows: [&[f64]; 3] = [&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[1.0, 0.0, 1.0]];
-        let t = [2.0, 1.5, 1.8];
-        let q = [0.9, 0.8, 0.7];
-        let mu = 1e-2;
-        let floor = 1e-12;
-        let fg = |x: &[f64], g: &mut [f64]| {
-            let mut f = 0.0;
-            g.fill(0.0);
-            for (row, &ti) in a_rows.iter().zip(&t) {
-                let r: f64 = row.iter().zip(x).map(|(a, v)| a * v).sum::<f64>() - ti;
-                f += r * r;
-                for (j, &aj) in row.iter().enumerate() {
-                    g[j] += 2.0 * r * aj;
-                }
-            }
-            for j in 0..3 {
-                let xj = x[j].max(floor);
-                f += mu * (xj * (xj / q[j]).ln() - xj + q[j]);
-                g[j] += mu * (xj / q[j]).ln();
-            }
-            f
-        };
-        let a = Csr::from_dense(
-            &Mat::from_rows(&[a_rows[0].to_vec(), a_rows[1].to_vec(), a_rows[2].to_vec()]),
-            0.0,
-        );
-        let h_base = a.gram().scale(2.0).plus_diag(0.0).unwrap();
-        let sym = SparseCholSymbolic::analyze(&h_base).unwrap();
-        let sparse = projected_newton_sparse(
-            fg,
-            |x: &[f64], free: &[bool]| {
-                h_base.mapped_values(|i, j, v| {
-                    if i == j {
-                        if free[i] {
-                            v + mu / x[i].max(floor)
-                        } else {
-                            1.0
-                        }
-                    } else if free[i] && free[j] {
-                        v
-                    } else {
-                        0.0
-                    }
-                })
-            },
-            &sym,
-            &[floor; 3],
-            q.to_vec(),
-            NewtonOptions {
-                tol: 1e-10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(sparse.converged);
-        let dense = projected_newton(
-            fg,
-            |x, h| {
-                for i in 0..3 {
-                    for j in 0..3 {
-                        let mut v = 0.0;
-                        for row in &a_rows {
-                            v += 2.0 * row[i] * row[j];
-                        }
-                        h.set(i, j, v);
-                    }
-                }
-                for j in 0..3 {
-                    h.add_to(j, j, mu / x[j].max(floor));
-                }
-            },
-            &[floor; 3],
-            q.to_vec(),
-            NewtonOptions {
-                tol: 1e-10,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for j in 0..3 {
-            assert!(
-                (sparse.x[j] - dense.x[j]).abs() < 1e-8,
-                "j={j}: sparse {} vs dense {}",
-                sparse.x[j],
-                dense.x[j]
-            );
-        }
-        assert!(sparse.iterations <= dense.iterations + 2);
-    }
-
-    #[test]
     fn dual_newton_matches_dense_newton() {
         // Wide system (m = 2 rows < n = 3 cols): the dual engine's home
         // turf. Objective: ‖Ax − t‖² + Σ μ_j (x_j − c_j)² with Hessian
@@ -1006,41 +754,6 @@ mod tests {
             &a,
             &at,
             &[0.0; 2],
-            vec![1.0, 2.0],
-            NewtonOptions::default(),
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn sparse_newton_pins_active_bounds() {
-        // Minimum at (2, −3); x ≥ 0 pins the second coordinate. Sparse
-        // identity Hessian.
-        use tm_linalg::decomp::SparseCholSymbolic;
-        let pattern = Csr::from_triplets(2, 2, vec![(0, 0, 1.0), (1, 1, 1.0)]).unwrap();
-        let sym = SparseCholSymbolic::analyze(&pattern).unwrap();
-        let res = projected_newton_sparse(
-            |x, g| {
-                g[0] = x[0] - 2.0;
-                g[1] = x[1] + 3.0;
-                0.5 * ((x[0] - 2.0).powi(2) + (x[1] + 3.0).powi(2))
-            },
-            |_x, _free| pattern.clone(),
-            &sym,
-            &[0.0, 0.0],
-            vec![1.0, 1.0],
-            NewtonOptions::default(),
-        )
-        .unwrap();
-        assert!(res.converged);
-        assert!((res.x[0] - 2.0).abs() < 1e-8);
-        assert_eq!(res.x[1], 0.0);
-        // Validation: mismatched dimensions.
-        assert!(projected_newton_sparse(
-            |_x, _g| 0.0,
-            |_x, _f| pattern.clone(),
-            &sym,
-            &[0.0],
             vec![1.0, 2.0],
             NewtonOptions::default(),
         )

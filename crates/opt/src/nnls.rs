@@ -1,14 +1,16 @@
 //! Non-negative least squares solvers.
 //!
-//! Two complementary algorithms:
-//!
 //! * [`lawson_hanson`] — the classical active-set method. Exact (finite
 //!   termination), best for small/medium dense problems such as the
 //!   European network's 132 unknowns.
-//! * [`cd_nnls`] — cyclic coordinate descent on the Gram system with an
-//!   optional Tikhonov term. Much faster for the American network's 600
-//!   unknowns and the natural solver for the Bayesian estimator
-//!   `min ‖Rs−t‖² + μ‖s−s⁽ᵖ⁾‖², s ≥ 0` (paper Eq. 7).
+//! * [`cd_nnls`] / [`cd_nnls_sparse`] — cyclic coordinate descent on
+//!   the dense or sparse Gram system with an optional Tikhonov term.
+//! * [`ridge_nnls`] / [`ridge_nnls_kernel`] — the Tikhonov NNLS of the
+//!   Bayesian estimator `min ‖Rs−t‖² + μ‖s−s⁽ᵖ⁾‖², s ≥ 0` (paper Eq. 7)
+//!   in dual (kernel) form; the second carries the factored kernel
+//!   across calls.
+//! * [`ssn_nnls`] — semismooth Newton on a sparse Gram system (the
+//!   Vardi/Cao moment solves).
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::decomp::{qr, Cholesky, SparseCholFactor, SparseCholSymbolic};
@@ -385,53 +387,28 @@ pub fn cd_nnls_sparse(
 /// best (Fig. 13). Nonnegativity is enforced by an active-set loop:
 /// negative entries are clamped to zero and dual-infeasible zeros are
 /// released one at a time.
-pub fn ridge_nnls(
-    a: &Csr,
-    b: &[f64],
-    mu: f64,
-    x0: &[f64],
-    max_outer: usize,
-) -> Result<NnlsSolution> {
-    // Column access: row p of Aᵀ is column p of A.
-    let at = a.transpose();
-    ridge_nnls_with(a, &at, b, mu, x0, max_outer)
-}
-
-/// [`ridge_nnls`] with a precomputed transpose `Aᵀ` (the column view the
-/// active-set loop walks). Prepared measurement systems cache the
-/// transpose once and reuse it across intervals; results are
-/// bit-identical to [`ridge_nnls`].
-pub fn ridge_nnls_with(
-    a: &Csr,
-    at: &Csr,
-    b: &[f64],
-    mu: f64,
-    x0: &[f64],
-    max_outer: usize,
-) -> Result<NnlsSolution> {
-    ridge_nnls_warm(a, at, b, mu, x0, max_outer, None)
-}
-
-/// [`ridge_nnls_with`] with an optional warm-start solution.
 ///
-/// The active-set loop normally starts with *every* variable free and
-/// clamps its way down; `warm` seeds the free set from the support of a
-/// previous solution instead (`warm[p] > 0` ⇒ free). Between
+/// `at` is the precomputed transpose `Aᵀ` (the column view the
+/// active-set loop walks); prepared measurement systems cache it once
+/// and reuse it across intervals.
+///
+/// The active-set loop starts with *every* variable free and clamps its
+/// way down when `seed` is `None`. `Some(x)` seeds the free set from the
+/// support of a previous solution instead (`x[p] > 0` ⇒ free). Between
 /// consecutive intervals of a slowly drifting load series the support
 /// rarely changes, so the loop typically terminates after one or two
 /// kernel solves instead of re-discovering the active set from scratch.
 /// The objective is strictly convex (`μ > 0`), so the minimizer — and
 /// therefore the returned solution, up to solver tolerance — does not
-/// depend on the starting set. `warm = None` is exactly
-/// [`ridge_nnls_with`].
-pub fn ridge_nnls_warm(
+/// depend on the starting set.
+pub fn ridge_nnls(
     a: &Csr,
     at: &Csr,
     b: &[f64],
     mu: f64,
     x0: &[f64],
     max_outer: usize,
-    warm: Option<&[f64]>,
+    seed: Option<&[f64]>,
 ) -> Result<NnlsSolution> {
     let (m, n) = (a.rows(), a.cols());
     if b.len() != m || x0.len() != n {
@@ -454,7 +431,7 @@ pub fn ridge_nnls_warm(
     let scale = vector::norm_inf(b).max(vector::norm_inf(x0)).max(1.0);
     let tol = 1e-10 * scale;
 
-    let mut free = match warm {
+    let mut free = match seed {
         None => vec![true; n],
         Some(w) => {
             if w.len() != n {
@@ -623,7 +600,7 @@ impl RidgeKernel {
     }
 }
 
-/// [`ridge_nnls_warm`] with a cached factorized kernel carried across
+/// [`ridge_nnls`] with a cached factorized kernel carried across
 /// calls (the streaming fast path).
 ///
 /// When `kernel` holds the factor of a previous call's final active
@@ -663,7 +640,7 @@ pub fn ridge_nnls_kernel(
         }
     }
     // Slow path: run the active-set loop from the remembered seed.
-    let sol = ridge_nnls_warm(a, at, b, mu, x0, max_outer, warm_seed.as_deref())?;
+    let sol = ridge_nnls(a, at, b, mu, x0, max_outer, warm_seed.as_deref())?;
     // Re-factor the kernel for the new support.
     let free: Vec<bool> = sol.x.iter().map(|&v| v > 0.0).collect();
     let mut mmat = Mat::zeros(m, m);
@@ -1366,7 +1343,7 @@ mod tests {
         let a = Csr::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]).unwrap();
         let b = [2.0];
         let prior = [5.0, 5.0];
-        let s = ridge_nnls(&a, &b, 1e-8, &prior, 0).unwrap();
+        let s = ridge_nnls(&a, &a.transpose(), &b, 1e-8, &prior, 0, None).unwrap();
         assert!((s.x[0] + s.x[1] - 2.0).abs() < 1e-6, "{:?}", s.x);
         // Among all feasible x, closest to the prior: symmetric split.
         assert!((s.x[0] - s.x[1]).abs() < 1e-6, "{:?}", s.x);
@@ -1384,7 +1361,7 @@ mod tests {
         let b = [1.0, -4.0, 2.0, 0.5];
         let prior = [0.1, 0.2, 0.3];
         let cd = cd_nnls(&a_dense, &b, 0.5, Some(&prior), 50_000, 1e-13).unwrap();
-        let ridge = ridge_nnls(&a, &b, 0.5, &prior, 0).unwrap();
+        let ridge = ridge_nnls(&a, &a.transpose(), &b, 0.5, &prior, 0, None).unwrap();
         for j in 0..3 {
             assert!(
                 (cd.x[j] - ridge.x[j]).abs() < 1e-6,
@@ -1402,7 +1379,7 @@ mod tests {
         let a = Csr::from_dense(&Mat::identity(3), 0.0);
         let b = [1.0, -5.0, 2.0];
         let prior = [0.0, 0.0, 0.0];
-        let s = ridge_nnls(&a, &b, 0.1, &prior, 0).unwrap();
+        let s = ridge_nnls(&a, &a.transpose(), &b, 0.1, &prior, 0, None).unwrap();
         assert!(s.x[0] > 0.0);
         assert_eq!(s.x[1], 0.0);
         assert!(s.x[2] > 0.0);
@@ -1413,9 +1390,9 @@ mod tests {
     #[test]
     fn ridge_validates_inputs() {
         let a = Csr::from_dense(&Mat::identity(2), 0.0);
-        assert!(ridge_nnls(&a, &[1.0], 1.0, &[0.0, 0.0], 0).is_err());
-        assert!(ridge_nnls(&a, &[1.0, 1.0], 0.0, &[0.0, 0.0], 0).is_err());
-        assert!(ridge_nnls(&a, &[1.0, 1.0], 1.0, &[0.0], 0).is_err());
+        assert!(ridge_nnls(&a, &a.transpose(), &[1.0], 1.0, &[0.0, 0.0], 0, None).is_err());
+        assert!(ridge_nnls(&a, &a.transpose(), &[1.0, 1.0], 0.0, &[0.0, 0.0], 0, None).is_err());
+        assert!(ridge_nnls(&a, &a.transpose(), &[1.0, 1.0], 1.0, &[0.0], 0, None).is_err());
     }
 
     #[test]
@@ -1429,12 +1406,12 @@ mod tests {
         let at = a.transpose();
         let prior = [0.2, 0.1, 0.0, 0.3];
         let b1 = [1.0, -4.0, 2.0];
-        let cold1 = ridge_nnls(&a, &b1, 0.05, &prior, 0).unwrap();
+        let cold1 = ridge_nnls(&a, &a.transpose(), &b1, 0.05, &prior, 0, None).unwrap();
         // A drifted RHS: warm-start the free set from the previous
         // support; the strictly convex objective pins the answer.
         let b2 = [1.1, -3.8, 2.1];
-        let cold2 = ridge_nnls(&a, &b2, 0.05, &prior, 0).unwrap();
-        let warm2 = ridge_nnls_warm(&a, &at, &b2, 0.05, &prior, 0, Some(&cold1.x)).unwrap();
+        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, 0, None).unwrap();
+        let warm2 = ridge_nnls(&a, &at, &b2, 0.05, &prior, 0, Some(&cold1.x)).unwrap();
         for j in 0..4 {
             assert!(
                 (warm2.x[j] - cold2.x[j]).abs() < 1e-8,
@@ -1453,12 +1430,12 @@ mod tests {
         // An all-zero warm support still reaches the optimum through
         // the dual release loop.
         let zero = [0.0; 4];
-        let released = ridge_nnls_warm(&a, &at, &b2, 0.05, &prior, 0, Some(&zero)).unwrap();
+        let released = ridge_nnls(&a, &at, &b2, 0.05, &prior, 0, Some(&zero)).unwrap();
         for j in 0..4 {
             assert!((released.x[j] - cold2.x[j]).abs() < 1e-8, "j={j}");
         }
         // Validation: wrong warm length.
-        assert!(ridge_nnls_warm(&a, &at, &b2, 0.05, &prior, 0, Some(&[1.0])).is_err());
+        assert!(ridge_nnls(&a, &at, &b2, 0.05, &prior, 0, Some(&[1.0])).is_err());
     }
 
     #[test]
@@ -1481,7 +1458,7 @@ mod tests {
         // iterations) must reproduce the from-scratch solution.
         let b2 = [1.05, -3.9, 2.05];
         let s2 = ridge_nnls_kernel(&a, &at, &b2, 0.05, &prior, 0, &mut kernel).unwrap();
-        let cold2 = ridge_nnls(&a, &b2, 0.05, &prior, 0).unwrap();
+        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, 0, None).unwrap();
         for j in 0..4 {
             assert!(
                 (s2.x[j] - cold2.x[j]).abs() < 1e-8,
@@ -1496,7 +1473,7 @@ mod tests {
         // the slow path must recover (and re-install the kernel).
         let b3 = [1.0, 4.0, 2.0];
         let s3 = ridge_nnls_kernel(&a, &at, &b3, 0.05, &prior, 0, &mut kernel).unwrap();
-        let cold3 = ridge_nnls(&a, &b3, 0.05, &prior, 0).unwrap();
+        let cold3 = ridge_nnls(&a, &a.transpose(), &b3, 0.05, &prior, 0, None).unwrap();
         for j in 0..4 {
             assert!((s3.x[j] - cold3.x[j]).abs() < 1e-8, "j={j}");
         }
@@ -1538,7 +1515,7 @@ mod tests {
             SsnOptions::default(),
         )
         .unwrap();
-        let ridge = ridge_nnls(&a, &b, 0.05, &prior, 0).unwrap();
+        let ridge = ridge_nnls(&a, &a.transpose(), &b, 0.05, &prior, 0, None).unwrap();
         for j in 0..4 {
             assert!(
                 (ssn.x[j] - ridge.x[j]).abs() < 1e-7,
@@ -1594,7 +1571,7 @@ mod tests {
             SsnOptions::default(),
         )
         .unwrap();
-        let cold2 = ridge_nnls(&a, &b2, 0.05, &prior, 0).unwrap();
+        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, 0, None).unwrap();
         for j in 0..4 {
             assert!(
                 (s2.x[j] - cold2.x[j]).abs() < 1e-7,
@@ -1618,7 +1595,7 @@ mod tests {
             SsnOptions::default(),
         )
         .unwrap();
-        let cold3 = ridge_nnls(&a, &b3, 0.05, &prior, 0).unwrap();
+        let cold3 = ridge_nnls(&a, &a.transpose(), &b3, 0.05, &prior, 0, None).unwrap();
         for j in 0..4 {
             assert!((s3.x[j] - cold3.x[j]).abs() < 1e-7, "j={j}");
         }

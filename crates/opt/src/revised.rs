@@ -26,8 +26,6 @@
 //! at level zero (redundant constraint rows) are pinned there — a
 //! leaving-priority rule evicts them the moment any entering column
 //! crosses their row, and they are never priced back in.
-//! [`RevisedSimplex::from_phase1`] alternatively adopts a feasible
-//! basis found by the tableau solver's phase 1.
 //!
 //! `Clone` is cheap relative to a cold start (no dense tableau is
 //! copied), so parallel bound sweeps clone a phase-1-complete solver
@@ -36,7 +34,7 @@
 use tm_linalg::{vector, BasisLu, Csr};
 
 use crate::error::OptError;
-use crate::simplex::{LpSolution, SimplexSolver};
+use crate::simplex::LpSolution;
 use crate::Result;
 
 /// Pivot-budget multiplier (per objective) before declaring failure —
@@ -182,86 +180,6 @@ impl RevisedSimplex {
         for i in 0..m {
             if solver.basis[i] >= n {
                 solver.xb[i] = 0.0;
-            }
-        }
-        Ok(solver)
-    }
-
-    /// Adopt the feasible basis found by the **tableau** solver's
-    /// phase 1 (see [`SimplexSolver::basis_columns`]): the constraint
-    /// system is reduced to the rows phase 1 kept, and phase 2 warm
-    /// starts from that basis with a fresh sparse factorization.
-    pub fn from_phase1(a: &Csr, b: &[f64], phase1: &SimplexSolver) -> Result<Self> {
-        let (m_full, n) = (a.rows(), a.cols());
-        if b.len() != m_full {
-            return Err(OptError::Invalid(format!(
-                "revised simplex: b has {} entries for {} rows",
-                b.len(),
-                m_full
-            )));
-        }
-        let kept = phase1.kept_rows();
-        let basis = phase1.basis_columns().to_vec();
-        if basis.len() != kept.len() || basis.iter().any(|&j| j >= n) {
-            return Err(OptError::Invalid(
-                "revised simplex: phase-1 basis does not match the system".into(),
-            ));
-        }
-        let m = kept.len();
-        let a_max = a.data().iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-        let scale = a_max.max(vector::norm_inf(b)).max(1.0);
-        let tol = 1e-9 * scale;
-
-        // Keep only the retained rows, flipped so b ≥ 0.
-        let mut triplets = Vec::with_capacity(a.nnz());
-        let mut bf = Vec::with_capacity(m);
-        let mut flip = Vec::with_capacity(m);
-        for (new_i, &old_i) in kept.iter().enumerate() {
-            let s = if b[old_i] < 0.0 { -1.0 } else { 1.0 };
-            flip.push(s);
-            bf.push(s * b[old_i]);
-            let (idx, val) = a.row(old_i);
-            for (k, &j) in idx.iter().enumerate() {
-                triplets.push((new_i, j, s * val[k]));
-            }
-        }
-        let af = Csr::from_triplets(m, n, triplets).expect("in-bounds by construction");
-        let at = af.transpose();
-
-        let mut in_basis = vec![false; n];
-        for &j in &basis {
-            in_basis[j] = true;
-        }
-        // Identity placeholder; `refactor` below installs the real basis.
-        let identity: Vec<Vec<(usize, f64)>> = (0..m).map(|i| vec![(i, 1.0)]).collect();
-        let mut solver = RevisedSimplex {
-            at,
-            xb: vec![0.0; m],
-            b: bf,
-            flip,
-            m,
-            n,
-            basis,
-            in_basis,
-            factor: BasisLu::factor(m, &identity, LU_TOL).map_err(OptError::Linalg)?,
-            tol,
-            feas_tol: tol * (m as f64).sqrt().max(1.0) * 10.0,
-            cursor: 0,
-            updates_since_refactor: 0,
-            y: vec![0.0; m],
-            w: vec![0.0; m],
-            col_buf: vec![0.0; m],
-            cb: vec![0.0; m],
-        };
-        solver.refactor(true)?;
-        if solver.xb.iter().any(|&v| v < -solver.feas_tol) {
-            return Err(OptError::Invalid(
-                "revised simplex: phase-1 basis is not primal feasible".into(),
-            ));
-        }
-        for v in &mut solver.xb {
-            if *v < 0.0 {
-                *v = 0.0;
             }
         }
         Ok(solver)
@@ -709,7 +627,7 @@ impl RevisedSimplex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::StandardLp;
+    use crate::simplex::{SimplexSolver, StandardLp};
     use tm_linalg::Mat;
 
     fn csr(rows: &[Vec<f64>]) -> Csr {
@@ -822,38 +740,6 @@ mod tests {
             );
             assert!(feasible(&a, &b, &hi_r.x, 1e-8));
             assert!(feasible(&a, &b, &lo_r.x, 1e-8));
-        }
-    }
-
-    #[test]
-    fn from_phase1_adopts_tableau_basis() {
-        let rows = [
-            vec![1.0, 1.0, 0.0, 0.0],
-            vec![0.0, 0.0, 1.0, 1.0],
-            vec![1.0, 0.0, 1.0, 0.0],
-            vec![2.0, 2.0, 0.0, 0.0], // redundant (2× row 0)
-        ];
-        let a = csr(&rows);
-        let b = vec![5.0, 7.0, 6.0, 10.0];
-        let lp = StandardLp {
-            a: Mat::from_rows(&rows),
-            b: b.clone(),
-        };
-        let mut dense = SimplexSolver::new(&lp).unwrap();
-        assert_eq!(dense.active_rows(), 3);
-        let mut revised = RevisedSimplex::from_phase1(&a, &b, &dense).unwrap();
-        assert_eq!(revised.active_rows(), 3);
-        for p in 0..4 {
-            let mut c = vec![0.0; 4];
-            c[p] = 1.0;
-            let hi_d = dense.maximize(&c).unwrap();
-            let hi_r = revised.maximize(&c).unwrap();
-            assert!(
-                (hi_d.objective - hi_r.objective).abs() < 1e-9,
-                "p={p}: {} vs {}",
-                hi_d.objective,
-                hi_r.objective
-            );
         }
     }
 

@@ -54,9 +54,6 @@ pub struct SimplexSolver {
     rhs: Vec<f64>,
     /// `basis[r]` = column basic in row `r`.
     basis: Vec<usize>,
-    /// Original row index of each retained tableau row (phase 1 drops
-    /// redundant rows; the revised solver adopts the reduced system).
-    kept: Vec<usize>,
     /// Number of structural variables.
     n: usize,
     /// Scaled numerical tolerance.
@@ -142,7 +139,6 @@ impl SimplexSolver {
             t,
             rhs,
             basis,
-            kept: (0..m).collect(),
             n,
             tol,
         };
@@ -198,19 +194,6 @@ impl SimplexSolver {
     /// Number of (non-redundant) constraint rows retained.
     pub fn active_rows(&self) -> usize {
         self.rhs.len()
-    }
-
-    /// Original indices of the retained (non-redundant) constraint rows,
-    /// in tableau order.
-    pub fn kept_rows(&self) -> &[usize] {
-        &self.kept
-    }
-
-    /// Columns of the current basis, by retained row. After phase 1 all
-    /// entries are structural (`< n`): artificials were pivoted out or
-    /// their rows dropped. The revised solver warm starts from this.
-    pub fn basis_columns(&self) -> &[usize] {
-        &self.basis
     }
 
     /// Minimize `cᵀx` from the current feasible basis.
@@ -393,7 +376,6 @@ impl SimplexSolver {
         self.t = t;
         self.rhs.remove(r);
         self.basis.remove(r);
-        self.kept.remove(r);
     }
 }
 

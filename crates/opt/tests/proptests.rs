@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tm_linalg::{vector, Csr, Mat};
-use tm_opt::ipf::{gis, IpfOptions};
+use tm_opt::ipf::{gis, GisPlan, IpfOptions};
 use tm_opt::nnls::{cd_nnls, kkt_violation, lawson_hanson, ridge_nnls, NnlsOptions};
 use tm_opt::qp::solve_eq_qp;
 use tm_opt::simplex::{solve_lp, StandardLp};
@@ -54,7 +54,7 @@ proptest! {
         mu in 0.05f64..2.0,
     ) {
         let csr = Csr::from_dense(&a, 0.0);
-        let sol = ridge_nnls(&csr, &b, mu, &prior, 0).unwrap();
+        let sol = ridge_nnls(&csr, &csr.transpose(), &b, mu, &prior, 0, None).unwrap();
         prop_assert!(sol.x.iter().all(|&v| v >= 0.0));
         prop_assert!(
             kkt_violation(&a, &b, mu, Some(&prior), &sol.x) < 1e-6,
@@ -163,7 +163,8 @@ proptest! {
         }
         let r = Csr::from_triplets(4, 6, trip).unwrap();
         let t = r.matvec(&strue);
-        let res = gis(&prior, &r, &t, IpfOptions { max_iter: 50_000, tol: 1e-9, ..Default::default() }).unwrap();
+        let plan = GisPlan::build(&r, &t).unwrap();
+        let res = gis(&prior, &r, &t, &plan, IpfOptions { max_iter: 50_000, tol: 1e-9, ..Default::default() }, None).unwrap();
         let rs = r.matvec(&res.values);
         for i in 0..4 {
             prop_assert!((rs[i] - t[i]).abs() < 1e-6 * (1.0 + t[i]), "row {i}");
