@@ -1,11 +1,11 @@
 //! Regenerate every figure and table of the paper's evaluation section,
-//! plus the perf-trajectory bench mode.
+//! plus the pipeline's acceptance gates.
 //!
 //! ```sh
 //! cargo run --release -p tm_bench --bin experiments -- all
 //! cargo run --release -p tm_bench --bin experiments -- fig13 table2
-//! cargo run --release -p tm_bench --bin experiments -- bench
 //! cargo run --release -p tm_bench --bin experiments -- fault-matrix
+//! cargo run --release -p tm_bench --bin experiments -- overhead
 //! ```
 //!
 //! Output: aligned text on stdout (the *shape* to compare against the
@@ -13,43 +13,33 @@
 //! the paper — the substrate is synthetic — but the qualitative claims
 //! (who wins, where methods fail, where curves flatten) are reproduced.
 //!
-//! `bench` times every registry method (`Method::all_defaults()`) at
-//! three topology scales and the
-//! full-day streaming sweeps (`day288-*`: warm-started StreamEngine vs
-//! the equivalent per-interval cold loop — the full suite at Europe
-//! scale plus the second-order-solver rows at America scale; the
-//! `day288f-*` rows repeat the Europe day under the canonical fault
-//! plan through the degradation ladder, the `day288-telemetry-*`
-//! rows price the daemon's per-tick recorder path, and the
-//! `day288-transport-*` rows price the process-per-shard socket
-//! transport against the in-thread channels), and writes
-//! `BENCH_PR9.json` (schema documented in `docs/PERF.md`). The
-//! `compare_bench` bin diffs it against the committed prior baseline
-//! and fails CI on wall-time or MRE regressions. `fault-matrix` is the
-//! degraded-pipeline acceptance gate (zero `Err`s, degradation
-//! reports, bounded MRE inflation); `daemon-matrix` is the supervised
-//! sharded-runtime gate (Europe day sharded 4 ways under the canonical
-//! fault plan plus injected worker kills — zero dropped ticks, every
-//! restart surfaced, aggregates bit-identical to the in-process
-//! engine); `live-matrix` is the live-serving gate (a protocol client
-//! polls a TOML-configured chaos run mid-flight and every mid-run
-//! answer must be bit-identical to the post-run answer, with telemetry
-//! counters reconciling exactly); `net-matrix` is the socket-transport
-//! gate (Europe day x2 shards as child processes under the full
-//! wire-fault taxonomy — zero lost intervals, every reconnect/resend
-//! surfaced and reconciled, aggregates bit-identical to the in-process
-//! engine). None of the five is part of `all`. An unknown target name
-//! exits 2 and lists the known ones.
+//! The gates run alone, each exiting 1 on a violation. `overhead`
+//! holds the telemetry recorder within 2% and the socket transport
+//! within 50% of their baselines, on medians of interleaved runs.
+//! `fault-matrix` is the degraded-pipeline acceptance gate (zero
+//! `Err`s, degradation reports, bounded MRE inflation); `daemon-matrix`
+//! is the supervised sharded-runtime gate (Europe day sharded 4 ways
+//! under the canonical fault plan plus injected worker kills — zero
+//! dropped ticks, every restart surfaced, aggregates bit-identical to
+//! the in-process engine); `live-matrix` is the live-serving gate (a
+//! protocol client polls a TOML-configured chaos run mid-flight and
+//! every mid-run answer must be bit-identical to the post-run answer,
+//! with telemetry counters reconciling exactly); `net-matrix` is the
+//! socket-transport gate (Europe day x2 shards as child processes under
+//! the full wire-fault taxonomy — zero lost intervals, every
+//! reconnect/resend surfaced and reconciled, aggregates bit-identical
+//! to the in-process engine). None of the five is part of `all`. Wall
+//! times of the whole pipeline are the `perfbench` package's job. An
+//! unknown target name exits 2 and lists the known ones.
 
-use tm_bench::{europe, networks, paper_mre, perf, scales, snapshot, window, CsvOut, SEED};
+use tm_bench::{europe, networks, paper_mre, snapshot, window, CsvOut, SEED};
 use tm_core::cao::CaoEstimator;
 use tm_core::fanout::FanoutEstimator;
 use tm_core::measure::{greedy_selection, largest_first_selection};
 use tm_core::prelude::*;
 use tm_core::vardi::VardiEstimator;
-use tm_core::wcb::{worst_case_bounds, LpEngine, WcbSolver};
-use tm_linalg::{stats, vector, LinOp};
-use tm_opt::nnls;
+use tm_core::wcb::worst_case_bounds;
+use tm_linalg::{stats, vector};
 use tm_traffic::series::poisson_series;
 
 fn main() {
@@ -83,7 +73,7 @@ type Mode = (&'static str, Option<&'static str>, fn(&str));
 /// Every standalone mode. When several are named, the first in this
 /// table runs.
 const MODES: &[Mode] = &[
-    ("bench", None, |_| bench_mode()),
+    ("overhead", None, |_| overhead_mode()),
     ("fault-matrix", None, |_| fault_matrix_mode()),
     ("daemon-matrix", None, |_| daemon_matrix_mode()),
     (
@@ -378,7 +368,7 @@ fn fig6() {
         }
         let fit = stats::power_law_fit(&mean_n, &var_n).expect("positive data");
         println!(
-            "  {name:<8} fitted Var = {:.2e} * mean^{:.2}   (R^2 {:.3}; paper exponent {} — phi rescaled, see DESIGN.md)",
+            "  {name:<8} fitted Var = {:.2e} * mean^{:.2}   (R^2 {:.3}; paper exponent {}; phi differs: the fit runs on normalized demands, not the paper's units)",
             fit.phi,
             fit.c,
             fit.r_squared,
@@ -473,9 +463,10 @@ fn fig10_fig11() {
     for (name, d) in networks() {
         // Window lengths are independent problems: sweep in parallel,
         // print in order.
-        let ks = [1usize, 2, 3, 5, 10, 20, 30, 40];
+        // A window needs at least 2 samples.
+        let ks = [2usize, 3, 5, 10, 20, 30, 40];
         let mres = tm_par::par_map(&ks, |&k| {
-            let w = window(&d, k.max(2)); // need >= 2 samples for a window
+            let w = window(&d, k);
             let truth = w.true_demands().expect("truth").to_vec();
             let res = FanoutEstimator::new().estimate(&w).expect("QP solvable");
             paper_mre(&truth, &res.estimate.demands)
@@ -803,442 +794,137 @@ fn table2() {
     println!("  -> {}", path.display());
 }
 
-/// `bench` mode: the perf-trajectory harness.
+/// `overhead` mode: the two within-run overhead contracts.
 ///
-/// Times every registry method ([`Method::all_defaults`]) at three
-/// topology scales, the full-day streaming sweeps (warm vs cold — the full
-/// suite at Europe scale, the second-order rows at America scale),
-/// and the sparse engine against its densified baseline on the
-/// entropy-SPG, Gram-CD-NNLS and WCB-simplex hot paths; writes
-/// `BENCH_PR9.json` in the working directory. Schema: `docs/PERF.md`.
-fn bench_mode() {
-    use serde::Value;
+/// * **Telemetry.** The warm Europe day with the daemon worker's
+///   per-tick record path (queue delay, per-method solve histograms,
+///   tick counters) may cost at most [`TELEMETRY_OVERHEAD`] + 2 ms over
+///   the same day without it (`docs/OBSERVABILITY.md`).
+/// * **Transport.** One Europe shard's clean day through a child
+///   `tm_shard_worker` over the localhost socket transport may cost at
+///   most [`TRANSPORT_OVERHEAD`] + 2 ms over the in-thread channels
+///   (`docs/DAEMON.md`, "Transport overhead"). The worker binary must be
+///   built first.
+///
+/// Each contract compares the medians of its two sides over interleaved
+/// runs: the telemetry sides alternate per tick within a day, the
+/// transport sides per whole day, so a host that drifts in speed slows
+/// both alike. Exits 1 on a breach.
+fn overhead_mode() {
+    use std::time::{Duration, Instant};
+    use tm_daemon::telemetry::TelemetryHub;
+    use tm_daemon::{Daemon, DaemonConfig, ShardSpec, SocketOptions, TransportConfig};
+    use tm_traffic::DatasetSpec;
 
+    const RUNS: usize = 7;
+    const SLACK_MS: f64 = 2.0;
     banner(
-        "bench: perf-trajectory harness",
-        "writes BENCH_PR9.json — compare_bench diffs it against BENCH_PR8.json",
+        "overhead: within-run overhead contracts",
+        "telemetry on <= off + 2% + 2 ms; socket <= thread + 50% + 2 ms (medians of interleaved runs)",
     );
-    let runs = 5usize;
-    let mut nets_json: Vec<Value> = Vec::new();
-
-    for (name, d) in scales() {
-        let p = snapshot(&d);
-        let a = p.measurement_matrix();
-        let nnz = a.nnz();
-        let density = LinOp::density(&a);
+    let d = europe();
+    let day = d.series.len();
+    let ms: Vec<Method> = ["gravity", "entropy:lambda=1e3", "vardi:w=0.01,window=50"]
+        .iter()
+        .map(|s| s.parse().expect("valid spec"))
+        .collect();
+    let labels: Vec<String> = ms.iter().map(|m| m.label()).collect();
+    let hub = TelemetryHub::new(&["overhead".to_string()], &labels);
+    // Two warm engines step through the day side by side, in an order
+    // that alternates per tick.
+    let telemetry_day = |_run: usize| {
+        let recorder = hub.recorder(0);
+        let build = || StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).expect("engine builds");
+        let (mut off, mut on) = (build(), build());
+        let (mut off_ms, mut on_ms) = (0.0, 0.0);
+        for k in 0..day {
+            let first = k.is_multiple_of(2);
+            for recorded in [first, !first] {
+                let start = Instant::now();
+                let loads = d.interval_loads(k).expect("in range");
+                if recorded {
+                    let tick = on.push_interval(loads).expect("clean day");
+                    recorder.record_queue_delay(start.elapsed().as_nanos() as u64);
+                    recorder.record_solves(&tick.solve_ns);
+                    recorder.count_tick(tick.degradation.is_some(), 0, 0);
+                    on_ms += start.elapsed().as_secs_f64() * 1e3;
+                } else {
+                    off.push_interval(loads).expect("clean day");
+                    off_ms += start.elapsed().as_secs_f64() * 1e3;
+                }
+            }
+        }
+        (off_ms, on_ms)
+    };
+    let daemon_day = |transport: TransportConfig| {
+        let mut config = DaemonConfig::new(ms.clone()).with_transport(transport);
+        config.heartbeat_timeout = Duration::from_secs(30);
+        config.checkpoint_every = 64;
+        let shards = vec![ShardSpec::new("overhead", DatasetSpec::europe(), SEED)];
+        let daemon = Daemon::new(shards, config).expect("valid roster");
+        let start = Instant::now();
+        let report = daemon.run(0..day).expect("clean day");
+        assert!(report.all_completed(), "a clean day must complete");
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    // Whole daemon days, the pair order alternating per run.
+    let transport_days = |run: usize| {
+        let thread = || daemon_day(TransportConfig::Thread);
+        let socket = || daemon_day(TransportConfig::Socket(SocketOptions::default()));
+        if run.is_multiple_of(2) {
+            (thread(), socket())
+        } else {
+            let socket_ms = socket();
+            (thread(), socket_ms)
+        }
+    };
+    let contracts = [
+        (
+            "telemetry recorder",
+            ("off", "on"),
+            TELEMETRY_OVERHEAD,
+            paired_medians(RUNS, telemetry_day),
+        ),
+        (
+            "socket transport",
+            ("thread", "socket"),
+            TRANSPORT_OVERHEAD,
+            paired_medians(RUNS, transport_days),
+        ),
+    ];
+    let mut breached = false;
+    for (name, (base_name, with_name), limit, (base, with)) in contracts {
+        let bound = base * (1.0 + limit) + SLACK_MS;
+        let pct = (with / base.max(1e-9) - 1.0) * 100.0;
+        breached |= with > bound;
         println!(
-            "  {name}: {} nodes, {} links, {} pairs, measurement nnz {nnz} (density {density:.4})",
-            d.topology.n_nodes(),
-            d.topology.n_links(),
-            p.n_pairs(),
+            "  {name:<20} {base_name:>6} {base:>7.1} ms  {with_name:>6} {with:>7.1} ms  overhead {pct:>+6.2}%  \
+             (limit {:.0}% + {SLACK_MS} ms = {bound:.1} ms)  {}",
+            limit * 100.0,
+            if with > bound { "BREACH" } else { "ok" }
         );
-
-        // Per-estimator wall times (median of `runs`).
-        let mut estimators: Vec<Value> = Vec::new();
-        let truth = p.true_demands().expect("truth").to_vec();
-        let mut push = |label: &str, ms: f64, mre: Option<f64>| {
-            println!(
-                "    {label:<22} {ms:>9.3} ms{}",
-                match mre {
-                    Some(m) => format!("   mre {m:.3}"),
-                    None => String::new(),
-                }
-            );
-            let mut entry = vec![
-                ("name".to_string(), Value::Str(label.to_string())),
-                ("wall_ms".to_string(), Value::F64(ms)),
-            ];
-            if let Some(m) = mre {
-                entry.push(("mre".to_string(), Value::F64(m)));
-            }
-            estimators.push(Value::Map(entry));
-        };
-
-        // Every paper method, selected through the registry instead of
-        // a hand-written match. Labels are stable across PRs — the perf
-        // gate diffs entries by name.
-        for method in Method::all_defaults() {
-            let est = method.build();
-            let (problem, truth_ref): (&EstimationProblem, &[f64]);
-            let window_problem;
-            let window_truth;
-            match method.window() {
-                None => {
-                    problem = &p;
-                    truth_ref = &truth;
-                }
-                Some(k) => {
-                    window_problem = window(&d, k);
-                    window_truth = window_problem.true_demands().expect("truth").to_vec();
-                    problem = &window_problem;
-                    truth_ref = &window_truth;
-                }
-            }
-            // The LP sweep and the second-moment methods are the slow
-            // lines; time fewer repetitions there (as in PR 1/2).
-            let reps = match method.config() {
-                MethodConfig::Wcb { .. }
-                | MethodConfig::Vardi { .. }
-                | MethodConfig::Cao { .. } => runs.min(3),
-                _ => runs,
-            };
-            push(
-                &method.label(),
-                perf::time_ms(reps, || est.estimate(problem).expect("ok")),
-                Some(paper_mre(
-                    truth_ref,
-                    &est.estimate(problem).expect("ok").demands,
-                )),
-            );
-        }
-
-        // Full-day streaming sweeps: every method over all 288 intervals
-        // through one StreamEngine. `day288-<label>` reports the
-        // warm-started engine (the PR 4 tentpole); `cold_ms` and
-        // `speedup_vs_cold` record the equivalent per-interval cold
-        // loop (bit-identical to per-snapshot estimates) it replaces. The full
-        // suite runs at Europe scale; America runs the rows the PR 5
-        // second-order solvers target (entropy's sparse Newton, Vardi's
-        // semismooth Newton) — the remaining methods' full American day
-        // belongs in a soak run, not a CI bench.
-        let day288_specs: &[&str] = match name {
-            "europe" => &[
-                "entropy:lambda=1e3",
-                "bayes:prior=1e3",
-                "kruithof-full",
-                "fanout:window=10",
-                "vardi:w=0.01,window=50",
-                "cao:c=1.6,w=0.01,window=50",
-                "wcb:engine=revised",
-            ],
-            "america" => &["entropy:lambda=1e3", "vardi:w=0.01,window=50"],
-            _ => &[],
-        };
-        {
-            let day = d.series.len();
-            for spec in day288_specs {
-                let method: Method = spec.parse().expect("valid spec");
-                let ms = vec![method.clone()];
-                let sweep = |mode: StreamMode| {
-                    let mut engine =
-                        StreamEngine::for_dataset(&d, &ms, mode).expect("engine builds");
-                    engine
-                        .run(dataset_stream(&d, 0..day).expect("range valid"))
-                        .expect("sweep runs")
-                };
-                // One warm-up sweep, then one timed sweep whose ticks
-                // also provide the MRE (no third run).
-                std::hint::black_box(sweep(StreamMode::Warm));
-                let start = std::time::Instant::now();
-                let ticks = sweep(StreamMode::Warm);
-                let warm_ms = start.elapsed().as_secs_f64() * 1e3;
-                let cold_ms = perf::time_ms(1, || sweep(StreamMode::Cold));
-                // Day-mean MRE of the warm sweep (per-interval truth for
-                // snapshot methods, window-mean truth for windowed ones).
-                let window = method.window();
-                let mut mre_sum = 0.0;
-                let mut mre_n = 0usize;
-                for tick in &ticks {
-                    let Some(Ok(est)) = &tick.estimates[0] else {
-                        continue;
-                    };
-                    let truth = match window {
-                        None => d.demands_at(tick.interval).expect("in range").to_vec(),
-                        Some(w) => {
-                            let len = w.min(tick.interval + 1);
-                            d.series
-                                .window_mean(tick.interval + 1 - len, len)
-                                .expect("in range")
-                        }
-                    };
-                    mre_sum += paper_mre(&truth, &est.demands);
-                    mre_n += 1;
-                }
-                let day_mre = mre_sum / mre_n.max(1) as f64;
-                let speedup = cold_ms / warm_ms.max(1e-9);
-                let label = format!("day288-{}", method.label());
-                println!(
-                    "    {label:<28} warm {warm_ms:>9.1} ms  cold {cold_ms:>9.1} ms  speedup {speedup:>5.2}x  mre {day_mre:.3}"
-                );
-                estimators.push(Value::Map(vec![
-                    ("name".to_string(), Value::Str(label)),
-                    ("wall_ms".to_string(), Value::F64(warm_ms)),
-                    ("mre".to_string(), Value::F64(day_mre)),
-                    ("cold_ms".to_string(), Value::F64(cold_ms)),
-                    ("speedup_vs_cold".to_string(), Value::F64(speedup)),
-                ]));
-            }
-        }
-
-        // Degraded-mode sweeps: the same full day through the default
-        // quality ladder under the canonical fault plan (5% of link
-        // loads missing per tick, one outage window, one corruption
-        // burst). `day288f-<label>` reports wall time, the day-mean MRE
-        // over fault-free ticks and the number of degraded ticks; the
-        // hard acceptance gate (zero `Err`s, reports on every affected
-        // tick, MRE within 2x of clean) runs in `fault-matrix` mode.
-        let day288f_specs: &[&str] = match name {
-            "europe" => &[
-                "entropy:lambda=1e3",
-                "vardi:w=0.01,window=50",
-                "wcb:engine=revised",
-            ],
-            _ => &[],
-        };
-        if !day288f_specs.is_empty() {
-            let day = d.series.len();
-            let n_links = d.topology.n_links();
-            let plan = LoadFaultPlan::canonical(n_links, SEED);
-            for spec in day288f_specs {
-                let method: Method = spec.parse().expect("valid spec");
-                let ms = vec![method.clone()];
-                let sweep = || {
-                    let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm)
-                        .expect("engine builds");
-                    let mut ticks = Vec::with_capacity(day);
-                    for k in 0..day {
-                        let mut loads = d.interval_loads(k).expect("in range");
-                        plan.apply(k, &mut loads.link_loads);
-                        ticks.push(engine.push_interval(loads).expect("degrades, never errors"));
-                    }
-                    ticks
-                };
-                std::hint::black_box(sweep());
-                let start = std::time::Instant::now();
-                let ticks = sweep();
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let window = method.window();
-                let mut degraded = 0usize;
-                let mut mre_sum = 0.0;
-                let mut mre_n = 0usize;
-                for tick in &ticks {
-                    if tick.degradation.is_some() {
-                        degraded += 1;
-                    }
-                    if plan.affects_tick(tick.interval, n_links) {
-                        continue;
-                    }
-                    let Some(Ok(est)) = &tick.estimates[0] else {
-                        continue;
-                    };
-                    let truth = match window {
-                        None => d.demands_at(tick.interval).expect("in range").to_vec(),
-                        Some(w) => {
-                            let len = w.min(tick.interval + 1);
-                            d.series
-                                .window_mean(tick.interval + 1 - len, len)
-                                .expect("in range")
-                        }
-                    };
-                    mre_sum += paper_mre(&truth, &est.demands);
-                    mre_n += 1;
-                }
-                let day_mre = mre_sum / mre_n.max(1) as f64;
-                let label = format!("day288f-{}", method.label());
-                println!(
-                    "    {label:<28} warm {wall_ms:>9.1} ms  degraded {degraded:>3}/{day} ticks  mre(clean ticks) {day_mre:.3}"
-                );
-                estimators.push(Value::Map(vec![
-                    ("name".to_string(), Value::Str(label)),
-                    ("wall_ms".to_string(), Value::F64(wall_ms)),
-                    ("mre".to_string(), Value::F64(day_mre)),
-                    ("degraded_ticks".to_string(), Value::I64(degraded as i64)),
-                ]));
-            }
-        }
-
-        // Telemetry overhead rows: the same warm full-day sweep with and
-        // without the daemon worker's per-tick record path (queue-delay
-        // + per-method solve histograms + tick counters). The recorder
-        // is wait-free atomics over a fixed bucket layout, so the `on`
-        // row must stay within 2% of `off` — compare_bench pins that
-        // contract (docs/OBSERVABILITY.md).
-        if name == "europe" {
-            use tm_daemon::telemetry::TelemetryHub;
-            let ms: Vec<Method> = ["gravity", "entropy:lambda=1e3", "vardi:w=0.01,window=50"]
-                .iter()
-                .map(|s| s.parse().expect("valid spec"))
-                .collect();
-            let labels: Vec<String> = ms.iter().map(|m| m.label()).collect();
-            let day = d.series.len();
-            let sweep = |hub: Option<&TelemetryHub>| {
-                let recorder = hub.map(|h| h.recorder(0));
-                let mut engine =
-                    StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).expect("engine builds");
-                for k in 0..day {
-                    let dispatched = std::time::Instant::now();
-                    let loads = d.interval_loads(k).expect("in range");
-                    let tick = engine.push_interval(loads).expect("clean day");
-                    if let Some(r) = &recorder {
-                        r.record_queue_delay(dispatched.elapsed().as_nanos() as u64);
-                        r.record_solves(&tick.solve_ns);
-                        r.count_tick(tick.degradation.is_some(), 0, 0);
-                    }
-                }
-            };
-            let off_ms = perf::time_ms(3, || sweep(None));
-            let hub = TelemetryHub::new(&["bench".to_string()], &labels);
-            let on_ms = perf::time_ms(3, || sweep(Some(&hub)));
-            let overhead_pct = (on_ms / off_ms.max(1e-9) - 1.0) * 100.0;
-            println!(
-                "    day288-telemetry             off {off_ms:>9.1} ms  on {on_ms:>9.1} ms  overhead {overhead_pct:>+5.2}%"
-            );
-            estimators.push(Value::Map(vec![
-                (
-                    "name".to_string(),
-                    Value::Str("day288-telemetry-off".to_string()),
-                ),
-                ("wall_ms".to_string(), Value::F64(off_ms)),
-            ]));
-            estimators.push(Value::Map(vec![
-                (
-                    "name".to_string(),
-                    Value::Str("day288-telemetry-on".to_string()),
-                ),
-                ("wall_ms".to_string(), Value::F64(on_ms)),
-                ("overhead_pct".to_string(), Value::F64(overhead_pct)),
-            ]));
-        }
-
-        // Transport overhead rows: one Europe shard's full day through
-        // the `tm_daemon` supervisor under the in-thread channels vs
-        // the process-per-shard socket transport (a child
-        // `tm_shard_worker`, every tick and result crossing a framed
-        // localhost TCP connection). Clean runs — no chaos, no wire
-        // faults — so the delta prices serialization + syscalls alone
-        // (observed ~25%). compare_bench pins the socket row within 50%
-        // of the thread row of the same run (docs/DAEMON.md,
-        // "Transport overhead").
-        if name == "europe" {
-            use std::time::Duration;
-            use tm_daemon::{Daemon, DaemonConfig, ShardSpec, SocketOptions, TransportConfig};
-            use tm_traffic::DatasetSpec;
-
-            let day = d.series.len();
-            let ms: Vec<Method> = ["gravity", "entropy:lambda=1e3", "vardi:w=0.01,window=50"]
-                .iter()
-                .map(|s| s.parse().expect("valid spec"))
-                .collect();
-            let run = |transport: TransportConfig| {
-                let mut config = DaemonConfig::new(ms.clone()).with_transport(transport);
-                config.heartbeat_timeout = Duration::from_secs(30);
-                config.checkpoint_every = 64;
-                let daemon = Daemon::new(
-                    vec![ShardSpec::new("bench", DatasetSpec::europe(), SEED)],
-                    config,
-                )
-                .expect("valid roster");
-                let start = std::time::Instant::now();
-                let report = daemon.run(0..day).expect("clean day");
-                assert!(report.all_completed(), "clean bench day must complete");
-                start.elapsed().as_secs_f64() * 1e3
-            };
-            let thread_ms = run(TransportConfig::Thread);
-            let socket_ms = run(TransportConfig::Socket(SocketOptions::default()));
-            let overhead_pct = (socket_ms / thread_ms.max(1e-9) - 1.0) * 100.0;
-            println!(
-                "    day288-transport             thread {thread_ms:>9.1} ms  socket {socket_ms:>9.1} ms  overhead {overhead_pct:>+5.2}%"
-            );
-            estimators.push(Value::Map(vec![
-                (
-                    "name".to_string(),
-                    Value::Str("day288-transport-thread".to_string()),
-                ),
-                ("wall_ms".to_string(), Value::F64(thread_ms)),
-            ]));
-            estimators.push(Value::Map(vec![
-                (
-                    "name".to_string(),
-                    Value::Str("day288-transport-socket".to_string()),
-                ),
-                ("wall_ms".to_string(), Value::F64(socket_ms)),
-                ("overhead_pct".to_string(), Value::F64(overhead_pct)),
-            ]));
-        }
-
-        // Sparse-vs-dense ablations on the two hot paths the sparse-first
-        // engine targets: the entropy SPG loop and the Gram-CD NNLS.
-        let stot = p.total_traffic().max(f64::MIN_POSITIVE);
-        let t_norm: Vec<f64> = p.measurements().iter().map(|v| v / stot).collect();
-        let prior_norm: Vec<f64> = GravityModel::simple()
-            .estimate(&p)
-            .expect("ok")
-            .demands
-            .iter()
-            .map(|v| v / stot)
-            .collect();
-        let a_dense = a.to_dense();
-        let entropy_sparse_ms =
-            perf::time_ms(runs, || perf::entropy_solve(&a, &t_norm, &prior_norm, 1e3));
-        let entropy_dense_ms = perf::time_ms(runs, || {
-            perf::entropy_solve(&a_dense, &t_norm, &prior_norm, 1e3)
-        });
-        let nnls_sparse_ms = perf::time_ms(runs, || {
-            nnls::cd_nnls_sparse(&a, &t_norm, 0.1, Some(&prior_norm), 20_000, 1e-10).expect("ok")
-        });
-        let nnls_dense_ms = perf::time_ms(runs, || {
-            nnls::cd_nnls(&a_dense, &t_norm, 0.1, Some(&prior_norm), 20_000, 1e-10).expect("ok")
-        });
-        // The PR 2 tentpole ablation: the same 2·P warm-started bound
-        // LPs on the revised sparse-LU engine vs the dense full tableau.
-        let wcb_on = |engine| {
-            WcbSolver::from_parts(&p.measurement_matrix(), p.measurements(), engine)
-                .expect("ok")
-                .bounds(&mut tm_linalg::Workspace::new())
-                .expect("ok")
-        };
-        let wcb_sparse_ms = perf::time_ms(runs.min(3), || wcb_on(LpEngine::RevisedSparse));
-        let wcb_dense_ms = perf::time_ms(runs.min(3), || wcb_on(LpEngine::DenseTableau));
-        let mut ablations: Vec<Value> = Vec::new();
-        for (label, sparse_ms, dense_ms) in [
-            ("entropy_spg", entropy_sparse_ms, entropy_dense_ms),
-            ("cd_nnls_gram", nnls_sparse_ms, nnls_dense_ms),
-            ("wcb_simplex", wcb_sparse_ms, wcb_dense_ms),
-        ] {
-            let speedup = dense_ms / sparse_ms.max(1e-9);
-            println!(
-                "    {label:<22} sparse {sparse_ms:>8.3} ms  dense {dense_ms:>8.3} ms  speedup {speedup:>5.1}x"
-            );
-            ablations.push(Value::Map(vec![
-                ("name".to_string(), Value::Str(label.to_string())),
-                ("sparse_ms".to_string(), Value::F64(sparse_ms)),
-                ("dense_ms".to_string(), Value::F64(dense_ms)),
-                ("speedup_vs_dense".to_string(), Value::F64(speedup)),
-            ]));
-        }
-
-        nets_json.push(Value::Map(vec![
-            ("name".to_string(), Value::Str(name.to_string())),
-            ("nodes".to_string(), Value::I64(d.topology.n_nodes() as i64)),
-            ("links".to_string(), Value::I64(d.topology.n_links() as i64)),
-            ("pairs".to_string(), Value::I64(p.n_pairs() as i64)),
-            ("measurement_nnz".to_string(), Value::I64(nnz as i64)),
-            ("measurement_density".to_string(), Value::F64(density)),
-            ("estimators".to_string(), Value::Seq(estimators)),
-            ("ablations".to_string(), Value::Seq(ablations)),
-        ]));
     }
+    if breached {
+        eprintln!("overhead: a within-run contract is breached");
+        std::process::exit(1);
+    }
+    println!("overhead: both contracts hold (medians of {RUNS} interleaved runs)");
+}
 
-    let doc = Value::Map(vec![
-        (
-            "schema".to_string(),
-            Value::Str("backbone-tm-bench-v1".to_string()),
-        ),
-        ("pr".to_string(), Value::I64(9)),
-        ("seed".to_string(), Value::I64(SEED as i64)),
-        ("threads".to_string(), Value::I64(tm_par::threads() as i64)),
-        (
-            "peak_rss_kb".to_string(),
-            match perf::peak_rss_kb() {
-                Some(kb) => Value::U64(kb),
-                None => Value::Null,
-            },
-        ),
-        ("networks".to_string(), Value::Seq(nets_json)),
-    ]);
-    let json = serde_json::to_string(&doc).expect("serializable");
-    std::fs::write("BENCH_PR9.json", &json).expect("writable working directory");
-    println!("\n  -> BENCH_PR9.json ({} bytes)", json.len());
+/// The recorder may add at most this fraction to the warm day.
+const TELEMETRY_OVERHEAD: f64 = 0.02;
+
+/// The socket transport may add at most this fraction to the in-thread
+/// day: spawn plus frame encode/decode on every tick.
+const TRANSPORT_OVERHEAD: f64 = 0.50;
+
+/// Medians in ms of both sides over `runs` calls of `pair`, which
+/// times each side once per call, after one untimed warm-up call.
+fn paired_medians(runs: usize, mut pair: impl FnMut(usize) -> (f64, f64)) -> (f64, f64) {
+    pair(runs);
+    let (a, b): (Vec<f64>, Vec<f64>) = (0..runs).map(&mut pair).unzip();
+    let median = |x: &[f64]| stats::quantile(x, 0.5).expect("runs > 0");
+    (median(&a), median(&b))
 }
 
 /// `fault-matrix` mode: the degraded-pipeline CI gate.
@@ -1935,8 +1621,8 @@ mod tests {
             Ok(Plan::Mode(mode("fault-matrix"), String::new()))
         );
         assert_eq!(
-            parse(&["daemon-matrix", "bench"]),
-            Ok(Plan::Mode(mode("bench"), String::new()))
+            parse(&["daemon-matrix", "overhead"]),
+            Ok(Plan::Mode(mode("overhead"), String::new()))
         );
         // Config-taking modes read their next argument, or the default.
         assert_eq!(

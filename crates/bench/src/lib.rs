@@ -7,16 +7,15 @@
 //!   the paper's evaluation (Figs. 1–16, Tables 1–2) on the synthetic
 //!   datasets, printing aligned text and writing CSV under `results/`.
 //!   Run `cargo run --release -p tm-bench --bin experiments -- all`.
-//!   Its `bench` mode is the one timing harness: every estimator at
-//!   three topology scales, the full-day streaming sweeps, and the
-//!   sparse-vs-dense ablations, written to `BENCH_PR<n>.json`.
+//!   Its standalone modes are the pipeline's acceptance gates
+//!   (`overhead`, `fault-matrix`, `daemon-matrix`, `live-matrix`,
+//!   `net-matrix`). Timing the pipeline is the job of the separate
+//!   `perfbench` package.
 //!
 //! This library crate exposes the shared experiment plumbing so every
 //! mode of the binary uses identical workloads.
 
 #![forbid(unsafe_code)]
-
-use std::ops::Range;
 
 use tm_core::prelude::*;
 use tm_traffic::{DatasetSpec, EvalDataset};
@@ -39,30 +38,9 @@ pub fn networks() -> Vec<(&'static str, EvalDataset)> {
     })
 }
 
-/// The three benchmark scales: tiny (unit-test size), europe (132
-/// unknowns) and america (600 unknowns), generated in parallel.
-pub fn scales() -> Vec<(&'static str, EvalDataset)> {
-    let specs = [
-        ("tiny", DatasetSpec::tiny()),
-        ("europe", DatasetSpec::europe()),
-        ("america", DatasetSpec::america()),
-    ];
-    tm_par::par_map(&specs, |(name, spec)| {
-        (
-            *name,
-            EvalDataset::generate(spec.clone(), SEED).expect("spec valid"),
-        )
-    })
-}
-
-/// One evaluation network (for cheap benches).
+/// The European evaluation network.
 pub fn europe() -> EvalDataset {
     EvalDataset::generate(DatasetSpec::europe(), SEED).expect("spec valid")
-}
-
-/// The larger evaluation network.
-pub fn america() -> EvalDataset {
-    EvalDataset::generate(DatasetSpec::america(), SEED).expect("spec valid")
 }
 
 /// Busy-hour snapshot problem of a dataset.
@@ -109,95 +87,5 @@ impl CsvOut {
         }
         std::fs::write(&self.path, self.rows.join("\n") + "\n")?;
         Ok(self.path)
-    }
-}
-
-/// Range helper: the busy hour of a dataset.
-pub fn busy(d: &EvalDataset) -> Range<usize> {
-    d.busy_hour()
-}
-
-/// Wall-clock timing, RSS proxies and representation-generic reference
-/// solves for the perf-trajectory harness (`experiments -- bench`,
-/// `benches/scaling.rs`).
-pub mod perf {
-    use tm_linalg::LinOp;
-    use tm_opt::spg::{self, SpgOptions};
-
-    /// Median wall time of `runs` invocations of `f`, in milliseconds.
-    /// One untimed warm-up invocation precedes the samples.
-    pub fn time_ms<R>(runs: usize, mut f: impl FnMut() -> R) -> f64 {
-        std::hint::black_box(f());
-        let mut samples: Vec<f64> = (0..runs.max(1))
-            .map(|_| {
-                let start = std::time::Instant::now();
-                std::hint::black_box(f());
-                start.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        samples[samples.len() / 2]
-    }
-
-    /// Peak resident set size in kB (`VmHWM` from `/proc/self/status`);
-    /// `None` off Linux. A process-lifetime high-water mark — a proxy,
-    /// not a per-phase measurement.
-    pub fn peak_rss_kb() -> Option<u64> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmHWM:") {
-                return rest
-                    .trim()
-                    .trim_end_matches(" kB")
-                    .trim()
-                    .parse::<u64>()
-                    .ok();
-            }
-        }
-        None
-    }
-
-    /// The entropy (KL-regularized) solve of `tm_core::entropy`,
-    /// expressed over any [`LinOp`] so the *same algorithm* can be timed
-    /// on the sparse CSR measurement system and on its densified copy.
-    /// This is the dense baseline the sparse engine's speedup is
-    /// measured against; `tm_core` itself only runs the sparse path.
-    pub fn entropy_solve<A: LinOp>(
-        a: &A,
-        t_norm: &[f64],
-        prior_norm: &[f64],
-        lambda: f64,
-    ) -> Vec<f64> {
-        const FLOOR: f64 = 1e-12;
-        let q: Vec<f64> = prior_norm.iter().map(|&v| v.max(FLOOR)).collect();
-        let inv_lambda = 1.0 / lambda;
-        let mut buf_r = vec![0.0; a.rows()];
-        let mut buf_g = vec![0.0; a.cols()];
-        let result = spg::spg(
-            |s: &[f64], grad: &mut [f64]| {
-                a.matvec_into(s, &mut buf_r);
-                for (i, ri) in buf_r.iter_mut().enumerate() {
-                    *ri -= t_norm[i];
-                }
-                a.tr_matvec_into(&buf_r, &mut buf_g);
-                let mut f = buf_r.iter().map(|r| r * r).sum::<f64>();
-                for j in 0..s.len() {
-                    let sj = s[j].max(FLOOR);
-                    let ratio = sj / q[j];
-                    f += inv_lambda * (sj * ratio.ln() - sj + q[j]);
-                    grad[j] = 2.0 * buf_g[j] + inv_lambda * ratio.ln();
-                }
-                f
-            },
-            spg::project_floor(FLOOR),
-            q.clone(),
-            SpgOptions {
-                max_iter: 4000,
-                tol: 1e-9,
-                ..Default::default()
-            },
-        )
-        .expect("entropy objective finite");
-        result.x
     }
 }

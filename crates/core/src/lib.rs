@@ -112,5 +112,5 @@ pub mod prelude {
     };
     pub use crate::system::MeasurementSystem;
     pub use crate::vardi::VardiEstimator;
-    pub use crate::wcb::{worst_case_bounds, DemandBounds, LpEngine, WcbEstimator, WcbSolver};
+    pub use crate::wcb::{worst_case_bounds, DemandBounds, WcbEstimator, WcbSolver};
 }

@@ -6,7 +6,7 @@
 //! their parameters without hard-wiring estimator structs at every call
 //! site. A [`MethodConfig`] is plain data covering each method's knobs
 //! (entropy λ, Bayesian prior weight, Kruithof tolerance, fanout
-//! window, WCB engine, gravity variant, Vardi/Cao iteration caps); a
+//! window, gravity variant, Vardi/Cao iteration caps); a
 //! [`Method`] wraps one and can [`Method::build`] the boxed
 //! [`Estimator`] it describes. Both parse from the CLI/config grammar
 //!
@@ -15,7 +15,7 @@
 //! ```
 //!
 //! e.g. `bayes:prior=1e3`, `vardi:w=1e-2,iters=3000,window=50`,
-//! `wcb:engine=revised` — and format back to a canonical string that
+//! `fanout:window=10` — and format back to a canonical string that
 //! round-trips. [`Method::all_defaults`] lists the full paper lineup
 //! with the parameters the evaluation (§5) uses; the bench harness,
 //! collection pipeline and examples iterate it instead of hand-listing
@@ -36,7 +36,7 @@ use crate::gravity::GravityModel;
 use crate::kruithof::KruithofEstimator;
 use crate::problem::Estimator;
 use crate::vardi::VardiEstimator;
-use crate::wcb::{LpEngine, WcbEstimator};
+use crate::wcb::WcbEstimator;
 
 /// Parameters of one estimation method — the registry's data model.
 /// Every variant has a canonical string form (see the [module
@@ -105,11 +105,10 @@ pub enum MethodConfig {
         /// Measurement-window length the harness should supply.
         window: usize,
     },
-    /// Worst-case-bound midpoint prior (§4.3.1): `wcb:engine=…`.
-    Wcb {
-        /// LP backend selection.
-        engine: LpEngine,
-    },
+    /// Worst-case-bound midpoint prior (§4.3.1): `wcb`. The spellings
+    /// `wcb:engine=revised` and `wcb:engine=auto` name the same (and
+    /// only) LP engine and parse to this variant too.
+    Wcb,
 }
 
 /// Key–value pairs parsed from the `name:key=value,…` grammar.
@@ -257,15 +256,19 @@ impl FromStr for MethodConfig {
                 prior_weight: p.f64(&["prior"], 1e-3)?,
                 window: p.window(&["window"], 10)?,
             },
-            "wcb" => MethodConfig::Wcb {
-                engine: match p.raw(&["engine"])? {
-                    None => LpEngine::Auto,
-                    Some(name) => LpEngine::from_name(name).ok_or_else(|| {
-                        MethodParseError(format!(
-                            "`{spec}`: unknown engine `{name}` (auto|dense|revised)"
-                        ))
-                    })?,
-                },
+            "wcb" => match p.raw(&["engine"])? {
+                None | Some("auto" | "revised") => MethodConfig::Wcb,
+                Some("dense") => {
+                    return Err(MethodParseError(format!(
+                        "`{spec}`: the dense LP engine was removed; \
+                         `wcb` always runs the revised simplex"
+                    )))
+                }
+                Some(name) => {
+                    return Err(MethodParseError(format!(
+                        "`{spec}`: unknown engine `{name}` (auto|revised)"
+                    )))
+                }
             },
             other => {
                 return Err(MethodParseError(format!(
@@ -315,7 +318,7 @@ impl fmt::Display for MethodConfig {
                 prior_weight,
                 window,
             } => write!(f, "fanout:prior={prior_weight:e},window={window}"),
-            MethodConfig::Wcb { engine } => write!(f, "wcb:engine={}", engine.as_str()),
+            MethodConfig::Wcb => write!(f, "wcb"),
         }
     }
 }
@@ -375,10 +378,7 @@ impl Serialize for MethodConfig {
                 f("prior", *prior_weight),
                 u("window", *window),
             ]),
-            MethodConfig::Wcb { engine } => Value::Map(vec![
-                tag("wcb"),
-                ("engine".to_string(), Value::Str(engine.as_str().into())),
-            ]),
+            MethodConfig::Wcb => Value::Map(vec![tag("wcb")]),
         }
     }
 }
@@ -441,7 +441,7 @@ pub(crate) enum TypedEstimator {
 /// A named, buildable method selection: thin handle over a
 /// [`MethodConfig`] that knows how to construct the estimator, what
 /// window length (if any) the harness must supply, and the display
-/// label used in the paper-style tables and the bench JSON.
+/// label used in the paper-style tables and the daemon's telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Method {
     config: MethodConfig,
@@ -531,7 +531,7 @@ impl Method {
             MethodConfig::Fanout { prior_weight, .. } => {
                 TypedEstimator::Fanout(FanoutEstimator::new().with_prior_weight(*prior_weight))
             }
-            MethodConfig::Wcb { engine } => TypedEstimator::Wcb(WcbEstimator::with_engine(*engine)),
+            MethodConfig::Wcb => TypedEstimator::Wcb(WcbEstimator::new()),
         }
     }
 
@@ -546,8 +546,9 @@ impl Method {
         }
     }
 
-    /// Compact display label for tables and the bench JSON (stable
-    /// across PRs: the perf gate matches entries by this name).
+    /// Compact display label for tables and telemetry (stable across
+    /// releases: the daemon's stats and protocol answers key methods by
+    /// this name).
     pub fn label(&self) -> String {
         match &self.config {
             MethodConfig::Gravity { generalized: false } => "gravity".into(),
@@ -563,15 +564,7 @@ impl Method {
             } => format!("vardi({moment_weight},K={window})"),
             MethodConfig::Cao { c, window, .. } => format!("cao(c={c},K={window})"),
             MethodConfig::Fanout { window, .. } => format!("fanout(K={window})"),
-            MethodConfig::Wcb {
-                engine: LpEngine::Auto,
-            } => "wcb".into(),
-            MethodConfig::Wcb {
-                engine: LpEngine::DenseTableau,
-            } => "wcb(dense)".into(),
-            MethodConfig::Wcb {
-                engine: LpEngine::RevisedSparse,
-            } => "wcb(revised)".into(),
+            MethodConfig::Wcb => "wcb".into(),
         }
     }
 
@@ -656,15 +649,7 @@ mod tests {
                 prior_weight: 1e-3,
                 window: 10,
             },
-            MethodConfig::Wcb {
-                engine: LpEngine::Auto,
-            },
-            MethodConfig::Wcb {
-                engine: LpEngine::DenseTableau,
-            },
-            MethodConfig::Wcb {
-                engine: LpEngine::RevisedSparse,
-            },
+            MethodConfig::Wcb,
         ]
     }
 
@@ -704,12 +689,21 @@ mod tests {
             "bayes:prior=1e3".parse::<MethodConfig>().unwrap(),
             "bayes:lambda=1e3".parse::<MethodConfig>().unwrap()
         );
-        assert_eq!(
-            "wcb".parse::<MethodConfig>().unwrap(),
-            MethodConfig::Wcb {
-                engine: LpEngine::Auto
-            }
-        );
+        // The one LP engine answers to every spelling that named it.
+        for spec in ["wcb", "wcb:engine=revised", "wcb:engine=auto"] {
+            let config: MethodConfig = spec.parse().expect(spec);
+            assert_eq!(config, MethodConfig::Wcb, "{spec}");
+            assert_eq!(config.to_string(), "wcb");
+            let value = Method::new(config).to_value();
+            assert_eq!(Method::from_value(&value).unwrap().label(), "wcb");
+        }
+        // A serialized config from before the engine field was dropped
+        // still loads.
+        let old = Value::Map(vec![
+            ("method".to_string(), Value::Str("wcb".into())),
+            ("engine".to_string(), Value::Str("revised".into())),
+        ]);
+        assert_eq!(MethodConfig::from_value(&old).unwrap(), MethodConfig::Wcb);
         assert_eq!(
             "vardi:w=1".parse::<MethodConfig>().unwrap(),
             MethodConfig::Vardi {
@@ -728,6 +722,10 @@ mod tests {
         assert!("entropy:nope=1".parse::<MethodConfig>().is_err());
         assert!("bayes:prior=1,lambda=2".parse::<MethodConfig>().is_err());
         assert!("wcb:engine=quantum".parse::<MethodConfig>().is_err());
+        // The removed dense engine is a typed error that says so.
+        let e = "wcb:engine=dense".parse::<MethodConfig>().unwrap_err();
+        assert!(e.0.contains("dense LP engine was removed"), "{e}");
+        assert!("wcb:engine=dense".parse::<Method>().is_err());
         assert!("vardi:iters=1.5".parse::<MethodConfig>().is_err());
         let e = "frobnicate".parse::<MethodConfig>().unwrap_err();
         assert!(e.to_string().contains("frobnicate"));
@@ -740,7 +738,7 @@ mod tests {
         for (spec, key) in [
             ("entropy:lambda=1,lambda=2", "lambda"),
             ("vardi:w=1,w=1", "w"),
-            ("wcb:engine=dense,engine=dense", "engine"),
+            ("wcb:engine=revised,engine=revised", "engine"),
             ("kruithof-full:tol=1e-7,tol=1e-8", "tol"),
             ("cao:outer=4,outer=4", "outer"),
             ("fanout:window=5,window=5", "window"),
@@ -789,8 +787,8 @@ mod tests {
     #[test]
     fn labels_are_stable_bench_names() {
         let labels: Vec<String> = Method::all_defaults().iter().map(Method::label).collect();
-        // The PR 2 bench names must survive verbatim: the perf gate
-        // matches entries by label.
+        // These names must survive verbatim: the daemon's stats and
+        // protocol answers key methods by label.
         for expected in [
             "gravity",
             "kruithof-full",
@@ -810,8 +808,8 @@ mod tests {
             let est = m.build();
             assert!(!est.name().is_empty());
         }
-        let m: Method = "wcb:engine=dense".parse().unwrap();
-        assert_eq!(m.build().name(), "wcb-midpoint(dense)");
+        let m: Method = "wcb:engine=revised".parse().unwrap();
+        assert_eq!(m.build().name(), "wcb-midpoint");
         let m: Method = "gravity-generalized".parse().unwrap();
         assert_eq!(m.build().name(), "gravity-generalized");
         // Windows are declared for the time-series methods only.

@@ -30,8 +30,7 @@
 //! [`MeasurementSystem::reanchor`] + [`Estimator::estimate_system`] —
 //! per-interval results are **bit-identical** to estimating each
 //! snapshot problem on its own — and is the baseline the warm mode's
-//! speedups are measured against (`day288-*` entries in the perf
-//! harness). Warm-mode solutions agree
+//! speedups are measured against. Warm-mode solutions agree
 //! with cold ones up to solver tolerance: every warm start either
 //! targets the same unique optimum (strictly convex objectives, LP
 //! optima, the GIS fixed point) or re-derives the same aggregates
@@ -58,7 +57,7 @@ use crate::method::{Method, MethodConfig, TypedEstimator};
 use crate::problem::{Estimate, EstimationProblem, Estimator, TimeSeriesData};
 use crate::system::MeasurementSystem;
 use crate::vardi::{VardiEstimator, VardiWarmStart};
-use crate::wcb::{LpEngine, WcbEstimator, WcbSolver};
+use crate::wcb::{WcbEstimator, WcbSolver};
 use crate::Result;
 
 /// Ticks between exact recomputations of the rolling aggregates from
@@ -352,11 +351,7 @@ enum MethodState {
     /// Fanout on rolling window aggregates.
     Fanout(FanoutEstimator, FanoutRolling),
     /// WCB midpoint with the revised-simplex basis carried forward.
-    Wcb {
-        name: String,
-        engine: LpEngine,
-        solver: Option<WcbSolver>,
-    },
+    Wcb(Option<WcbSolver>),
 }
 
 /// One method registered with the engine.
@@ -846,7 +841,7 @@ impl StreamEngine {
                         MethodStateCkpt::Cao(Box::new(warm.clone()), rolling.clone())
                     }
                     MethodState::Fanout(_, rolling) => MethodStateCkpt::Fanout(rolling.clone()),
-                    MethodState::Wcb { .. } => MethodStateCkpt::Wcb,
+                    MethodState::Wcb(_) => MethodStateCkpt::Wcb,
                 },
             })
             .collect();
@@ -914,7 +909,7 @@ impl StreamEngine {
                     | (MethodState::Vardi(..), MethodStateCkpt::Vardi(..))
                     | (MethodState::Cao(..), MethodStateCkpt::Cao(..))
                     | (MethodState::Fanout(..), MethodStateCkpt::Fanout(_))
-                    | (MethodState::Wcb { .. }, MethodStateCkpt::Wcb)
+                    | (MethodState::Wcb(_), MethodStateCkpt::Wcb)
             );
             if !compatible {
                 return Err(invalid(format!(
@@ -971,7 +966,7 @@ impl StreamEngine {
                 (MethodState::Fanout(_, rolling), MethodStateCkpt::Fanout(r)) => {
                     *rolling = r.clone();
                 }
-                (MethodState::Wcb { solver, .. }, MethodStateCkpt::Wcb) => {
+                (MethodState::Wcb(solver), MethodStateCkpt::Wcb) => {
                     // The basis is not checkpointed: the next tick runs
                     // a fresh phase 1 (see `crate::checkpoint`).
                     *solver = None;
@@ -1038,21 +1033,7 @@ fn build_state(system: &MeasurementSystem<'_>, method: &Method, mode: StreamMode
                 FanoutRolling::new((*window).max(1), problem.n_nodes(), problem.n_pairs());
             MethodState::Fanout(est, rolling)
         }
-        MethodConfig::Wcb { engine } => {
-            // The dense tableau cannot re-anchor a basis; streaming
-            // always carries a revised-simplex basis unless the dense
-            // engine was explicitly requested (then every tick is a
-            // cold solve, matching the configured engine exactly).
-            let stream_engine = match engine {
-                LpEngine::DenseTableau => LpEngine::DenseTableau,
-                _ => LpEngine::RevisedSparse,
-            };
-            MethodState::Wcb {
-                name: WcbEstimator::with_engine(*engine).name(),
-                engine: stream_engine,
-                solver: None,
-            }
-        }
+        MethodConfig::Wcb => MethodState::Wcb(None),
         // Gravity and Kruithof-marginals are closed-form / microsecond
         // solves with nothing to carry.
         _ => MethodState::Plain(method.build()),
@@ -1129,8 +1110,6 @@ fn tick_window_system<'c>(
 fn tick_wcb(
     anchor: &MeasurementSystem<'static>,
     t: &[f64],
-    name: &str,
-    engine: LpEngine,
     solver: &mut Option<WcbSolver>,
     ws: &mut Workspace,
 ) -> Result<Estimate> {
@@ -1153,7 +1132,7 @@ fn tick_wcb(
         None => false,
     };
     if !reused {
-        match WcbSolver::from_parts(anchor.matrix(), t.to_vec(), engine) {
+        match WcbSolver::from_parts(anchor.matrix(), t) {
             Ok(s) => *solver = Some(s),
             // Exact equality has no non-negative solution: on imputed
             // or corrupted ticks the bridged loads can be mutually
@@ -1162,20 +1141,14 @@ fn tick_wcb(
             // (docs/ROBUSTNESS.md); its basis is never carried, so the
             // next tick retries the exact form first.
             Err(EstimationError::Opt(OptError::Infeasible { .. })) => {
-                let (relaxed, _slack) =
-                    WcbSolver::from_parts_relaxed(anchor.matrix(), t.to_vec(), engine)?;
-                let bounds = relaxed.bounds(ws)?;
-                let mut estimate = bounds.midpoint();
-                estimate.method = name.to_string();
-                return Ok(estimate);
+                let (relaxed, _slack) = WcbSolver::from_parts_relaxed(anchor.matrix(), t)?;
+                return Ok(relaxed.bounds(ws)?.midpoint());
             }
             Err(e) => return Err(e),
         }
     }
     let bounds = solver.as_ref().expect("installed above").bounds(ws)?;
-    let mut estimate = bounds.midpoint();
-    estimate.method = name.to_string();
-    Ok(estimate)
+    Ok(bounds.midpoint())
 }
 
 /// Input classification for one tick, steering the per-method solve.
@@ -1267,11 +1240,7 @@ fn solve_slot(
                     .map(|r| r.estimate),
             )
         }
-        MethodState::Wcb {
-            name,
-            engine,
-            solver,
-        } => Some(tick_wcb(anchor, t_stacked, name, *engine, solver, ws)),
+        MethodState::Wcb(solver) => Some(tick_wcb(anchor, t_stacked, solver, ws)),
     };
     let action = match ctx {
         TickCtx::Imputed if out.is_some() => Some(DegradationAction::ImputedSolve),
@@ -1321,25 +1290,19 @@ fn solve_slot_masked(
             Some(DegradationAction::MaskedSolve),
         ),
         MethodState::Vardi(..) | MethodState::Cao(..) | MethodState::Fanout(..) => held,
-        MethodState::Wcb {
-            name,
-            engine,
-            solver: _,
-        } => {
-            // Cold bound sweep on the reduced system; the carried basis
-            // is sized for the full row set and stays untouched.
-            let res = (|| {
-                let sys = tick_snapshot_system(anchor, current, snap_sys)?;
-                let view = sys.masked_view(usable)?;
-                let solver =
-                    WcbSolver::from_parts(view.matrix(), view.measurements().to_vec(), *engine)?;
-                let bounds = solver.bounds(ws)?;
-                let mut estimate = bounds.midpoint();
-                estimate.method = name.clone();
-                Ok(estimate)
-            })();
-            (Some(res), Some(DegradationAction::MaskedSolve))
-        }
+        // Cold bound sweep on the reduced system; the carried basis is
+        // sized for the full row set and stays untouched.
+        MethodState::Wcb(_) => (
+            Some(masked_solve(
+                &WcbEstimator::new(),
+                anchor,
+                current,
+                usable,
+                ws,
+                snap_sys,
+            )),
+            Some(DegradationAction::MaskedSolve),
+        ),
     }
 }
 
@@ -1379,7 +1342,7 @@ fn quarantine_state(state: &mut MethodState) {
         MethodState::Kruithof(_, warm) => *warm = None,
         MethodState::Vardi(_, warm, _) => **warm = VardiWarmStart::default(),
         MethodState::Cao(_, warm, _) => *warm = CaoWarmStart::default(),
-        MethodState::Wcb { solver, .. } => *solver = None,
+        MethodState::Wcb(solver) => *solver = None,
         MethodState::Plain(_) | MethodState::Fanout(..) => {}
     }
 }
@@ -2092,7 +2055,7 @@ mod tests {
         // imputation"). The relaxed-equality fallback must now produce
         // a fresh estimate instead.
         let d = tiny();
-        let ms = methods(&["wcb:engine=revised"]);
+        let ms = methods(&["wcb"]);
         let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).unwrap();
         let mut prev = None;
         for k in 0..2 {
@@ -2153,15 +2116,11 @@ mod tests {
         let t3 = engine.push_interval(d.interval_loads(3).unwrap()).unwrap();
         let got = t3.estimates[0].as_ref().unwrap().as_ref().unwrap();
         let p3 = d.snapshot_problem(3);
-        let cold = WcbSolver::from_parts(
-            &p3.measurement_matrix(),
-            p3.measurements(),
-            LpEngine::RevisedSparse,
-        )
-        .unwrap()
-        .bounds(&mut Workspace::new())
-        .unwrap()
-        .midpoint();
+        let cold = WcbSolver::from_parts(&p3.measurement_matrix(), &p3.measurements())
+            .unwrap()
+            .bounds(&mut Workspace::new())
+            .unwrap()
+            .midpoint();
         let scale = d.snapshot_problem(3).total_traffic();
         for p in 0..got.demands.len() {
             assert!(
@@ -2174,25 +2133,44 @@ mod tests {
     }
 
     #[test]
+    fn one_shot_and_warm_wcb_agree_bit_for_bit() {
+        // One LP engine: the warm engine's first tick runs the same
+        // fresh phase 1 and bound sweep as a one-shot solve of that
+        // interval, so the midpoints are the same bits.
+        let d = EvalDataset::generate(DatasetSpec::europe(), 42).unwrap();
+        let k = d.busy_start;
+        let mut warm = StreamEngine::for_dataset(&d, &methods(&["wcb"]), StreamMode::Warm).unwrap();
+        let tick = warm.push_interval(d.interval_loads(k).unwrap()).unwrap();
+        let got = tick.estimates[0].as_ref().unwrap().as_ref().unwrap();
+        let want = WcbEstimator::new()
+            .estimate(&d.snapshot_problem(k))
+            .unwrap();
+        assert_eq!(got.demands.len(), want.demands.len());
+        for (p, (g, w)) in got.demands.iter().zip(&want.demands).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "pair {p}: warm {g} vs one-shot {w}"
+            );
+        }
+    }
+
+    #[test]
     fn warm_wcb_carries_and_repairs_the_basis() {
-        // Force the revised engine (the carried-basis path) and check
-        // the streamed midpoints against per-problem cold bounds.
+        // The carried-basis path: check the streamed midpoints against
+        // per-problem cold bounds.
         let d = tiny();
-        let ms = methods(&["wcb:engine=revised"]);
+        let ms = methods(&["wcb"]);
         let mut warm = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).unwrap();
         let ticks = warm.run(dataset_stream(&d, 0..6).unwrap()).unwrap();
         for (k, tick) in ticks.iter().enumerate() {
             let got = tick.estimates[0].as_ref().unwrap().as_ref().unwrap();
             let pk = d.snapshot_problem(k);
-            let cold = WcbSolver::from_parts(
-                &pk.measurement_matrix(),
-                pk.measurements(),
-                LpEngine::RevisedSparse,
-            )
-            .unwrap()
-            .bounds(&mut Workspace::new())
-            .unwrap()
-            .midpoint();
+            let cold = WcbSolver::from_parts(&pk.measurement_matrix(), &pk.measurements())
+                .unwrap()
+                .bounds(&mut Workspace::new())
+                .unwrap()
+                .midpoint();
             let scale = d.snapshot_problem(k).total_traffic();
             for p in 0..got.demands.len() {
                 assert!(

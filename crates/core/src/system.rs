@@ -36,7 +36,7 @@ use tm_opt::ipf::GisPlan;
 use crate::covariance::SecondMomentSystem;
 use crate::error::EstimationError;
 use crate::problem::EstimationProblem;
-use crate::wcb::{LpEngine, WcbSolver};
+use crate::wcb::WcbSolver;
 use crate::Result;
 
 /// Matrix-derived caches, independent of the measurement *vector*:
@@ -362,14 +362,13 @@ impl<'p> MeasurementSystem<'p> {
         }
     }
 
-    /// Cached phase-1-complete WCB solver for `{s ≥ 0 : A·s = t}`
-    /// (auto-selected LP engine). The `2·P` bound objectives — and,
+    /// Cached phase-1-complete WCB solver for `{s ≥ 0 : A·s = t}`. The `2·P` bound objectives — and,
     /// via [`WcbSolver::rebase`], later intervals of a shard — all
     /// warm-start from this one basis.
     pub fn wcb_solver(&self) -> Result<&WcbSolver> {
-        let cached = self.wcb.get_or_init(|| {
-            WcbSolver::from_parts(self.matrix(), self.measurements().to_vec(), LpEngine::Auto)
-        });
+        let cached = self
+            .wcb
+            .get_or_init(|| WcbSolver::from_parts(self.matrix(), self.measurements()));
         match cached {
             Ok(s) => Ok(s),
             Err(e) => Err(e.clone()),

@@ -7,14 +7,14 @@
 //! each objective from the previous basis (§ "computationally expensive"
 //! in the paper; warm starting is what makes the full sweep practical).
 //!
-//! The LP backend is the **revised simplex with a sparse LU basis**
+//! The LP engine is the **revised simplex with a sparse LU basis**
 //! ([`tm_opt::revised`]): pricing walks CSR columns and each pivot costs
-//! `O(nnz)` instead of the dense tableau's `O(m·n)`. The dense
-//! full-tableau solver runs only for one-shot [`LpEngine::Auto`] solves
-//! below [`DENSE_FALLBACK_PAIRS`] unknowns ([`worst_case_bounds`],
-//! [`WcbEstimator`], cold stream ticks; cache-friendly at that size) or
-//! for an explicit `wcb:engine=dense`; it remains the measured baseline
-//! for the `wcb_simplex` ablation in `tm_bench`.
+//! `O(nnz)`. It is the one engine every path runs — one-shot solves
+//! ([`worst_case_bounds`], [`WcbEstimator`], cold stream ticks) and the
+//! warm stream alike — so a bound is the same bits whichever path
+//! computed it from a fresh phase 1. The dense full-tableau
+//! [`tm_opt::simplex::SimplexSolver`] stays in `tm_opt` as the reference
+//! implementation the tests hold these bounds to.
 //!
 //! A [`WcbSolver`] owns the phase-1-complete basis. It is built by
 //! [`WcbSolver::from_parts`], or [`WcbSolver::from_parts_relaxed`] on
@@ -22,64 +22,19 @@
 //! snapshot the `2·P` objectives warm-start from it; across snapshots of
 //! one routing pattern (different measurement vectors)
 //! [`WcbSolver::rebase`] re-anchors the *same* basis on a new `t`. The
-//! warm `StreamEngine` therefore always carries a revised basis (unless
-//! `wcb:engine=dense` was asked for) and shares the phase-1 work across
-//! the day.
+//! warm `StreamEngine` therefore carries the basis and shares the
+//! phase-1 work across the day.
 //!
 //! The midpoint `(lower+upper)/2` turns out to be a strong prior for the
 //! regularized estimators (Fig. 9 / Fig. 15 / Table 2).
 
 use tm_linalg::{Csr, Workspace};
 use tm_opt::revised::RevisedSimplex;
-use tm_opt::simplex::{LpSolution, SimplexSolver};
 use tm_opt::OptError;
 
 use crate::problem::{Estimate, EstimationProblem, Estimator};
 use crate::system::MeasurementSystem;
 use crate::Result;
-
-/// Below this many unknowns the dense full-tableau solver is used: the
-/// whole tableau then fits in cache and a factorization-based iteration
-/// has no room to win (measured crossover on the bench scales: the
-/// revised engine loses ~2.7x at 132 unknowns and wins ~4x at 600; see
-/// the `wcb_simplex` ablation in `BENCH_PR2.json`).
-pub const DENSE_FALLBACK_PAIRS: usize = 256;
-
-/// Which LP backend a [`WcbSolver`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Revised sparse solver, falling back to the dense tableau below
-    /// [`DENSE_FALLBACK_PAIRS`] unknowns.
-    #[default]
-    Auto,
-    /// Force the dense full-tableau solver (the measured baseline of
-    /// the `wcb_simplex` ablation).
-    DenseTableau,
-    /// Force the revised sparse solver.
-    RevisedSparse,
-}
-
-impl LpEngine {
-    /// Canonical registry/CLI name — the single source of truth for
-    /// the `wcb:engine=…` grammar and its serialized form.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            LpEngine::Auto => "auto",
-            LpEngine::DenseTableau => "dense",
-            LpEngine::RevisedSparse => "revised",
-        }
-    }
-
-    /// Parse a canonical name (inverse of [`LpEngine::as_str`]).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "auto" => Some(LpEngine::Auto),
-            "dense" => Some(LpEngine::DenseTableau),
-            "revised" => Some(LpEngine::RevisedSparse),
-            _ => None,
-        }
-    }
-}
 
 /// Per-demand worst-case bounds.
 #[derive(Debug, Clone)]
@@ -88,8 +43,8 @@ pub struct DemandBounds {
     pub lower: Vec<f64>,
     /// Upper bound per OD pair.
     pub upper: Vec<f64>,
-    /// Total simplex pivots spent (diagnostics for the warm-start
-    /// ablation bench).
+    /// Total simplex pivots spent over the `2·P` objectives (the
+    /// warm-start cost Fig. 8 reports).
     pub total_pivots: usize,
 }
 
@@ -124,32 +79,6 @@ impl DemandBounds {
 /// bit-identical from 1 thread to N.
 const PAIRS_PER_CHUNK: usize = 16;
 
-/// The phase-1-complete LP state backing a bound sweep: either solver
-/// holds a feasible basis for `{s ≥ 0 : A·s = t}` that the per-pair
-/// objectives (and, for the revised engine, later snapshots of a shard)
-/// warm-start from.
-#[derive(Debug, Clone)]
-enum LpBase {
-    Dense(Box<SimplexSolver>),
-    Revised(Box<RevisedSimplex>),
-}
-
-impl LpBase {
-    fn maximize(&mut self, c: &[f64]) -> tm_opt::Result<LpSolution> {
-        match self {
-            LpBase::Dense(s) => s.maximize(c),
-            LpBase::Revised(s) => s.maximize(c),
-        }
-    }
-
-    fn minimize(&mut self, c: &[f64]) -> tm_opt::Result<LpSolution> {
-        match self {
-            LpBase::Dense(s) => s.minimize(c),
-            LpBase::Revised(s) => s.minimize(c),
-        }
-    }
-}
-
 /// Relative slack ladder of the relaxed-equality fallback
 /// ([`WcbSolver::from_parts_relaxed`]): each rung widens the per-row
 /// band `|A·s − t| ≤ σ` by 4x until phase 1 succeeds. The final rung
@@ -158,12 +87,10 @@ impl LpBase {
 const RELAXED_SLACK_LADDER: [f64; 5] = [1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1];
 
 /// Reusable worst-case-bound solver: one phase 1, many objectives, and
-/// (on the revised engine) many snapshots.
+/// many snapshots.
 #[derive(Debug, Clone)]
 pub struct WcbSolver {
-    base: LpBase,
-    /// Measurement vector the base is currently anchored on.
-    b: Vec<f64>,
+    base: Box<RevisedSimplex>,
     p_count: usize,
     /// Total LP columns: `p_count` for the exact equality form,
     /// `p_count + 2·m` for the relaxed form (slack split `u`/`w` per
@@ -176,25 +103,14 @@ pub struct WcbSolver {
 
 impl WcbSolver {
     /// Build the solver for `{s ≥ 0 : A·s = b}` from a measurement
-    /// matrix and one interval's measurement vector, running phase 1 on
-    /// the chosen engine. The stream engine passes the day's one shared
-    /// matrix with each tick's loads; [`MeasurementSystem::wcb_solver`]
-    /// caches the [`LpEngine::Auto`] solver of a prepared system.
-    pub fn from_parts(a: &Csr, b: Vec<f64>, engine: LpEngine) -> Result<Self> {
+    /// matrix and one interval's measurement vector, running phase 1.
+    /// The stream engine passes the day's one shared matrix with each
+    /// tick's loads; [`MeasurementSystem::wcb_solver`] caches the solver
+    /// of a prepared system.
+    pub fn from_parts(a: &Csr, b: &[f64]) -> Result<Self> {
         let p_count = a.cols();
-        let use_dense = match engine {
-            LpEngine::Auto => p_count < DENSE_FALLBACK_PAIRS,
-            LpEngine::DenseTableau => true,
-            LpEngine::RevisedSparse => false,
-        };
-        let base = if use_dense {
-            LpBase::Dense(Box::new(SimplexSolver::new_sparse(a, &b)?))
-        } else {
-            LpBase::Revised(Box::new(RevisedSimplex::new_sparse(a, &b)?))
-        };
         Ok(WcbSolver {
-            base,
-            b,
+            base: Box::new(RevisedSimplex::new_sparse(a, b)?),
             p_count,
             n_cols: p_count,
             slack_rel: None,
@@ -220,18 +136,13 @@ impl WcbSolver {
     /// The returned solver sweeps bounds over the original `a.cols()`
     /// pairs only; its basis lives on the augmented system and must
     /// **not** be carried across ticks ([`WcbSolver::rebase`] refuses).
-    pub fn from_parts_relaxed(a: &Csr, t: Vec<f64>, engine: LpEngine) -> Result<(Self, f64)> {
+    pub fn from_parts_relaxed(a: &Csr, t: &[f64]) -> Result<(Self, f64)> {
         let (m, n) = (a.rows(), a.cols());
         let positive: Vec<f64> = t.iter().copied().filter(|&v| v > 0.0).collect();
         let t_bar = if positive.is_empty() {
             1.0
         } else {
             positive.iter().sum::<f64>() / positive.len() as f64
-        };
-        let use_dense = match engine {
-            LpEngine::Auto => n < DENSE_FALLBACK_PAIRS,
-            LpEngine::DenseTableau => true,
-            LpEngine::RevisedSparse => false,
         };
         let ladder = RELAXED_SLACK_LADDER.iter().copied().chain([1.0]);
         for slack_rel in ladder {
@@ -250,23 +161,15 @@ impl WcbSolver {
             let mut b_aug = Vec::with_capacity(2 * m);
             b_aug.extend(t.iter().zip(&sigma).map(|(ti, si)| ti + si));
             b_aug.extend(sigma.iter().map(|si| 2.0 * si));
-            let built: tm_opt::Result<LpBase> = if use_dense {
-                SimplexSolver::new_sparse(&aug, &b_aug).map(|s| LpBase::Dense(Box::new(s)))
-            } else {
-                RevisedSimplex::new_sparse(&aug, &b_aug).map(|s| LpBase::Revised(Box::new(s)))
-            };
-            match built {
+            match RevisedSimplex::new_sparse(&aug, &b_aug) {
                 Ok(base) => {
-                    return Ok((
-                        WcbSolver {
-                            base,
-                            b: t,
-                            p_count: n,
-                            n_cols: n + 2 * m,
-                            slack_rel: Some(slack_rel),
-                        },
-                        slack_rel,
-                    ))
+                    let solver = WcbSolver {
+                        base: Box::new(base),
+                        p_count: n,
+                        n_cols: n + 2 * m,
+                        slack_rel: Some(slack_rel),
+                    };
+                    return Ok((solver, slack_rel));
                 }
                 Err(OptError::Infeasible { .. }) => continue,
                 Err(e) => return Err(e.into()),
@@ -288,31 +191,17 @@ impl WcbSolver {
     /// feasibility before giving up — between consecutive intervals of
     /// a slowly drifting load series that is a handful of pivots
     /// instead of a fresh phase 1. Returns `false` when the basis
-    /// cannot be reused at all (dense engine, sign change, repair
-    /// exhausted); the caller must then rebuild with a fresh phase 1 —
-    /// after a `false` from the revised engine the solver may have
-    /// pivoted and **must be discarded**.
+    /// cannot be reused at all (sign change, repair exhausted); the
+    /// caller must then rebuild with a fresh phase 1 — after a `false`
+    /// the solver may have pivoted and **must be discarded**.
     pub fn rebase(&mut self, b_new: &[f64]) -> Result<bool> {
         // A relaxed basis lives on the augmented system and is anchored
         // on a widened right-hand side: never reuse it for a new tick.
         if self.slack_rel.is_some() {
             return Ok(false);
         }
-        match &mut self.base {
-            LpBase::Revised(s) => {
-                let budget = s.active_rows().max(64);
-                if s.rebase_repair(b_new, budget)? {
-                    self.b.clear();
-                    self.b.extend_from_slice(b_new);
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
-            // The tableau solver carries B⁻¹·A but not B⁻¹: it cannot
-            // re-anchor. Same vector ⇒ nothing to do.
-            LpBase::Dense(_) => Ok(self.b == b_new),
-        }
+        let budget = self.base.active_rows().max(64);
+        Ok(self.base.rebase_repair(b_new, budget)?)
     }
 
     /// Sweep the `2·P` bound LPs from the held basis (parallel in
@@ -370,65 +259,38 @@ impl WcbSolver {
     }
 }
 
-/// Compute worst-case bounds for every demand of one snapshot problem
-/// (engine chosen by problem size).
+/// Compute worst-case bounds for every demand of one snapshot problem.
 ///
 /// Sparse-first and parallel: phase 1 runs **once** on the sparse
 /// measurement system, then the `2·P` objectives are swept in fixed-size
 /// chunks across worker threads, each warm-starting from a clone of the
 /// phase-1 basis.
 pub fn worst_case_bounds(problem: &EstimationProblem) -> Result<DemandBounds> {
-    WcbSolver::from_parts(
-        &problem.measurement_matrix(),
-        problem.measurements(),
-        LpEngine::Auto,
-    )?
-    .bounds(&mut Workspace::new())
+    WcbSolver::from_parts(&problem.measurement_matrix(), &problem.measurements())?
+        .bounds(&mut Workspace::new())
 }
 
 /// The worst-case-bound **midpoint prior** as a first-class
 /// [`Estimator`] (paper Fig. 9 / Table 2: "WCB prior"): runs the `2·P`
 /// bound LPs and returns `(lower + upper)/2` per demand.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WcbEstimator {
-    engine: LpEngine,
-}
+pub struct WcbEstimator;
 
 impl WcbEstimator {
-    /// Midpoint estimator with the auto-selected LP engine.
+    /// The midpoint estimator.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Midpoint estimator with an explicit LP engine.
-    pub fn with_engine(engine: LpEngine) -> Self {
-        WcbEstimator { engine }
-    }
-
-    /// The configured engine.
-    pub fn engine(&self) -> LpEngine {
-        self.engine
+        WcbEstimator
     }
 }
 
 impl Estimator for WcbEstimator {
     fn estimate_system(&self, sys: &MeasurementSystem<'_>, ws: &mut Workspace) -> Result<Estimate> {
-        let bounds = match self.engine {
-            // Auto shares the system's cached phase-1 basis.
-            LpEngine::Auto => sys.wcb_solver()?.bounds(ws)?,
-            engine => WcbSolver::from_parts(sys.matrix(), sys.measurements().to_vec(), engine)?
-                .bounds(ws)?,
-        };
-        let mut estimate = bounds.midpoint();
-        estimate.method = self.name();
-        Ok(estimate)
+        // Shares the system's cached phase-1 basis.
+        Ok(sys.wcb_solver()?.bounds(ws)?.midpoint())
     }
 
     fn name(&self) -> String {
-        match self.engine {
-            LpEngine::Auto => "wcb-midpoint".into(),
-            engine => format!("wcb-midpoint({})", engine.as_str()),
-        }
+        "wcb-midpoint".into()
     }
 }
 
@@ -445,14 +307,6 @@ mod tests {
     use crate::metrics::{mean_relative_error, CoverageThreshold};
     use crate::problem::DatasetExt;
     use tm_traffic::{DatasetSpec, EvalDataset};
-
-    /// One-shot bounds of a snapshot problem on an explicit engine.
-    fn bounds_with(p: &EstimationProblem, engine: LpEngine) -> DemandBounds {
-        WcbSolver::from_parts(&p.measurement_matrix(), p.measurements(), engine)
-            .unwrap()
-            .bounds(&mut Workspace::new())
-            .unwrap()
-    }
 
     #[test]
     fn bounds_bracket_truth() {
@@ -479,13 +333,12 @@ mod tests {
 
     #[test]
     fn revised_engine_brackets_truth_at_scale() {
-        // Force the revised sparse path end to end against ground truth
-        // on a real measurement system (Europe sits below the auto
-        // fallback threshold, so request the engine explicitly).
+        // The revised sparse path end to end against ground truth on a
+        // real measurement system.
         let d = EvalDataset::generate(DatasetSpec::europe(), 13).unwrap();
         let p = d.snapshot_problem(d.busy_start);
         let truth = p.true_demands().unwrap();
-        let b = bounds_with(&p, LpEngine::RevisedSparse);
+        let b = worst_case_bounds(&p).unwrap();
         for i in 0..truth.len() {
             assert!(
                 b.lower[i] <= truth[i] + 1e-6 * (1.0 + truth[i]),
@@ -504,24 +357,29 @@ mod tests {
 
     #[test]
     fn revised_and_dense_engines_agree() {
-        // The bounds are optimal LP values: both engines must find the
-        // same numbers up to solver tolerance.
+        // The bounds are optimal LP values: the dense full-tableau
+        // reference solver must find the same numbers per pair.
+        use tm_opt::simplex::SimplexSolver;
         let d = EvalDataset::generate(DatasetSpec::europe(), 42).unwrap();
         let p = d.snapshot_problem(d.busy_start);
-        let dense = bounds_with(&p, LpEngine::DenseTableau);
-        let revised = bounds_with(&p, LpEngine::RevisedSparse);
+        let revised = worst_case_bounds(&p).unwrap();
+        let mut dense = SimplexSolver::new_sparse(&p.measurement_matrix(), &p.measurements())
+            .expect("phase 1 on the reference tableau");
         let scale = p.total_traffic();
+        let mut c = vec![0.0; p.n_pairs()];
         for i in 0..p.n_pairs() {
+            c[i] = 1.0;
+            let upper = dense.maximize(&c).unwrap().objective;
+            let lower = dense.minimize(&c).unwrap().objective.max(0.0);
+            c[i] = 0.0;
             assert!(
-                (dense.lower[i] - revised.lower[i]).abs() < 1e-7 * scale,
-                "pair {i} lower: dense {} vs revised {}",
-                dense.lower[i],
+                (lower - revised.lower[i]).abs() < 1e-9 * scale,
+                "pair {i} lower: dense {lower} vs revised {}",
                 revised.lower[i]
             );
             assert!(
-                (dense.upper[i] - revised.upper[i]).abs() < 1e-7 * scale,
-                "pair {i} upper: dense {} vs revised {}",
-                dense.upper[i],
+                (upper.max(lower) - revised.upper[i]).abs() < 1e-9 * scale,
+                "pair {i} upper: dense {upper} vs revised {}",
                 revised.upper[i]
             );
         }
@@ -531,12 +389,8 @@ mod tests {
     fn rebase_shares_phase1_across_snapshots() {
         let d = EvalDataset::generate(DatasetSpec::europe(), 7).unwrap();
         let p0 = d.snapshot_problem(d.busy_start);
-        let mut solver = WcbSolver::from_parts(
-            &p0.measurement_matrix(),
-            p0.measurements(),
-            LpEngine::RevisedSparse,
-        )
-        .unwrap();
+        let mut solver =
+            WcbSolver::from_parts(&p0.measurement_matrix(), &p0.measurements()).unwrap();
         // A uniformly scaled load vector keeps the same vertex basis
         // feasible (x_B scales with it), so the rebase must succeed and
         // the rebased bounds must match a cold start on the scaled data.
@@ -547,7 +401,7 @@ mod tests {
         );
         let rebased = solver.bounds(&mut Workspace::new()).unwrap();
         let a = p0.measurement_matrix();
-        let fresh = WcbSolver::from_parts(&a, t2, LpEngine::RevisedSparse)
+        let fresh = WcbSolver::from_parts(&a, &t2)
             .unwrap()
             .bounds(&mut Workspace::new())
             .unwrap();
@@ -573,7 +427,7 @@ mod tests {
         let reusable = solver.rebase(&p1.measurements()).unwrap();
         if reusable {
             let b1 = solver.bounds(&mut Workspace::new()).unwrap();
-            let f1 = bounds_with(&p1, LpEngine::RevisedSparse);
+            let f1 = worst_case_bounds(&p1).unwrap();
             for i in 0..p1.n_pairs() {
                 assert!((f1.upper[i] - b1.upper[i]).abs() < 1e-7 * scale, "pair {i}");
             }
@@ -591,7 +445,7 @@ mod tests {
         let sys = MeasurementSystem::prepare(&p);
         let mut t = sys.measurements().to_vec();
         t[0] = 10.0 * p.total_traffic();
-        let exact = WcbSolver::from_parts(sys.matrix(), t.clone(), LpEngine::Auto);
+        let exact = WcbSolver::from_parts(sys.matrix(), &t);
         assert!(
             matches!(
                 exact,
@@ -601,8 +455,7 @@ mod tests {
             ),
             "the perturbed system must be infeasible under exact equality"
         );
-        let (solver, slack) =
-            WcbSolver::from_parts_relaxed(sys.matrix(), t, LpEngine::Auto).unwrap();
+        let (solver, slack) = WcbSolver::from_parts_relaxed(sys.matrix(), &t).unwrap();
         assert_eq!(solver.slack_rel(), Some(slack));
         assert!(slack > 0.0 && slack <= 1.0, "slack on the ladder: {slack}");
         let b = solver.bounds(&mut Workspace::new()).unwrap();
@@ -630,8 +483,7 @@ mod tests {
         let sys = MeasurementSystem::prepare(&p);
         let t = sys.measurements().to_vec();
         let exact = worst_case_bounds(&p).unwrap();
-        let (mut solver, slack) =
-            WcbSolver::from_parts_relaxed(sys.matrix(), t.clone(), LpEngine::Auto).unwrap();
+        let (mut solver, slack) = WcbSolver::from_parts_relaxed(sys.matrix(), &t).unwrap();
         assert_eq!(
             slack, RELAXED_SLACK_LADDER[0],
             "a consistent snapshot must accept the first rung"

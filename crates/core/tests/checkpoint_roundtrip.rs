@@ -103,7 +103,7 @@ proptest! {
                     match (r, s) {
                         (None, None) => {}
                         (Some(Ok(re)), Some(Ok(se))) => {
-                            if matches!(method.config(), MethodConfig::Wcb { .. }) {
+                            if matches!(method.config(), MethodConfig::Wcb) {
                                 let diff = rel_l1(&se.demands, &re.demands);
                                 prop_assert!(
                                     diff <= WCB_REL_TOL,

@@ -10,7 +10,7 @@
 //!
 //! | paper method                | program                                | solver |
 //! |-----------------------------|----------------------------------------|--------|
-//! | worst-case bounds (§4.3.1)  | LP `max/min s_p  s.t. R s = t, s ≥ 0`   | [`revised`] (sparse-LU revised simplex, warm-started multi-objective); [`simplex`] (full tableau: small systems, measured baseline) |
+//! | worst-case bounds (§4.3.1)  | LP `max/min s_p  s.t. R s = t, s ≥ 0`   | [`revised`] (sparse-LU revised simplex, warm-started multi-objective) |
 //! | Bayesian / MAP (§4.2.3)     | Tikhonov NNLS                          | [`nnls::ridge_nnls`], [`nnls::ridge_nnls_kernel`] |
 //! | entropy / Kruithof (§4.2.1) | KL-regularized least squares            | [`spg`], [`newton`], [`ipf`] |
 //! | Vardi / Cao moments (§4.2.2)| stacked NNLS                           | [`spg`], [`nnls::ssn_nnls`] |
@@ -19,6 +19,13 @@
 //! All solvers are deterministic, allocation-light, and come with
 //! optimality-condition checks in their tests (KKT residuals, comparison
 //! against brute-force vertex enumeration for LPs).
+//!
+//! Three solvers are **reference implementations**, not engines: no
+//! estimator calls them, and the tests hold the engines to their
+//! answers. They are [`simplex::SimplexSolver`] (the dense full-tableau
+//! simplex, against [`revised`]), [`nnls::lawson_hanson`] (exact
+//! active-set NNLS) and the dense [`nnls::cd_nnls`] (against the sparse
+//! NNLS engines).
 //!
 //! ## Omissions
 //!

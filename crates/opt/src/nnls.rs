@@ -1,16 +1,22 @@
 //! Non-negative least squares solvers.
 //!
-//! * [`lawson_hanson`] — the classical active-set method. Exact (finite
-//!   termination), best for small/medium dense problems such as the
-//!   European network's 132 unknowns.
-//! * [`cd_nnls`] / [`cd_nnls_sparse`] — cyclic coordinate descent on
-//!   the dense or sparse Gram system with an optional Tikhonov term.
+//! The engines the estimators run:
+//!
 //! * [`ridge_nnls`] / [`ridge_nnls_kernel`] — the Tikhonov NNLS of the
 //!   Bayesian estimator `min ‖Rs−t‖² + μ‖s−s⁽ᵖ⁾‖², s ≥ 0` (paper Eq. 7)
 //!   in dual (kernel) form; the second carries the factored kernel
 //!   across calls.
 //! * [`ssn_nnls`] — semismooth Newton on a sparse Gram system (the
-//!   Vardi/Cao moment solves).
+//!   Vardi/Cao moment solves), with a private coordinate-descent
+//!   fallback on the same sparse Gram.
+//!
+//! The reference implementations the tests hold those engines to; no
+//! estimator calls them:
+//!
+//! * [`lawson_hanson`] — the classical active-set method. Exact (finite
+//!   termination) on small dense problems.
+//! * [`cd_nnls`] — cyclic coordinate descent on the dense Gram system
+//!   with an optional Tikhonov term.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::decomp::{qr, Cholesky, SparseCholFactor, SparseCholSymbolic};
@@ -273,13 +279,12 @@ pub fn cd_nnls(
 ///
 /// `min ½‖A·x − b‖² + ½μ‖x − x₀‖²  s.t.  x ≥ 0`
 ///
-/// The sparse-first sibling of [`cd_nnls`]: the Gram matrix `G = AᵀA`
-/// is computed sparse-to-sparse ([`Csr::gram`]) and each coordinate
-/// update walks only the *stored* entries of `G`'s row, so a full sweep
-/// costs O(nnz(G) + n) instead of O(n²). On backbone routing systems
-/// `G`'s fill is the set of OD pairs sharing a measurement row — far
-/// below `n²` — which is where the sparse engine's speedup comes from.
-pub fn cd_nnls_sparse(
+/// The sparse-first sibling of [`cd_nnls`] and the fallback of
+/// [`ssn_nnls`]: the Gram matrix `G = AᵀA` is computed sparse-to-sparse
+/// ([`Csr::gram`]) and each coordinate update walks only the *stored*
+/// entries of `G`'s row, so a full sweep costs O(nnz(G) + n) instead of
+/// O(n²).
+fn cd_nnls_sparse(
     a: &Csr,
     b: &[f64],
     mu: f64,
@@ -896,7 +901,8 @@ impl Deserialize for SsnState {
 /// superlinearly (typically finitely) where first-order methods pay for
 /// the Hessian conditioning at a linear rate; on stagnation (an
 /// active-set cycle, an indefinite reduced system from a rank-deficient
-/// `μ = 0` Gram) it falls back to [`cd_nnls_sparse`].
+/// `μ = 0` Gram) it falls back to coordinate descent on the sparse
+/// Gram.
 ///
 /// * `g` must be `AᵀA` (no `μ`), with every diagonal entry structurally
 ///   present, and `sym` must come from `SparseCholSymbolic::analyze(g)`
@@ -1214,6 +1220,35 @@ pub fn kkt_violation<A: LinOp>(a: &A, b: &[f64], mu: f64, x0: Option<&[f64]>, x:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn cd_nnls_sparse_matches_dense_cd(
+            data in proptest::collection::vec(-2.0f64..2.0, 30),
+            b in proptest::collection::vec(-3.0f64..3.0, 6),
+            prior in proptest::collection::vec(0.0f64..2.0, 5),
+            mu in 0.1f64..3.0,
+        ) {
+            // Sparse-Gram CD and dense-Gram CD solve the same strictly
+            // convex program: minimizers must agree to 1e-10.
+            let a = Mat::from_vec(6, 5, data);
+            let csr = Csr::from_dense(&a, 0.0);
+            let dense = cd_nnls(&a, &b, mu, Some(&prior), 200_000, 1e-13).unwrap();
+            let sparse = cd_nnls_sparse(&csr, &b, mu, Some(&prior), 200_000, 1e-13)
+                .unwrap()
+                .x;
+            for j in 0..5 {
+                prop_assert!(
+                    (dense.x[j] - sparse[j]).abs() < 1e-10,
+                    "j={}: dense {} vs sparse {}", j, dense.x[j], sparse[j]
+                );
+            }
+            prop_assert!(kkt_violation(&csr, &b, mu, Some(&prior), &sparse) < 1e-8);
+        }
+    }
 
     #[test]
     fn unconstrained_optimum_inside_orthant() {

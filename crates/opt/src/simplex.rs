@@ -1,4 +1,7 @@
-//! Two-phase primal simplex for linear programs in standard form.
+//! Two-phase primal simplex for linear programs in standard form: the
+//! dense full-tableau **reference implementation**. The worst-case
+//! bounds run on the sparse [`crate::revised`] engine; the tests hold
+//! that engine to this solver's optima.
 //!
 //! The paper's worst-case bounds (§4.3.1) require `2·P` linear programs
 //! per network — `max s_p` and `min s_p` over `{s ≥ 0 : R s = t}` for

@@ -14,13 +14,6 @@ fn mat_strategy(rows: usize, cols: usize, lo: f64, hi: f64) -> impl Strategy<Val
         .prop_map(move |data| Mat::from_vec(rows, cols, data))
 }
 
-/// Sparse CD solve with generous budget (helper for equivalence tests).
-fn nnls_sparse_solve(a: &Csr, b: &[f64], mu: f64, prior: &[f64]) -> Vec<f64> {
-    tm_opt::nnls::cd_nnls_sparse(a, b, mu, Some(prior), 200_000, 1e-13)
-        .unwrap()
-        .x
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -194,27 +187,6 @@ proptest! {
         for i in 0..3 {
             prop_assert!((hx[i] - g[i] + ctv[i]).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn cd_nnls_sparse_matches_dense_cd(
-        a in mat_strategy(6, 5, -2.0, 2.0),
-        b in proptest::collection::vec(-3.0f64..3.0, 6),
-        prior in proptest::collection::vec(0.0f64..2.0, 5),
-        mu in 0.1f64..3.0,
-    ) {
-        // Sparse-Gram CD and dense-Gram CD solve the same strictly
-        // convex program: minimizers must agree to 1e-10.
-        let csr = Csr::from_dense(&a, 0.0);
-        let dense = cd_nnls(&a, &b, mu, Some(&prior), 200_000, 1e-13).unwrap();
-        let sparse = nnls_sparse_solve(&csr, &b, mu, &prior);
-        for j in 0..5 {
-            prop_assert!(
-                (dense.x[j] - sparse[j]).abs() < 1e-10,
-                "j={}: dense {} vs sparse {}", j, dense.x[j], sparse[j]
-            );
-        }
-        prop_assert!(kkt_violation(&csr, &b, mu, Some(&prior), &sparse) < 1e-8);
     }
 
     #[test]
@@ -423,8 +395,7 @@ proptest! {
             &a, &b, mu, Some(&prior), &g, &sym, &mut state, false,
             SsnOptions::default(),
         ).unwrap();
-        let cd = tm_opt::nnls::cd_nnls_sparse(&a, &b, mu, Some(&prior), 200_000, 1e-12)
-            .unwrap();
+        let cd = cd_nnls(&a.to_dense(), &b, mu, Some(&prior), 200_000, 1e-12).unwrap();
         // Both must satisfy the same KKT system to solver tolerance...
         let scale = vector::norm_inf(&b).max(1.0);
         let v_ssn = kkt_violation(&a, &b, mu, Some(&prior), &ssn.x);

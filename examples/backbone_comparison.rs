@@ -70,12 +70,10 @@ fn main() {
 
         // The paper's best combination — Bayes with the WCB midpoint
         // prior — composes two registry methods by hand.
-        let wcb_prior = Method::new(MethodConfig::Wcb {
-            engine: LpEngine::Auto,
-        })
-        .build()
-        .estimate_system(&snap_sys, &mut ws)
-        .expect("LPs solvable");
+        let wcb_prior = Method::new(MethodConfig::Wcb)
+            .build()
+            .estimate_system(&snap_sys, &mut ws)
+            .expect("LPs solvable");
         let bayes_wcb = BayesianEstimator::new(1e3)
             .with_prior(wcb_prior.demands)
             .estimate_system(&snap_sys, &mut ws)
