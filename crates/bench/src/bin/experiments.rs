@@ -441,12 +441,13 @@ fn fig8_fig9() {
         let exact = b.widths().iter().filter(|&&w| w < 1e-6 * total).count();
         let mid = b.midpoint();
         println!(
-            "  {name:<8} {} pairs: {} bounds tighter than 10% of total, {} exact; midpoint MRE {:.3} ({} pivots)",
+            "  {name:<8} {} pairs: {} bounds tighter than 10% of total, {} exact; midpoint MRE {:.3} ({} pivots, {} refactors)",
             truth.len(),
             tight,
             exact,
             paper_mre(truth, &mid.demands),
-            b.total_pivots
+            b.total_pivots,
+            b.refactors
         );
     }
     let path = csv.finish().expect("writable results dir");

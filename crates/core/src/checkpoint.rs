@@ -24,10 +24,11 @@
 //!   (the entropy Hessian base, the Vardi stacked system and Gram,
 //!   sparse SSN factors) either round-trip or are rebuilt
 //!   bit-identically.
-//! * **WCB** does *not* carry its revised-simplex basis across a
-//!   checkpoint: the basis lives inside an LU factorization whose
-//!   bits are pivot-path-dependent, so the first post-restore tick
-//!   runs a fresh phase 1 instead of a rebase. The bounds of that
+//! * **WCB** does *not* carry its revised-simplex bases (the exact one
+//!   and the relaxed one of infeasible ticks) across a checkpoint: a
+//!   basis lives inside an LU factorization whose bits are
+//!   pivot-path-dependent, so the first post-restore tick runs a fresh
+//!   phase 1 instead of a rebase. The bounds of that
 //!   tick agree with the uninterrupted run's to LP solver tolerance
 //!   (the same ~1e-7·scale bound as the warm-vs-cold comparison in
 //!   `docs/ROBUSTNESS.md`), and the carried basis reconverges

@@ -22,9 +22,11 @@
 //! * **previous-interval warm starts** — entropy, Bayes and
 //!   Kruithof-full re-solve from the last interval's solution
 //!   (spectral step, active set and GIS multipliers respectively);
-//! * **the WCB basis carried forward** — one revised-simplex basis is
+//! * **the WCB bases carried forward** — one revised-simplex basis is
 //!   re-anchored per tick via [`WcbSolver::rebase`] (with its
-//!   dual-repair fallback) instead of a fresh phase 1 per interval.
+//!   dual-repair fallback) instead of a fresh phase 1 per interval;
+//!   ticks whose exact LP is infeasible carry a second, relaxed-form
+//!   basis with its slack rung the same way.
 //!
 //! [`StreamMode::Cold`] runs every tick from scratch through
 //! [`MeasurementSystem::reanchor`] + [`Estimator::estimate_system`] —
@@ -57,7 +59,7 @@ use crate::method::{Method, MethodConfig, TypedEstimator};
 use crate::problem::{Estimate, EstimationProblem, Estimator, TimeSeriesData};
 use crate::system::MeasurementSystem;
 use crate::vardi::{VardiEstimator, VardiWarmStart};
-use crate::wcb::{WcbEstimator, WcbSolver};
+use crate::wcb::{RelaxedBand, WcbEstimator, WcbSolver};
 use crate::Result;
 
 /// Ticks between exact recomputations of the rolling aggregates from
@@ -350,8 +352,31 @@ enum MethodState {
     Cao(CaoEstimator, CaoWarmStart, RollingMoments),
     /// Fanout on rolling window aggregates.
     Fanout(FanoutEstimator, FanoutRolling),
-    /// WCB midpoint with the revised-simplex basis carried forward.
-    Wcb(Option<WcbSolver>),
+    /// WCB midpoint with the revised-simplex bases carried forward.
+    Wcb(WcbCarry),
+}
+
+/// WCB's carried LP state.
+#[derive(Default)]
+struct WcbCarry {
+    /// The exact-form basis, re-anchored on every tick it stays
+    /// feasible for.
+    exact: Option<WcbSolver>,
+    /// The relaxed-equality basis of the last tick whose exact form was
+    /// infeasible, at its ladder rung (see [`WcbSolver::slack_rel`]).
+    elastic: Option<WcbSolver>,
+    /// The band form of the anchor's matrix, built on the first
+    /// infeasible tick. It depends on the matrix alone, so resets keep
+    /// it.
+    band: Option<RelaxedBand>,
+}
+
+impl WcbCarry {
+    /// Drop both carried bases: the next tick starts from fresh phase 1s.
+    fn reset(&mut self) {
+        self.exact = None;
+        self.elastic = None;
+    }
 }
 
 /// One method registered with the engine.
@@ -966,10 +991,10 @@ impl StreamEngine {
                 (MethodState::Fanout(_, rolling), MethodStateCkpt::Fanout(r)) => {
                     *rolling = r.clone();
                 }
-                (MethodState::Wcb(solver), MethodStateCkpt::Wcb) => {
-                    // The basis is not checkpointed: the next tick runs
+                (MethodState::Wcb(carry), MethodStateCkpt::Wcb) => {
+                    // The bases are not checkpointed: the next tick runs
                     // a fresh phase 1 (see `crate::checkpoint`).
-                    *solver = None;
+                    carry.reset();
                 }
                 _ => unreachable!("validated above"),
             }
@@ -1033,7 +1058,7 @@ fn build_state(system: &MeasurementSystem<'_>, method: &Method, mode: StreamMode
                 FanoutRolling::new((*window).max(1), problem.n_nodes(), problem.n_pairs());
             MethodState::Fanout(est, rolling)
         }
-        MethodConfig::Wcb => MethodState::Wcb(None),
+        MethodConfig::Wcb => MethodState::Wcb(WcbCarry::default()),
         // Gravity and Kruithof-marginals are closed-form / microsecond
         // solves with nothing to carry.
         _ => MethodState::Plain(method.build()),
@@ -1106,13 +1131,17 @@ fn tick_window_system<'c>(
 /// One warm WCB tick: re-anchor the carried basis (plain rebase, then
 /// the dual-repair pass inside [`WcbSolver::rebase`]), falling back to
 /// a fresh phase 1 on the shared matrix only when repair fails, then
-/// sweep the bound LPs and return the midpoint prior.
+/// sweep the bound LPs and return the midpoint prior. When the exact
+/// form is infeasible, the relaxed form is solved on the lowest
+/// feasible slack rung, starting from the carried elastic basis
+/// ([`WcbSolver::relaxed`]).
 fn tick_wcb(
     anchor: &MeasurementSystem<'static>,
     t: &[f64],
-    solver: &mut Option<WcbSolver>,
+    carry: &mut WcbCarry,
     ws: &mut Workspace,
 ) -> Result<Estimate> {
+    let solver = &mut carry.exact;
     // A failed (or erroring) rebase leaves the carried solver with a
     // partially pivoted basis — it must never survive into the next
     // tick, so take it out of the slot and only reinstall on success.
@@ -1138,11 +1167,18 @@ fn tick_wcb(
             // or corrupted ticks the bridged loads can be mutually
             // inconsistent (ingress/egress sums no longer balance the
             // interior). Solve the relaxed-equality band form instead
-            // (docs/ROBUSTNESS.md); its basis is never carried, so the
-            // next tick retries the exact form first.
+            // (docs/ROBUSTNESS.md), from the elastic basis carried since
+            // the last such tick; the next tick retries the exact form
+            // first.
             Err(EstimationError::Opt(OptError::Infeasible { .. })) => {
-                let (relaxed, _slack) = WcbSolver::from_parts_relaxed(anchor.matrix(), t)?;
-                return Ok(relaxed.bounds(ws)?.midpoint());
+                if carry.band.is_none() {
+                    carry.band = Some(RelaxedBand::new(anchor.matrix())?);
+                }
+                let band = carry.band.as_ref().expect("built above");
+                let elastic = WcbSolver::relaxed(band, t, carry.elastic.take())?;
+                let bounds = elastic.bounds(ws)?;
+                carry.elastic = Some(elastic);
+                return Ok(bounds.midpoint());
             }
             Err(e) => return Err(e),
         }
@@ -1240,7 +1276,7 @@ fn solve_slot(
                     .map(|r| r.estimate),
             )
         }
-        MethodState::Wcb(solver) => Some(tick_wcb(anchor, t_stacked, solver, ws)),
+        MethodState::Wcb(carry) => Some(tick_wcb(anchor, t_stacked, carry, ws)),
     };
     let action = match ctx {
         TickCtx::Imputed if out.is_some() => Some(DegradationAction::ImputedSolve),
@@ -1342,7 +1378,7 @@ fn quarantine_state(state: &mut MethodState) {
         MethodState::Kruithof(_, warm) => *warm = None,
         MethodState::Vardi(_, warm, _) => **warm = VardiWarmStart::default(),
         MethodState::Cao(_, warm, _) => *warm = CaoWarmStart::default(),
-        MethodState::Wcb(solver) => *solver = None,
+        MethodState::Wcb(carry) => carry.reset(),
         MethodState::Plain(_) | MethodState::Fanout(..) => {}
     }
 }
@@ -2111,8 +2147,17 @@ mod tests {
             prev.unwrap().demands,
             "the imputed tick's estimate must be fresh, not the coasted last-good one"
         );
-        // The relaxed basis is never carried: the next clean tick runs
-        // the exact form again and matches a cold solve.
+        // The elastic basis is kept for the next infeasible tick, and a
+        // checkpoint restore drops it with the exact one.
+        assert!(
+            carries_elastic(&engine),
+            "the relaxed tick's basis is carried"
+        );
+        let mut restored = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).unwrap();
+        restored.restore(&engine.checkpoint()).unwrap();
+        assert!(!carries_elastic(&restored), "restore resets the carry");
+        // Every tick retries the exact form first: the next clean tick
+        // runs it again and matches a cold solve.
         let t3 = engine.push_interval(d.interval_loads(3).unwrap()).unwrap();
         let got = t3.estimates[0].as_ref().unwrap().as_ref().unwrap();
         let p3 = d.snapshot_problem(3);
@@ -2181,5 +2226,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Whether the engine's first slot, a WCB slot, carries an elastic
+    /// basis into its next tick.
+    fn carries_elastic(engine: &StreamEngine) -> bool {
+        matches!(&engine.methods[0].state, MethodState::Wcb(c) if c.elastic.is_some())
+    }
+
+    #[test]
+    fn carried_elastic_basis_lands_on_the_fresh_ladder_rung() {
+        // Canonical-plan Europe ticks covering the outage (ticks 6–8)
+        // and the corruption burst (ticks 12–14). On every relaxed tick
+        // — the exact form infeasible, so the carried elastic path ran —
+        // the rung must be the one `WcbSolver::from_parts_relaxed`'s
+        // fresh ladder picks, and the bounds must match the fresh
+        // solver's to LP tolerance.
+        let seed = 42;
+        let d = EvalDataset::generate(DatasetSpec::europe(), seed).unwrap();
+        let plan = LoadFaultPlan::canonical(d.topology.n_links(), seed);
+        let mut engine =
+            StreamEngine::for_dataset(&d, &methods(&["wcb"]), StreamMode::Warm).unwrap();
+        let mut relaxed = Vec::new();
+        for k in 5..15 {
+            let carried_in = carries_elastic(&engine);
+            let mut loads = d.interval_loads(k).unwrap();
+            plan.apply(k, &mut loads.link_loads);
+            let tick = engine.push_interval(loads).unwrap();
+            let MethodState::Wcb(carry) = &engine.methods[0].state else {
+                unreachable!("the only slot is wcb")
+            };
+            let masked = tick
+                .degradation
+                .as_ref()
+                .is_some_and(|g| !g.masked_rows.is_empty());
+            if masked || carry.exact.is_some() {
+                continue;
+            }
+            relaxed.push((k, carried_in));
+            let elastic = carry
+                .elastic
+                .as_ref()
+                .expect("a relaxed tick keeps its basis");
+            // The tick's repaired loads, stacked as the engine solved them.
+            let repaired = engine.history.back().unwrap();
+            let mut t = repaired.link_loads.clone();
+            if engine.anchor.problem().uses_edge_measurements() {
+                t.extend_from_slice(&repaired.ingress);
+                t.extend_from_slice(&repaired.egress);
+            }
+            let (fresh, slack) = WcbSolver::from_parts_relaxed(engine.anchor.matrix(), &t).unwrap();
+            assert_eq!(
+                elastic.slack_rel(),
+                Some(slack),
+                "tick {k}: carried rung vs the fresh ladder"
+            );
+            let got = elastic.bounds(&mut Workspace::new()).unwrap();
+            let want = fresh.bounds(&mut Workspace::new()).unwrap();
+            let est = tick.estimates[0].as_ref().unwrap().as_ref().unwrap();
+            assert_eq!(
+                est.demands,
+                got.midpoint().demands,
+                "tick {k}: the estimate is the carried solver's midpoint"
+            );
+            let scale = t.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+            for p in 0..want.lower.len() {
+                assert!(
+                    (got.lower[p] - want.lower[p]).abs() <= 1e-7 * scale
+                        && (got.upper[p] - want.upper[p]).abs() <= 1e-7 * scale,
+                    "tick {k} pair {p}: carried [{}, {}] vs fresh [{}, {}]",
+                    got.lower[p],
+                    got.upper[p],
+                    want.lower[p],
+                    want.upper[p]
+                );
+            }
+        }
+        for k in [6, 7, 8, 12, 13, 14] {
+            assert!(
+                relaxed.iter().any(|&(r, _)| r == k),
+                "tick {k} must take the relaxed path: {relaxed:?}"
+            );
+        }
+        assert!(
+            relaxed.iter().filter(|&&(_, carried)| carried).count() + 1 >= relaxed.len(),
+            "every relaxed tick after the first starts from the carried basis: {relaxed:?}"
+        );
     }
 }

@@ -25,6 +25,15 @@
 //! warm `StreamEngine` therefore carries the basis and shares the
 //! phase-1 work across the day.
 //!
+//! The same holds on infeasible ticks. The relaxed form's band matrix
+//! depends on `A` alone, so the stream builds it once and carries the
+//! relaxed (elastic) basis with its slack rung from one infeasible tick
+//! to the next. The rung search re-anchors that basis first and then
+//! confirms the rung below with a fresh phase 1, so it settles on the
+//! same lowest feasible rung as [`WcbSolver::from_parts_relaxed`]'s
+//! climb from the bottom; the bounds agree with a fresh relaxed solve to
+//! LP tolerance.
+//!
 //! The midpoint `(lower+upper)/2` turns out to be a strong prior for the
 //! regularized estimators (Fig. 9 / Fig. 15 / Table 2).
 
@@ -46,6 +55,8 @@ pub struct DemandBounds {
     /// Total simplex pivots spent over the `2·P` objectives (the
     /// warm-start cost Fig. 8 reports).
     pub total_pivots: usize,
+    /// Basis refactorizations over the same sweep (Fig. 8 prints both).
+    pub refactors: usize,
 }
 
 impl DemandBounds {
@@ -81,10 +92,73 @@ const PAIRS_PER_CHUNK: usize = 16;
 
 /// Relative slack ladder of the relaxed-equality fallback
 /// ([`WcbSolver::from_parts_relaxed`]): each rung widens the per-row
-/// band `|A·s − t| ≤ σ` by 4x until phase 1 succeeds. The final rung
-/// (`1.0`, appended implicitly) admits `s = 0` and is therefore always
-/// feasible.
-const RELAXED_SLACK_LADDER: [f64; 5] = [1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1];
+/// band `|A·s − t| ≤ σ` by 4x. The final rung (`1.0`) admits `s = 0`
+/// and is therefore always feasible.
+const RELAXED_SLACK_LADDER: [f64; 6] = [1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1, 1.0];
+
+/// The relaxed-equality band form of a measurement matrix `A` (`m`
+/// rows, `n` pairs): the `2m × (n + 2m)` matrix `[[A, I, 0], [0, I, I]]`
+/// over `(s, u, w)`. With right-hand side `(t + σ, 2σ)` it encodes
+/// `A·s ∈ [t − σ, t + σ]` in standard form. It depends on `A` alone, so
+/// one band serves every tick and every ladder rung.
+#[derive(Debug, Clone)]
+pub(crate) struct RelaxedBand {
+    aug: Csr,
+    n: usize,
+}
+
+impl RelaxedBand {
+    /// Build the band form of `a`.
+    pub(crate) fn new(a: &Csr) -> Result<Self> {
+        let (m, n) = (a.rows(), a.cols());
+        let mut trips = Vec::with_capacity(a.nnz() + 3 * m);
+        for i in 0..m {
+            let (idx, val) = a.row(i);
+            for (&j, &v) in idx.iter().zip(val) {
+                trips.push((i, j, v));
+            }
+            trips.push((i, n + i, 1.0)); // A·s + u = t + σ
+            trips.push((m + i, n + i, 1.0)); // u + w = 2·σ
+            trips.push((m + i, n + m + i, 1.0));
+        }
+        Ok(RelaxedBand {
+            aug: Csr::from_triplets(2 * m, n + 2 * m, trips)?,
+            n,
+        })
+    }
+
+    /// Fresh phase 1 at ladder rung `rung`: `Ok(None)` when the rung is
+    /// infeasible for `t`.
+    fn phase1(&self, t: &[f64], rung: usize) -> Result<Option<WcbSolver>> {
+        match RevisedSimplex::new_sparse(&self.aug, &relaxed_rhs(t, RELAXED_SLACK_LADDER[rung])) {
+            Ok(base) => Ok(Some(WcbSolver {
+                base: Box::new(base),
+                p_count: self.n,
+                n_cols: self.aug.cols(),
+                rung: Some(rung),
+            })),
+            Err(OptError::Infeasible { .. }) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+}
+
+/// Right-hand side `(t + σ, 2σ)` of the band form at relative slack
+/// `slack_rel`: `σᵢ = slack_rel · max(tᵢ, t̄)` with `t̄` the mean
+/// positive measurement, so zero-load rows still get room.
+fn relaxed_rhs(t: &[f64], slack_rel: f64) -> Vec<f64> {
+    let positive: Vec<f64> = t.iter().copied().filter(|&v| v > 0.0).collect();
+    let t_bar = if positive.is_empty() {
+        1.0
+    } else {
+        positive.iter().sum::<f64>() / positive.len() as f64
+    };
+    let sigma = |ti: f64| slack_rel * ti.max(t_bar);
+    let mut b = Vec::with_capacity(2 * t.len());
+    b.extend(t.iter().map(|&ti| ti + sigma(ti)));
+    b.extend(t.iter().map(|&ti| 2.0 * sigma(ti)));
+    b
+}
 
 /// Reusable worst-case-bound solver: one phase 1, many objectives, and
 /// many snapshots.
@@ -96,9 +170,9 @@ pub struct WcbSolver {
     /// `p_count + 2·m` for the relaxed form (slack split `u`/`w` per
     /// row). The bound sweep only objectives the first `p_count`.
     n_cols: usize,
-    /// Relative slack the feasible region was widened by (`None` for
-    /// the exact equality form).
-    slack_rel: Option<f64>,
+    /// Ladder rung the feasible region was widened by (`None` for the
+    /// exact equality form).
+    rung: Option<usize>,
 }
 
 impl WcbSolver {
@@ -113,7 +187,7 @@ impl WcbSolver {
             base: Box::new(RevisedSimplex::new_sparse(a, b)?),
             p_count,
             n_cols: p_count,
-            slack_rel: None,
+            rung: None,
         })
     }
 
@@ -131,48 +205,63 @@ impl WcbSolver {
     /// `RELAXED_SLACK_LADDER` until phase 1 succeeds; the final rung
     /// `1.0` admits `s = 0, u = t + σ, w = σ − t` and thus always
     /// terminates the climb. Returns the solver and the slack level it
-    /// settled on.
+    /// settled on: the **lowest feasible rung**.
     ///
     /// The returned solver sweeps bounds over the original `a.cols()`
-    /// pairs only; its basis lives on the augmented system and must
-    /// **not** be carried across ticks ([`WcbSolver::rebase`] refuses).
+    /// pairs only. Its basis lives on the band form at its rung, and
+    /// [`WcbSolver::rebase`] re-anchors it there for a new `t` — the
+    /// carry a warm `StreamEngine` runs across consecutive infeasible
+    /// ticks, which still settles on this function's rung.
     pub fn from_parts_relaxed(a: &Csr, t: &[f64]) -> Result<(Self, f64)> {
-        let (m, n) = (a.rows(), a.cols());
-        let positive: Vec<f64> = t.iter().copied().filter(|&v| v > 0.0).collect();
-        let t_bar = if positive.is_empty() {
-            1.0
-        } else {
-            positive.iter().sum::<f64>() / positive.len() as f64
-        };
-        let ladder = RELAXED_SLACK_LADDER.iter().copied().chain([1.0]);
-        for slack_rel in ladder {
-            let sigma: Vec<f64> = t.iter().map(|&ti| slack_rel * ti.max(t_bar)).collect();
-            let mut trips = Vec::with_capacity(a.nnz() + 3 * m);
-            for i in 0..m {
-                let (idx, val) = a.row(i);
-                for (&j, &v) in idx.iter().zip(val) {
-                    trips.push((i, j, v));
-                }
-                trips.push((i, n + i, 1.0)); // A·s + u = t + σ
-                trips.push((m + i, n + i, 1.0)); // u + w = 2·σ
-                trips.push((m + i, n + m + i, 1.0));
+        let solver = WcbSolver::relaxed(&RelaxedBand::new(a)?, t, None)?;
+        let slack = solver.slack_rel().expect("a relaxed solver sits on a rung");
+        Ok((solver, slack))
+    }
+
+    /// The relaxed solver for `t` on the lowest feasible ladder rung —
+    /// the rung [`WcbSolver::from_parts_relaxed`] picks.
+    ///
+    /// Without a `carried` solver this climbs the ladder with fresh
+    /// phase 1s from the bottom. With one (a relaxed solver from an
+    /// earlier tick), its basis is re-anchored at its own rung by
+    /// [`WcbSolver::rebase`] first: a successful repair proves that rung
+    /// feasible. A failed one (any error included — the carry is only a
+    /// shortcut) falls back to a fresh phase 1 at that rung. From a
+    /// feasible rung the search steps down while the rung below is
+    /// feasible too, so one fresh phase 1 usually just confirms that the
+    /// rung below is infeasible; from an infeasible rung it climbs.
+    /// Feasibility is monotone in the rung (a wider band contains the
+    /// narrower one), so either way the result is the lowest feasible
+    /// rung.
+    pub(crate) fn relaxed(band: &RelaxedBand, t: &[f64], carried: Option<Self>) -> Result<Self> {
+        let mut rung = 0;
+        let mut feasible = None;
+        if let Some(mut solver) = carried {
+            rung = solver.rung.expect("only relaxed solvers are carried");
+            feasible = if matches!(solver.rebase(t), Ok(true)) {
+                Some(solver)
+            } else {
+                band.phase1(t, rung)?
+            };
+            if feasible.is_none() {
+                rung += 1;
             }
-            let aug = Csr::from_triplets(2 * m, n + 2 * m, trips)?;
-            let mut b_aug = Vec::with_capacity(2 * m);
-            b_aug.extend(t.iter().zip(&sigma).map(|(ti, si)| ti + si));
-            b_aug.extend(sigma.iter().map(|si| 2.0 * si));
-            match RevisedSimplex::new_sparse(&aug, &b_aug) {
-                Ok(base) => {
-                    let solver = WcbSolver {
-                        base: Box::new(base),
-                        p_count: n,
-                        n_cols: n + 2 * m,
-                        slack_rel: Some(slack_rel),
-                    };
-                    return Ok((solver, slack_rel));
+        }
+        if let Some(mut best) = feasible {
+            while rung > 0 {
+                match band.phase1(t, rung - 1)? {
+                    Some(lower) => {
+                        best = lower;
+                        rung -= 1;
+                    }
+                    None => break,
                 }
-                Err(OptError::Infeasible { .. }) => continue,
-                Err(e) => return Err(e.into()),
+            }
+            return Ok(best);
+        }
+        for r in rung..RELAXED_SLACK_LADDER.len() {
+            if let Some(solver) = band.phase1(t, r)? {
+                return Ok(solver);
             }
         }
         unreachable!("slack_rel = 1.0 admits s = 0 and always passes phase 1")
@@ -181,11 +270,12 @@ impl WcbSolver {
     /// `Some(slack_rel)` when this is a relaxed-equality solver
     /// ([`WcbSolver::from_parts_relaxed`]), `None` for the exact form.
     pub fn slack_rel(&self) -> Option<f64> {
-        self.slack_rel
+        self.rung.map(|r| RELAXED_SLACK_LADDER[r])
     }
 
     /// Re-anchor the phase-1 basis on a new measurement vector of the
-    /// same routing pattern. When the carried basis is primal
+    /// same routing pattern (a relaxed solver re-anchors on the band
+    /// form at its own rung). When the carried basis is primal
     /// infeasible for the new vector, a **dual-repair pass**
     /// ([`RevisedSimplex::rebase_repair`]) pivots it back to
     /// feasibility before giving up — between consecutive intervals of
@@ -195,13 +285,14 @@ impl WcbSolver {
     /// caller must then rebuild with a fresh phase 1 — after a `false`
     /// the solver may have pivoted and **must be discarded**.
     pub fn rebase(&mut self, b_new: &[f64]) -> Result<bool> {
-        // A relaxed basis lives on the augmented system and is anchored
-        // on a widened right-hand side: never reuse it for a new tick.
-        if self.slack_rel.is_some() {
-            return Ok(false);
-        }
         let budget = self.base.active_rows().max(64);
-        Ok(self.base.rebase_repair(b_new, budget)?)
+        let repaired = match self.rung {
+            None => self.base.rebase_repair(b_new, budget)?,
+            Some(rung) => self
+                .base
+                .rebase_repair(&relaxed_rhs(b_new, RELAXED_SLACK_LADDER[rung]), budget)?,
+        };
+        Ok(repaired)
     }
 
     /// Sweep the `2·P` bound LPs from the held basis (parallel in
@@ -217,6 +308,7 @@ impl WcbSolver {
             .collect();
         let partials = tm_par::par_map(&chunks, |&(lo, hi)| -> Result<ChunkBounds> {
             let mut solver = self.base.clone();
+            let refactors_before = solver.refactors();
             let mut lower = Vec::with_capacity(hi - lo);
             let mut upper = Vec::with_capacity(hi - lo);
             let mut pivots = 0usize;
@@ -237,6 +329,7 @@ impl WcbSolver {
                 lower,
                 upper,
                 pivots,
+                refactors: solver.refactors() - refactors_before,
             })
         });
 
@@ -244,17 +337,19 @@ impl WcbSolver {
         let mut upper = ws.take(0);
         lower.reserve(p_count);
         upper.reserve(p_count);
-        let mut total_pivots = 0usize;
+        let (mut total_pivots, mut refactors) = (0usize, 0usize);
         for partial in partials {
             let chunk = partial?;
             lower.extend_from_slice(&chunk.lower);
             upper.extend_from_slice(&chunk.upper);
             total_pivots += chunk.pivots;
+            refactors += chunk.refactors;
         }
         Ok(DemandBounds {
             lower,
             upper,
             total_pivots,
+            refactors,
         })
     }
 }
@@ -299,6 +394,7 @@ struct ChunkBounds {
     lower: Vec<f64>,
     upper: Vec<f64>,
     pivots: usize,
+    refactors: usize,
 }
 
 #[cfg(test)]
@@ -383,6 +479,20 @@ mod tests {
                 revised.upper[i]
             );
         }
+    }
+
+    #[test]
+    fn fig8_europe_sweep_cost_is_pinned() {
+        // Fig. 8's Europe snapshot (dataset seed 42, busy-hour start).
+        // The basis LU kernel must reproduce the same pivot path — so
+        // the same pivot and refactorization counts — bit for bit.
+        let d = EvalDataset::generate(DatasetSpec::europe(), 42).unwrap();
+        let b = worst_case_bounds(&d.snapshot_problem(d.busy_hour().start)).unwrap();
+        assert_eq!(b.total_pivots, 614, "pivots of the Fig. 8 Europe sweep");
+        assert_eq!(
+            b.refactors, 27,
+            "refactorizations of the Fig. 8 Europe sweep"
+        );
     }
 
     #[test]
@@ -504,11 +614,26 @@ mod tests {
                 exact.upper[i]
             );
         }
-        // A relaxed basis must never be carried into the next tick.
-        assert!(
-            !solver.rebase(&t).unwrap(),
-            "relaxed solvers refuse to rebase"
-        );
+        // A relaxed basis re-anchors at its own rung: uniformly scaled
+        // loads scale the band's right-hand side with them, so the basis
+        // stays feasible and the rebased bounds match a fresh ladder.
+        let t2: Vec<f64> = t.iter().map(|v| v * 1.25).collect();
+        assert!(solver.rebase(&t2).unwrap(), "scaled loads keep the basis");
+        let rebased = solver.bounds(&mut Workspace::new()).unwrap();
+        let (fresh, fresh_slack) = WcbSolver::from_parts_relaxed(sys.matrix(), &t2).unwrap();
+        assert_eq!(fresh_slack, slack);
+        let fresh = fresh.bounds(&mut Workspace::new()).unwrap();
+        for i in 0..p.n_pairs() {
+            assert!(
+                (rebased.lower[i] - fresh.lower[i]).abs() <= 1e-7 * scale
+                    && (rebased.upper[i] - fresh.upper[i]).abs() <= 1e-7 * scale,
+                "pair {i}: rebased [{}, {}] vs fresh [{}, {}]",
+                rebased.lower[i],
+                rebased.upper[i],
+                fresh.lower[i],
+                fresh.upper[i]
+            );
+        }
     }
 
     #[test]

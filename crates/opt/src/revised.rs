@@ -80,7 +80,14 @@ pub struct RevisedSimplex {
     cursor: usize,
     /// Eta updates since the last refactorization.
     updates_since_refactor: usize,
+    /// Refactorizations since construction (the trivial factorization
+    /// of the artificial identity basis is not counted).
+    refactors: usize,
     // ---- solve scratch (allocation-free steady state) ----
+    /// The basis columns gathered for a refactorization, flat
+    /// (`col_ent[col_ptr[i]..col_ptr[i + 1]]` is position `i`).
+    col_ptr: Vec<usize>,
+    col_ent: Vec<(usize, f64)>,
     y: Vec<f64>,
     w: Vec<f64>,
     col_buf: Vec<f64>,
@@ -148,8 +155,9 @@ impl RevisedSimplex {
 
         // Artificial identity basis: factors trivially, x_B = b.
         let basis: Vec<usize> = (n..n + m).collect();
-        let identity: Vec<Vec<(usize, f64)>> = (0..m).map(|i| vec![(i, 1.0)]).collect();
-        let factor = BasisLu::factor(m, &identity, LU_TOL).map_err(OptError::Linalg)?;
+        let col_ptr: Vec<usize> = (0..=m).collect();
+        let col_ent: Vec<(usize, f64)> = (0..m).map(|i| (i, 1.0)).collect();
+        let factor = BasisLu::factor(m, &col_ptr, &col_ent, LU_TOL).map_err(OptError::Linalg)?;
 
         let mut solver = RevisedSimplex {
             at,
@@ -165,6 +173,9 @@ impl RevisedSimplex {
             feas_tol: tol * (m as f64).sqrt().max(1.0) * 10.0,
             cursor: 0,
             updates_since_refactor: 0,
+            refactors: 0,
+            col_ptr,
+            col_ent,
             y: vec![0.0; m],
             w: vec![0.0; m],
             col_buf: vec![0.0; m],
@@ -194,6 +205,13 @@ impl RevisedSimplex {
     /// Number of structural variables.
     pub fn n_vars(&self) -> usize {
         self.n
+    }
+
+    /// Basis refactorizations performed since construction: phase 1,
+    /// repairs and every objective solved since. A clone starts from
+    /// its source's count.
+    pub fn refactors(&self) -> usize {
+        self.refactors
     }
 
     /// Re-anchor the solver on a new right-hand side with the **same**
@@ -596,20 +614,24 @@ impl RevisedSimplex {
     /// then mathematically zero and get clamped there, while during
     /// phase 1 they carry the genuine (positive) infeasibility.
     fn refactor(&mut self, pin_artificials: bool) -> Result<()> {
-        let cols: Vec<Vec<(usize, f64)>> = self
-            .basis
-            .iter()
-            .map(|&j| {
-                if j < self.n {
-                    let (rows, vals) = self.at.row(j);
-                    rows.iter().copied().zip(vals.iter().copied()).collect()
-                } else {
-                    vec![(j - self.n, 1.0)]
-                }
-            })
-            .collect();
-        self.factor = BasisLu::factor(self.m, &cols, LU_TOL).map_err(OptError::Linalg)?;
+        self.col_ptr.clear();
+        self.col_ent.clear();
+        self.col_ptr.push(0);
+        for &j in &self.basis {
+            if j < self.n {
+                let (rows, vals) = self.at.row(j);
+                self.col_ent
+                    .extend(rows.iter().copied().zip(vals.iter().copied()));
+            } else {
+                self.col_ent.push((j - self.n, 1.0));
+            }
+            self.col_ptr.push(self.col_ent.len());
+        }
+        self.factor
+            .refactor(&self.col_ptr, &self.col_ent, LU_TOL)
+            .map_err(OptError::Linalg)?;
         self.updates_since_refactor = 0;
+        self.refactors += 1;
         let mut xb = std::mem::take(&mut self.xb);
         self.factor.ftran_into(&self.b, &mut xb);
         for (i, v) in xb.iter_mut().enumerate() {
