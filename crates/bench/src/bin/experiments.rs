@@ -24,11 +24,12 @@
 //! the in-process engine); `live-matrix` is the live-serving gate (a
 //! protocol client polls a TOML-configured chaos run mid-flight and
 //! every mid-run answer must be bit-identical to the post-run answer,
-//! with telemetry counters reconciling exactly); `net-matrix` is the
-//! socket-transport gate (Europe day x2 shards as child processes under
-//! the full wire-fault taxonomy — zero lost intervals, every
-//! reconnect/resend surfaced and reconciled, aggregates bit-identical
-//! to the in-process engine). None of the five is part of `all`. Wall
+//! with telemetry counters and histogram populations reconciling
+//! exactly); `net-matrix` is the socket-transport gate (Europe day x2
+//! shards as child processes under the full wire-fault taxonomy — zero
+//! lost intervals, every reconnect/resend surfaced and reconciled,
+//! histogram populations exact, aggregates bit-identical to the
+//! in-process engine). None of the five is part of `all`. Wall
 //! times of the whole pipeline are the `perfbench` package's job. An
 //! unknown target name exits 2 and lists the known ones.
 
@@ -797,7 +798,7 @@ fn table2() {
 
 /// `overhead` mode: the two within-run overhead contracts.
 ///
-/// * **Telemetry.** The warm Europe day with the daemon worker's
+/// * **Telemetry.** The warm Europe day with the coordinator's
 ///   per-tick record path (queue delay, per-method solve histograms,
 ///   tick counters) may cost at most [`TELEMETRY_OVERHEAD`] + 2 ms over
 ///   the same day without it (`docs/OBSERVABILITY.md`).
@@ -1211,11 +1212,13 @@ fn daemon_matrix_mode() {
 ///    to the identical request (the live view and the finished report
 ///    share one answering code path), and
 /// 3. the telemetry counters reconcile exactly with the final
-///    [`tm_daemon::DaemonReport`] aggregates.
+///    [`tm_daemon::DaemonReport`] aggregates, and every shard's
+///    histograms hold exactly the samples [`population_failures`]
+///    expects.
 fn live_matrix_mode(config_path: &str) {
     use std::time::Duration;
     use tm_daemon::telemetry::LiveBus;
-    use tm_daemon::{handle_line, handle_line_view, load_daemon_toml, Daemon};
+    use tm_daemon::{handle_line_view, load_daemon_toml, Daemon};
 
     const POLL_EVERY: usize = 16;
 
@@ -1326,8 +1329,9 @@ fn live_matrix_mode(config_path: &str) {
         ));
     }
     let mut diverged = 0usize;
+    let post_run = report.live_view();
     for (request, live) in &recorded {
-        if live != &handle_line(&report, request) {
+        if live != &handle_line_view(&post_run, request) {
             diverged += 1;
         }
     }
@@ -1370,6 +1374,7 @@ fn live_matrix_mode(config_path: &str) {
             failures.push(format!("counter {what}: telemetry {got} != report {want}"));
         }
     }
+    failures.extend(population_failures(&report));
 
     println!(
         "  wall {wall:.1}s, {polls} polls, {} live answers captured, {} restarts",
@@ -1417,6 +1422,8 @@ fn live_matrix_mode(config_path: &str) {
 ///   `FaultInjected` transport event, with at least one reconnect per
 ///   reconnect-class fault, and the telemetry reconnect/resend
 ///   counters reconciling exactly with the event stream;
+/// * every shard's histograms hold exactly the samples
+///   [`population_failures`] expects;
 /// * the aggregates are **bit-identical** to a single in-process
 ///   `StreamEngine` driven over the same per-shard feeds — crossing a
 ///   process boundary must not perturb a single mantissa.
@@ -1510,6 +1517,7 @@ fn net_matrix_mode(config_path: &str) {
             counters.resent_frames, resends
         ));
     }
+    failures.extend(population_failures(&report));
 
     // Bit-identity against the in-process engine over the same feeds.
     let feeds = build_feeds(&shards, &config, 0..day).expect("feeds");
@@ -1568,6 +1576,37 @@ fn net_matrix_mode(config_path: &str) {
         }
         std::process::exit(1);
     }
+}
+
+/// The histogram populations `docs/OBSERVABILITY.md` promises, checked
+/// per shard: each solve histogram and the queue-delay histogram hold
+/// exactly `completed_ticks + Σ restart.replayed` samples — one per
+/// accepted result, replays included, duplicates and zombies not.
+fn population_failures(report: &tm_daemon::DaemonReport) -> Vec<String> {
+    let mut failures = Vec::new();
+    for shard in &report.shards {
+        let Some(telemetry) = report.telemetry.shard(&shard.name) else {
+            failures.push(format!("{}: no telemetry", shard.name));
+            continue;
+        };
+        let replayed: usize = shard.restarts.iter().map(|r| r.replayed).sum();
+        let want = (shard.completed_ticks() + replayed) as u64;
+        let families = telemetry
+            .solve
+            .iter()
+            .map(|(label, hist)| (format!("solve {label}"), hist))
+            .chain([("queue delay".to_string(), &telemetry.queue_delay)]);
+        for (family, hist) in families {
+            if hist.count() != want {
+                failures.push(format!(
+                    "{}: {family} holds {} samples, expected {want} (completed + replayed)",
+                    shard.name,
+                    hist.count()
+                ));
+            }
+        }
+    }
+    failures
 }
 
 /// Extension: the Cao et al. method the paper left as future work.

@@ -40,12 +40,19 @@
 //! settled (and once more, final, after the drain). Tick results are
 //! held as `Arc<StreamTick>`, so a publish clones pointers, not
 //! estimates, and [`crate::protocol`] can answer `status`/`health`/
-//! `estimate`/`stats`/`whatif` from the in-flight run. Telemetry flows
-//! through one [`ShardRecorder`] per shard, shared across that shard's
-//! worker epochs: workers record latencies, the coordinator counts facts
-//! (accepted ticks, degradations, restarts) — each fact once, on first
-//! acceptance, so the counters reconcile exactly with the finished
-//! [`DaemonReport`].
+//! `estimate`/`stats`/`whatif` from the in-flight run. Mid-run views and
+//! [`DaemonReport::live_view`] are cut by one builder from the same
+//! [`ShardReport`]s, which each shard's runtime keeps current.
+//!
+//! ## Telemetry
+//!
+//! The coordinator is the one recording site, through one
+//! [`ShardRecorder`] per shard that outlives the shard's worker epochs.
+//! It books only what it accepts — latencies when the awaited tick's
+//! result or a checkpoint arrives, facts once per tick, reconnects and
+//! resends from the harvested [`TransportEvent`]s — so the rules are
+//! the same on both transports, and zombies and duplicated frames book
+//! nothing (see [`crate::telemetry::aggregator`]).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,11 +67,12 @@ use crate::feed::{build_feeds, ShardFeed};
 use crate::telemetry::{
     LiveBus, LivePhase, LiveShard, LiveView, ShardRecorder, TelemetryHub, TelemetrySnapshot,
 };
+use crate::transport::wire::Frame;
 use crate::transport::{
     make_transport, ChannelError, ShardTransport, SpawnSpec, TransportEvent, TransportEventKind,
     WorkerChannel,
 };
-use crate::worker::{FromWorker, ToWorker};
+use crate::worker::wall_clock_ns;
 
 /// Why a worker epoch ended and a restart was attempted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,33 +224,61 @@ impl DaemonReport {
     /// code path and mid-run answers for completed ticks are
     /// bit-identical to post-run ones.
     pub fn live_view(&self) -> LiveView {
-        LiveView {
-            epoch: 0,
-            labels: self.labels.clone(),
-            ticks: self.ticks,
-            uptime_ticks: self.ticks,
-            mode: self.mode,
-            running: false,
-            unfired_chaos: self.unfired_chaos,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| LiveShard {
-                    name: s.name.clone(),
-                    phase: match s.state {
-                        ShardState::Completed => LivePhase::Completed,
-                        ShardState::Quarantined { at_tick } => LivePhase::Quarantined { at_tick },
-                    },
-                    restarts: s.restarts.clone(),
-                    last_checkpoint: s.last_checkpoint,
-                    lost_polls: s.lost_polls,
-                    ticks: s.ticks.clone(),
-                    dataset: Arc::clone(&s.dataset),
-                    transport_events: s.transport_events.clone(),
-                })
-                .collect(),
-            telemetry: self.telemetry.clone(),
-        }
+        assemble_view(
+            &self.labels,
+            self.ticks,
+            self.ticks,
+            self.mode,
+            false,
+            self.unfired_chaos,
+            &self.shards,
+            self.telemetry.clone(),
+        )
+    }
+}
+
+/// Cut a [`LiveView`] from shard reports: the one place a view is
+/// assembled, mid-run from the runtimes' reports and post-run from the
+/// finished [`DaemonReport`]. Cheap by construction: tick results are
+/// `Arc`-shared. A shard that is not quarantined shows as running until
+/// the run is over.
+#[allow(clippy::too_many_arguments)]
+fn assemble_view<'a>(
+    labels: &[String],
+    ticks: usize,
+    uptime_ticks: usize,
+    mode: StreamMode,
+    running: bool,
+    unfired_chaos: usize,
+    shards: impl IntoIterator<Item = &'a ShardReport>,
+    telemetry: TelemetrySnapshot,
+) -> LiveView {
+    LiveView {
+        epoch: 0, // assigned by the bus at publish
+        labels: labels.to_vec(),
+        ticks,
+        uptime_ticks,
+        mode,
+        running,
+        unfired_chaos,
+        shards: shards
+            .into_iter()
+            .map(|s| LiveShard {
+                name: s.name.clone(),
+                phase: match s.state {
+                    ShardState::Quarantined { at_tick } => LivePhase::Quarantined { at_tick },
+                    ShardState::Completed if running => LivePhase::Running,
+                    ShardState::Completed => LivePhase::Completed,
+                },
+                restarts: s.restarts.clone(),
+                last_checkpoint: s.last_checkpoint,
+                lost_polls: s.lost_polls,
+                ticks: s.ticks.clone(),
+                dataset: Arc::clone(&s.dataset),
+                transport_events: s.transport_events.clone(),
+            })
+            .collect(),
+        telemetry,
     }
 }
 
@@ -259,18 +295,83 @@ struct ShardRuntime {
     feed: ShardFeed,
     handle: Option<Box<dyn WorkerChannel>>,
     epoch: usize,
-    restarts: Vec<RestartEvent>,
-    /// `(tick, serialized engine state)` of the newest checkpoint.
-    checkpoint: Option<(usize, String)>,
+    /// Serialized engine state of the newest checkpoint, taken after
+    /// tick `report.last_checkpoint`.
+    checkpoint: Option<String>,
     /// Confirmed ticks since the newest checkpoint, in delivery order —
     /// the replay schedule for the next restart.
     replay: Vec<usize>,
-    ticks: Vec<Option<Arc<StreamTick>>>,
-    quarantined_at: Option<usize>,
-    /// Telemetry recorder shared with every worker epoch of this shard.
+    /// The shard's telemetry recorder, kept across its epochs.
     recorder: Arc<ShardRecorder>,
-    /// Wire incidents harvested from the shard's channels so far.
-    transport_events: Vec<TransportEvent>,
+    /// [`wall_clock_ns`] at the newest dispatch.
+    dispatched_ns: u64,
+    /// The newest heartbeat's dequeue stamp since that dispatch.
+    dequeued_ns: u64,
+    /// What the run reports for the shard, kept current as it goes:
+    /// results, restarts, checkpoint tick, quarantine, wire incidents.
+    report: ShardReport,
+}
+
+impl ShardRuntime {
+    /// A shard's state at the start of a run, on its first epoch.
+    fn new(
+        index: usize,
+        feed: ShardFeed,
+        handle: Box<dyn WorkerChannel>,
+        recorder: Arc<ShardRecorder>,
+    ) -> Self {
+        let report = ShardReport {
+            name: feed.name.clone(),
+            state: ShardState::Completed,
+            restarts: Vec::new(),
+            last_checkpoint: None,
+            lost_polls: feed.lost_polls,
+            ticks: vec![None; feed.len()],
+            dataset: Arc::clone(&feed.dataset),
+            transport_events: Vec::new(),
+        };
+        ShardRuntime {
+            index,
+            feed,
+            handle: Some(handle),
+            epoch: 0,
+            checkpoint: None,
+            replay: Vec::new(),
+            recorder,
+            dispatched_ns: 0,
+            dequeued_ns: 0,
+            report,
+        }
+    }
+
+    fn quarantined(&self) -> bool {
+        matches!(self.report.state, ShardState::Quarantined { .. })
+    }
+
+    /// Keep a checkpoint as the newest and book its serialization cost;
+    /// the ticks it covers leave the replay schedule.
+    fn accept_checkpoint(&mut self, tick: usize, json: String, ckpt_ns: u64) {
+        self.recorder.record_checkpoint(ckpt_ns);
+        self.report.last_checkpoint = Some(tick);
+        self.checkpoint = Some(json);
+        self.replay.retain(|&j| j > tick);
+    }
+
+    /// Collect the wire incidents of the shard's current channel,
+    /// counting its reconnects and resends.
+    fn harvest(&mut self) {
+        let Some(channel) = self.handle.as_mut() else {
+            return;
+        };
+        for event in channel.take_events() {
+            match event.kind {
+                TransportEventKind::Reconnect { .. } => self.recorder.count_reconnect(),
+                TransportEventKind::Resend => self.recorder.count_resent(),
+                TransportEventKind::FaultInjected { .. } => {}
+            }
+            self.report.transport_events.push(event);
+        }
+    }
 }
 
 impl Daemon {
@@ -326,7 +427,6 @@ impl Daemon {
 
         let mut runtimes = Vec::with_capacity(feeds.len());
         for (index, feed) in feeds.into_iter().enumerate() {
-            let recorder = hub.recorder(index);
             let handle = transport.spawn(&SpawnSpec {
                 index,
                 epoch: 0,
@@ -334,21 +434,8 @@ impl Daemon {
                 feed: &feed,
                 config: &self.config,
                 checkpoint: None,
-                recorder: Arc::clone(&recorder),
             })?;
-            runtimes.push(ShardRuntime {
-                index,
-                feed,
-                handle: Some(handle),
-                epoch: 0,
-                restarts: Vec::new(),
-                checkpoint: None,
-                replay: Vec::new(),
-                ticks: (0..n_ticks).map(|_| None).collect(),
-                quarantined_at: None,
-                recorder,
-                transport_events: Vec::new(),
-            });
+            runtimes.push(ShardRuntime::new(index, feed, handle, hub.recorder(index)));
         }
 
         for k in 0..n_ticks {
@@ -362,101 +449,34 @@ impl Daemon {
                 self.settle(rt, k, sent, &chaos, transport)?;
             }
             if let Some(bus) = live {
-                bus.publish(self.build_view(
-                    &runtimes,
+                let reports = runtimes.iter().map(|rt| &rt.report);
+                bus.publish(assemble_view(
                     &labels,
                     n_ticks,
                     k + 1,
-                    chaos.unfired(),
+                    self.config.mode,
                     true,
-                    &hub,
+                    chaos.unfired(),
+                    reports,
+                    hub.snapshot(),
                 ));
             }
         }
         for rt in &mut runtimes {
             self.drain(rt);
         }
-        if let Some(bus) = live {
-            bus.publish(self.build_view(
-                &runtimes,
-                &labels,
-                n_ticks,
-                n_ticks,
-                chaos.unfired(),
-                false,
-                &hub,
-            ));
-        }
-
-        Ok(DaemonReport {
+        let report = DaemonReport {
             labels,
             ticks: n_ticks,
             mode: self.config.mode,
-            shards: self
-                .shards
-                .iter()
-                .zip(runtimes)
-                .map(|(spec, rt)| ShardReport {
-                    name: spec.name.clone(),
-                    state: match rt.quarantined_at {
-                        Some(at_tick) => ShardState::Quarantined { at_tick },
-                        None => ShardState::Completed,
-                    },
-                    restarts: rt.restarts,
-                    last_checkpoint: rt.checkpoint.map(|(t, _)| t),
-                    lost_polls: rt.feed.lost_polls,
-                    ticks: rt.ticks,
-                    dataset: Arc::clone(&rt.feed.dataset),
-                    transport_events: rt.transport_events,
-                })
-                .collect(),
+            shards: runtimes.into_iter().map(|rt| rt.report).collect(),
             unfired_chaos: chaos.unfired(),
             telemetry: hub.snapshot(),
-        })
-    }
-
-    /// Assemble one live view from the in-flight runtimes. Cheap by
-    /// construction: tick results are `Arc`-shared, telemetry is a
-    /// wait-free snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn build_view(
-        &self,
-        runtimes: &[ShardRuntime],
-        labels: &[String],
-        n_ticks: usize,
-        uptime_ticks: usize,
-        unfired_chaos: usize,
-        running: bool,
-        hub: &TelemetryHub,
-    ) -> LiveView {
-        LiveView {
-            epoch: 0, // assigned by the bus at publish
-            labels: labels.to_vec(),
-            ticks: n_ticks,
-            uptime_ticks,
-            mode: self.config.mode,
-            running,
-            unfired_chaos,
-            shards: runtimes
-                .iter()
-                .zip(&self.shards)
-                .map(|(rt, spec)| LiveShard {
-                    name: spec.name.clone(),
-                    phase: match rt.quarantined_at {
-                        Some(at_tick) => LivePhase::Quarantined { at_tick },
-                        None if running => LivePhase::Running,
-                        None => LivePhase::Completed,
-                    },
-                    restarts: rt.restarts.clone(),
-                    last_checkpoint: rt.checkpoint.as_ref().map(|(t, _)| *t),
-                    lost_polls: rt.feed.lost_polls,
-                    ticks: rt.ticks.clone(),
-                    dataset: Arc::clone(&rt.feed.dataset),
-                    transport_events: rt.transport_events.clone(),
-                })
-                .collect(),
-            telemetry: hub.snapshot(),
+        };
+        if let Some(bus) = live {
+            bus.publish(report.live_view());
         }
+        Ok(report)
     }
 
     /// Deliver one tick to one shard, serially: dispatch, then settle.
@@ -485,13 +505,11 @@ impl Daemon {
         transport: &dyn ShardTransport,
     ) -> Result<()> {
         loop {
-            if rt.quarantined_at.is_some() {
+            if rt.quarantined() {
                 return Ok(());
             }
             let outcome = sent.and_then(|()| await_tick(rt, tick, self.config.heartbeat_timeout));
-            if let Some(channel) = rt.handle.as_mut() {
-                rt.transport_events.extend(channel.take_events());
-            }
+            rt.harvest();
             let Err(cause) = outcome else {
                 return Ok(());
             };
@@ -519,19 +537,22 @@ impl Daemon {
         // says is heard.
         rt.handle = None;
         rt.epoch += 1;
-        rt.restarts.push(RestartEvent {
+        let restarts = &mut rt.report.restarts;
+        restarts.push(RestartEvent {
             tick: failed_tick,
             epoch: rt.epoch,
             cause,
-            from_checkpoint: rt.checkpoint.as_ref().map(|(t, _)| *t),
+            from_checkpoint: rt.report.last_checkpoint,
             replayed: rt.replay.len(),
         });
         rt.recorder.count_restart();
-        if rt.restarts.len() > self.config.max_restarts {
-            rt.quarantined_at = Some(failed_tick);
+        if restarts.len() > self.config.max_restarts {
+            rt.report.state = ShardState::Quarantined {
+                at_tick: failed_tick,
+            };
             return Ok(false);
         }
-        let exponent = (rt.restarts.len() as u32 - 1).min(10);
+        let exponent = (restarts.len() as u32 - 1).min(10);
         std::thread::sleep(self.config.restart_backoff * 2u32.pow(exponent));
 
         rt.handle = Some(transport.spawn(&SpawnSpec {
@@ -540,8 +561,7 @@ impl Daemon {
             shard: &self.shards[rt.index],
             feed: &rt.feed,
             config: &self.config,
-            checkpoint: rt.checkpoint.as_ref().map(|(_, json)| json.as_str()),
-            recorder: Arc::clone(&rt.recorder),
+            checkpoint: rt.checkpoint.as_deref(),
         })?);
         // Replay the confirmed ticks the checkpoint doesn't cover.
         // Results overwrite the previous epoch's (the warm resume is
@@ -558,29 +578,27 @@ impl Daemon {
     /// reap the child). Non-responsive workers are abandoned rather
     /// than waited on — dropping the channel cleans them up.
     fn drain(&self, rt: &mut ShardRuntime) {
-        let Some(mut channel) = rt.handle.take() else {
+        let Some(channel) = rt.handle.as_mut() else {
             return;
         };
-        if channel.send(ToWorker::Drain).is_err() {
-            rt.transport_events.extend(channel.take_events());
-            return;
-        }
-        loop {
-            match channel.recv_deadline(self.config.heartbeat_timeout) {
-                Ok(FromWorker::Drained) => {
-                    rt.transport_events.extend(channel.take_events());
-                    channel.finish(self.config.heartbeat_timeout);
-                    return;
+        let drained = channel.send(Frame::Drain).is_ok()
+            && loop {
+                let channel = rt.handle.as_mut().expect("draining an active worker");
+                match channel.recv_deadline(self.config.heartbeat_timeout) {
+                    Ok(Frame::Drained) => break true,
+                    Ok(Frame::Checkpoint {
+                        tick,
+                        json,
+                        ckpt_ns,
+                    }) => rt.accept_checkpoint(tick, json, ckpt_ns),
+                    Ok(_) => {}
+                    Err(_) => break false,
                 }
-                Ok(FromWorker::Checkpoint { tick, json }) => {
-                    rt.checkpoint = Some((tick, json));
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    rt.transport_events.extend(channel.take_events());
-                    return;
-                }
-            }
+            };
+        rt.harvest();
+        let channel = rt.handle.take().expect("draining an active worker");
+        if drained {
+            channel.finish(self.config.heartbeat_timeout);
         }
     }
 }
@@ -592,51 +610,51 @@ fn dispatch(
     tick: usize,
     chaos: &ChaosState,
 ) -> std::result::Result<(), FailureCause> {
-    if rt.quarantined_at.is_some() {
+    if rt.quarantined() {
         return Ok(());
     }
     // Chaos is consumed at dispatch (consume-once), shipped inside the
-    // tick message, and executed worker-side — identically across
+    // tick frame, and executed by the worker loop — identically across
     // transports, so a chaos schedule means the same thing to a thread
     // and to a child process.
-    let msg = ToWorker::Tick {
+    let frame = Frame::Tick {
         tick,
-        loads: Box::new(rt.feed.dirty[tick].clone()),
         chaos: chaos.take(rt.index, tick),
-        sent: std::time::Instant::now(),
+        loads: Box::new(rt.feed.dirty[tick].clone()),
     };
+    rt.dispatched_ns = wall_clock_ns();
+    rt.dequeued_ns = rt.dispatched_ns;
     let channel = rt.handle.as_mut().expect("active shard has a worker");
-    channel.send(msg).map_err(|()| FailureCause::Panic)
+    channel.send(frame).map_err(|()| FailureCause::Panic)
 }
 
 /// Await one tick's completion under the heartbeat deadline. Records
-/// the result (and any checkpoints) on the runtime; returns the failure
-/// cause otherwise.
+/// the result (and any checkpoints) on the runtime, and books their
+/// telemetry; returns the failure cause otherwise.
 fn await_tick(
     rt: &mut ShardRuntime,
     tick: usize,
     timeout: Duration,
 ) -> std::result::Result<(), FailureCause> {
-    let ShardRuntime {
-        handle,
-        ticks,
-        replay,
-        checkpoint,
-        recorder,
-        ..
-    } = rt;
-    let channel = handle.as_mut().expect("awaiting an active worker");
     loop {
+        let channel = rt.handle.as_mut().expect("awaiting an active worker");
         // Each receive restarts the deadline clock, so heartbeats (and
-        // any queued messages from the previous tick) extend liveness.
+        // any queued frames from the previous tick) extend liveness.
         match channel.recv_deadline(timeout) {
-            Ok(FromWorker::Heartbeat) => {}
-            Ok(FromWorker::TickDone { tick: t, result }) => {
+            // The newest stamp wins: a stale heartbeat (a duplicated
+            // frame of the previous tick) precedes this tick's own.
+            Ok(Frame::Heartbeat { dequeued_ns }) => rt.dequeued_ns = dequeued_ns,
+            Ok(Frame::TickDone { tick: t, result }) => {
+                let recorder = &rt.recorder;
+                let Some(slot) = rt.report.ticks.get_mut(t) else {
+                    let message = format!("worker answered tick {t}, outside the day");
+                    return Err(FailureCause::Engine(message));
+                };
                 // Count each fact once, on first acceptance: a replay
                 // after a restart overwrites the slot bit-identically
                 // and must not inflate the counters (they reconcile
                 // exactly with the final report).
-                if ticks[t].is_none() {
+                if slot.is_none() {
                     let (imputed, masked) = result
                         .degradation
                         .as_ref()
@@ -644,29 +662,37 @@ fn await_tick(
                         .unwrap_or((0, 0));
                     recorder.count_tick(result.degradation.is_some(), imputed, masked);
                 }
-                ticks[t] = Some(Arc::from(result));
+                // Latencies describe the work the awaited tick cost; a
+                // duplicate of an earlier result arrives while a later
+                // tick is awaited and is not booked.
+                if t == tick {
+                    recorder.record_queue_delay(rt.dequeued_ns.saturating_sub(rt.dispatched_ns));
+                    recorder.record_solves(&result.solve_ns);
+                }
+                *slot = Some(Arc::from(result));
                 // Schedule the tick for post-restart replay — once.
                 // A duplicate delivery (the socket transport resends
                 // the in-flight tick after a reconnect, and duplicated
                 // frames arrive twice by design) must not double-book
                 // the replay schedule, and a tick already covered by
                 // the newest checkpoint must not re-enter it.
-                let covered = checkpoint.as_ref().is_some_and(|(c, _)| t <= *c);
-                if !covered && !replay.contains(&t) {
-                    replay.push(t);
+                let covered = rt.report.last_checkpoint.is_some_and(|c| t <= c);
+                if !covered && !rt.replay.contains(&t) {
+                    rt.replay.push(t);
                 }
                 if t == tick {
                     return Ok(());
                 }
             }
-            Ok(FromWorker::Checkpoint { tick: t, json }) => {
-                *checkpoint = Some((t, json));
-                replay.retain(|&j| j > t);
-            }
-            Ok(FromWorker::Failed { message }) => {
+            Ok(Frame::Checkpoint {
+                tick: t,
+                json,
+                ckpt_ns,
+            }) => rt.accept_checkpoint(t, json, ckpt_ns),
+            Ok(Frame::Failed { message }) => {
                 return Err(FailureCause::Engine(message));
             }
-            Ok(FromWorker::Drained) => {}
+            Ok(_) => {}
             Err(ChannelError::Timeout) => return Err(FailureCause::Hang),
             Err(ChannelError::Down) => return Err(FailureCause::Panic),
         }
@@ -678,28 +704,28 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::Mutex;
 
-    use tm_core::checkpoint::EngineCheckpoint;
     use tm_core::stream::{StreamEngine, StreamTick};
 
     use super::*;
     use crate::chaos::{ChaosKind, ChaosPlan};
+    use crate::transport::thread::ThreadTransport;
 
     /// A channel that replays a fixed script of worker messages — the
     /// coordinator-side lens for wire behaviors (duplicate delivery)
     /// that are awkward to schedule deterministically over real sockets.
     struct ScriptedChannel {
-        script: VecDeque<FromWorker>,
+        script: VecDeque<Frame>,
     }
 
     impl WorkerChannel for ScriptedChannel {
-        fn send(&mut self, _msg: ToWorker) -> std::result::Result<(), ()> {
+        fn send(&mut self, _frame: Frame) -> std::result::Result<(), ()> {
             Ok(())
         }
 
         fn recv_deadline(
             &mut self,
             _timeout: Duration,
-        ) -> std::result::Result<FromWorker, ChannelError> {
+        ) -> std::result::Result<Frame, ChannelError> {
             self.script.pop_front().ok_or(ChannelError::Timeout)
         }
 
@@ -712,7 +738,7 @@ mod tests {
 
     /// Satellite: duplicate `TickDone` delivery — by design the socket
     /// transport can deliver a tick result twice (a duplicated frame, or
-    /// a post-reconnect resend answered from the worker's cache). The
+    /// a post-reconnect resend answered from the worker's last result). The
     /// coordinator must accept the first, treat the second as a no-op:
     /// telemetry counted once, replay schedule booked once.
     #[test]
@@ -730,17 +756,17 @@ mod tests {
             .map(|k| engine.push_interval(feed.dirty[k].clone()).unwrap())
             .collect();
 
-        let script: VecDeque<FromWorker> = [
-            FromWorker::TickDone {
+        let script: VecDeque<Frame> = [
+            Frame::TickDone {
                 tick: 0,
                 result: Box::new(results[0].clone()),
             },
             // The duplicate arrives while tick 1 is in flight.
-            FromWorker::TickDone {
+            Frame::TickDone {
                 tick: 0,
                 result: Box::new(results[0].clone()),
             },
-            FromWorker::TickDone {
+            Frame::TickDone {
                 tick: 1,
                 result: Box::new(results[1].clone()),
             },
@@ -749,19 +775,8 @@ mod tests {
         .collect();
 
         let recorder = Arc::new(ShardRecorder::new("east", &["gravity".to_string()]));
-        let mut rt = ShardRuntime {
-            index: 0,
-            feed,
-            handle: Some(Box::new(ScriptedChannel { script })),
-            epoch: 0,
-            restarts: Vec::new(),
-            checkpoint: None,
-            replay: Vec::new(),
-            ticks: (0..4).map(|_| None).collect(),
-            quarantined_at: None,
-            recorder: Arc::clone(&recorder),
-            transport_events: Vec::new(),
-        };
+        let channel = Box::new(ScriptedChannel { script });
+        let mut rt = ShardRuntime::new(0, feed, channel, Arc::clone(&recorder));
 
         let timeout = Duration::from_millis(100);
         await_tick(&mut rt, 0, timeout).expect("tick 0 accepted");
@@ -773,24 +788,26 @@ mod tests {
             2,
             "each tick counted exactly once despite the duplicate"
         );
+        let solve = &recorder.snapshot().solve[0].1;
+        assert_eq!(solve.count(), 2, "each tick's solve booked once");
         assert_eq!(
             rt.replay,
             vec![0, 1],
             "replay schedule booked once per tick"
         );
-        assert!(rt.ticks[0].is_some() && rt.ticks[1].is_some());
+        assert!(rt.report.ticks[0].is_some() && rt.report.ticks[1].is_some());
 
         // And a duplicate of a checkpoint-covered tick must not
         // re-enter the replay schedule either.
-        rt.checkpoint = Some((1, String::from("unused")));
+        rt.report.last_checkpoint = Some(1);
         rt.replay.clear();
         rt.handle = Some(Box::new(ScriptedChannel {
             script: [
-                FromWorker::TickDone {
+                Frame::TickDone {
                     tick: 0,
                     result: Box::new(results[0].clone()),
                 },
-                FromWorker::TickDone {
+                Frame::TickDone {
                     tick: 2,
                     result: Box::new(results[1].clone()),
                 },
@@ -803,6 +820,33 @@ mod tests {
             rt.replay,
             vec![2],
             "checkpoint-covered duplicate stays out of the replay schedule"
+        );
+    }
+
+    /// A result for a tick outside the day (a misbehaving worker: frames
+    /// are checksummed, so not corruption) fails the epoch with a typed
+    /// cause instead of panicking the coordinator.
+    #[test]
+    fn a_result_outside_the_day_fails_the_epoch() {
+        let shards = vec![ShardSpec::new("east", tm_traffic::DatasetSpec::tiny(), 11)];
+        let config = DaemonConfig::new(vec!["gravity".parse().unwrap()]);
+        let feed = build_feeds(&shards, &config, 0..2).unwrap().remove(0);
+        let mut engine =
+            StreamEngine::for_dataset(&feed.dataset, &config.methods, config.mode).unwrap();
+        let result = engine.push_interval(feed.dirty[0].clone()).unwrap();
+        let script = [Frame::TickDone {
+            tick: 2,
+            result: Box::new(result),
+        }];
+        let channel = Box::new(ScriptedChannel {
+            script: script.into_iter().collect(),
+        });
+        let recorder = Arc::new(ShardRecorder::new("east", &["gravity".to_string()]));
+        let mut rt = ShardRuntime::new(0, feed, channel, recorder);
+        let cause = await_tick(&mut rt, 0, Duration::from_millis(100)).unwrap_err();
+        assert_eq!(
+            cause,
+            FailureCause::Engine("worker answered tick 2, outside the day".into())
         );
     }
 
@@ -824,12 +868,8 @@ mod tests {
         },
     }
 
-    /// A transport of scripted channels that log every `send` and
-    /// `recv_deadline`. Each channel owns an engine and answers a tick
-    /// in line, at `send`, with the messages a thread worker would
-    /// queue; a chaos directive scripts the failure instead (`Kill`: the
-    /// channel goes down, `Hang`: it times out) once the queued
-    /// messages are read.
+    /// The thread transport, with every `send` and `recv_deadline` its
+    /// channels see logged.
     struct RecordingTransport {
         log: Arc<Mutex<Vec<Op>>>,
     }
@@ -837,93 +877,52 @@ mod tests {
     struct RecordingChannel {
         shard: usize,
         epoch: usize,
-        engine: StreamEngine,
-        checkpoint_every: usize,
+        inner: Box<dyn WorkerChannel>,
         log: Arc<Mutex<Vec<Op>>>,
         last_tick: usize,
-        script: VecDeque<FromWorker>,
-        failure: Option<ChannelError>,
     }
 
     impl ShardTransport for RecordingTransport {
         fn spawn(&self, spec: &SpawnSpec<'_>) -> Result<Box<dyn WorkerChannel>> {
-            let mut engine = StreamEngine::for_dataset(
-                &spec.feed.dataset,
-                &spec.config.methods,
-                spec.config.mode,
-            )?;
-            if let Some(json) = spec.checkpoint {
-                engine.restore(&EngineCheckpoint::from_json(json)?)?;
-            }
             Ok(Box::new(RecordingChannel {
                 shard: spec.index,
                 epoch: spec.epoch,
-                engine,
-                checkpoint_every: spec.config.checkpoint_every,
+                inner: ThreadTransport.spawn(spec)?,
                 log: Arc::clone(&self.log),
                 last_tick: 0,
-                script: VecDeque::new(),
-                failure: None,
             }))
         }
     }
 
     impl WorkerChannel for RecordingChannel {
-        fn send(&mut self, msg: ToWorker) -> std::result::Result<(), ()> {
-            let ToWorker::Tick {
-                tick, loads, chaos, ..
-            } = msg
-            else {
-                self.script.push_back(FromWorker::Drained);
-                return Ok(());
-            };
-            self.log.lock().unwrap().push(Op::Send {
-                shard: self.shard,
-                epoch: self.epoch,
-                tick,
-            });
-            self.last_tick = tick;
-            self.script.push_back(FromWorker::Heartbeat);
-            match chaos {
-                Some(ChaosKind::Kill) => self.failure = Some(ChannelError::Down),
-                Some(ChaosKind::Hang) => self.failure = Some(ChannelError::Timeout),
-                Some(ChaosKind::Delay) | None => {
-                    let result = self.engine.push_interval(*loads).expect("clean tick");
-                    self.script.push_back(FromWorker::TickDone {
-                        tick,
-                        result: Box::new(result),
-                    });
-                    if (tick + 1) % self.checkpoint_every == 0 {
-                        self.script.push_back(FromWorker::Checkpoint {
-                            tick,
-                            json: self.engine.checkpoint().to_json(),
-                        });
-                    }
-                }
+        fn send(&mut self, frame: Frame) -> std::result::Result<(), ()> {
+            if let Frame::Tick { tick, .. } = frame {
+                self.log.lock().unwrap().push(Op::Send {
+                    shard: self.shard,
+                    epoch: self.epoch,
+                    tick,
+                });
+                self.last_tick = tick;
             }
-            Ok(())
+            self.inner.send(frame)
         }
 
-        fn recv_deadline(
-            &mut self,
-            _timeout: Duration,
-        ) -> std::result::Result<FromWorker, ChannelError> {
+        fn recv_deadline(&mut self, timeout: Duration) -> std::result::Result<Frame, ChannelError> {
             self.log.lock().unwrap().push(Op::Recv {
                 shard: self.shard,
                 epoch: self.epoch,
                 tick: self.last_tick,
             });
-            match self.script.pop_front() {
-                Some(msg) => Ok(msg),
-                None => Err(self.failure.unwrap_or(ChannelError::Timeout)),
-            }
+            self.inner.recv_deadline(timeout)
         }
 
         fn take_events(&mut self) -> Vec<TransportEvent> {
-            Vec::new()
+            self.inner.take_events()
         }
 
-        fn finish(self: Box<Self>, _grace: Duration) {}
+        fn finish(self: Box<Self>, grace: Duration) {
+            self.inner.finish(grace)
+        }
     }
 
     /// Run `ticks` of `shards` tiny shards over a recording transport.
@@ -946,6 +945,7 @@ mod tests {
             "vardi:w=0.01,window=6".parse().unwrap(),
         ]);
         config.checkpoint_every = 2;
+        config.heartbeat_timeout = Duration::from_millis(500);
         config.restart_backoff = Duration::from_millis(1);
         config.chaos = chaos;
         let daemon = Daemon::new(roster, config).unwrap();

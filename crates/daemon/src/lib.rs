@@ -21,14 +21,18 @@
 //!   TOML front-end with field-level error paths;
 //! * [`feed`] — one shared collection run over the concatenated shard
 //!   meshes, fanned back out per shard and converted to interval loads;
-//! * `worker` (private) — the supervised worker thread: heartbeats,
-//!   tick solves, periodic serialized checkpoints of its warm state;
+//! * `worker` (private) — the one shard worker loop both transports
+//!   run: heartbeats, chaos directives, tick solves, periodic serialized
+//!   checkpoints of its warm state, and answers to duplicate deliveries
+//!   from its last result;
 //! * [`coordinator`] — lockstep dispatch, deadline detection,
 //!   restart-with-backoff from the newest checkpoint with replay of the
-//!   uncovered ticks, quarantine after the restart budget, clean drain;
-//! * [`transport`] — the pluggable coordinator↔worker seam: in-process
-//!   threads (default) or process-per-shard sockets with a
-//!   length-prefixed checksummed frame protocol
+//!   uncovered ticks, quarantine after the restart budget, clean drain,
+//!   and every telemetry recording, booked on acceptance;
+//! * [`transport`] — the pluggable coordinator↔worker seam, one message
+//!   type ([`transport::wire::Frame`]) over either link: in-process
+//!   threads on `mpsc` pairs (default), or process-per-shard sockets
+//!   with the frames length-prefixed and checksummed
 //!   ([`transport::wire`]), reconnect-with-backoff, in-flight resend,
 //!   half-open probing, and seeded wire faults
 //!   ([`transport::netchaos`]);
@@ -38,14 +42,15 @@
 //!   `FaultPlan`;
 //! * [`telemetry`] — lock-light log-bucketed latency histograms
 //!   ([`telemetry::LogHistogram`]) and monotonic counters recorded per
-//!   shard as the day streams, plus the epoch-versioned [`LiveView`] /
-//!   [`LiveBus`] pair the coordinator publishes after every lockstep
-//!   round;
+//!   shard by the coordinator as the day streams, plus the
+//!   epoch-versioned [`LiveView`] / [`LiveBus`] pair it publishes after
+//!   every lockstep round;
 //! * [`protocol`] — `status` / `health` / `estimate` / `stats` /
 //!   `whatif` queries, one JSON line per request and response, with
-//!   JSON/CSV/text estimate sinks. [`serve_live`] answers from the
-//!   in-flight run's newest [`LiveView`]; [`serve`] answers from a
-//!   finished [`DaemonReport`]. Both share one code path, so a mid-run
+//!   JSON/CSV/text estimate sinks. [`handle_line_view`] answers against
+//!   any view and [`serve_live`] serves the newest view on a bus — the
+//!   in-flight run's, or a finished run's [`DaemonReport::live_view`].
+//!   Mid-run and post-run answers share one code path, so a mid-run
 //!   answer for a completed tick is bit-identical to the post-run
 //!   answer.
 //!
@@ -81,9 +86,7 @@ pub use config::{
 pub use coordinator::{Daemon, DaemonReport, FailureCause, RestartEvent, ShardReport, ShardState};
 pub use error::{DaemonError, Result};
 pub use feed::{build_feeds, ShardFeed};
-pub use protocol::{
-    handle_line, handle_line_view, serve, serve_deadline, serve_live, serve_live_deadline,
-};
+pub use protocol::{handle_line_view, serve_live, serve_live_deadline};
 pub use telemetry::{
     HistogramSummary, LiveBus, LivePhase, LiveShard, LiveView, LogHistogram, TelemetryCounters,
     TelemetrySnapshot,

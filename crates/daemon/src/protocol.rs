@@ -19,17 +19,16 @@
 //! Every response is an object with an `"ok"` boolean; failures carry
 //! an `"error"` string and never kill the connection.
 //!
-//! Since the telemetry subsystem, every verb is answered against a
-//! [`LiveView`] — the epoch-versioned cut the coordinator publishes
-//! after each lockstep round. [`handle_line_view`] is the pure
-//! request→response function over a view; [`handle_line`] keeps the
-//! PR 7 surface by rebuilding the final view from a finished
-//! [`DaemonReport`] ([`DaemonReport::live_view`]), so mid-run and
-//! post-run answers share one code path and are bit-identical for any
-//! completed tick. [`serve`] (finished report) and [`serve_live`]
-//! (in-flight [`LiveBus`]) wrap the handlers in a blocking
-//! single-threaded TCP accept loop (the daemon's query load is one
-//! operator, not a fleet).
+//! Every verb is answered against a [`LiveView`] — the epoch-versioned
+//! cut the coordinator publishes after each lockstep round.
+//! [`handle_line_view`] is the pure request→response function over a
+//! view. A finished run answers from its final view,
+//! [`crate::DaemonReport::live_view`], so mid-run and post-run answers
+//! share one code path and are bit-identical for any completed tick.
+//! [`serve_live`] wraps the handler in a blocking single-threaded TCP
+//! accept loop over a [`LiveBus`] (the daemon's query load is one
+//! operator, not a fleet); to serve a finished run, publish its final
+//! view on a bus first.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
@@ -37,7 +36,6 @@ use std::net::TcpListener;
 use serde::Value;
 use tm_core::stream::StreamMode;
 
-use crate::coordinator::DaemonReport;
 use crate::telemetry::{
     HistogramSummary, LiveBus, LivePhase, LiveShard, LiveView, ShardTelemetry, TelemetryCounters,
 };
@@ -114,39 +112,45 @@ fn mode_str(mode: StreamMode) -> &'static str {
     }
 }
 
-/// Answer one request line against a finished run's report — the PR 7
-/// surface, now a thin wrapper that rebuilds the run's final
-/// [`LiveView`] and delegates to [`handle_line_view`].
-pub fn handle_line(report: &DaemonReport, line: &str) -> String {
-    handle_line_view(&report.live_view(), line)
-}
-
 /// Answer one request line against a (live or final) view. Always
 /// returns a single JSON line; malformed input yields an `"ok":false`
-/// response rather than an error.
+/// response rather than an error. A finished run answers through
+/// `handle_line_view(&report.live_view(), line)`.
 pub fn handle_line_view(view: &LiveView, line: &str) -> String {
-    let request: Value = match serde_json::from_str(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            return serde_json::to_string(&error(format!("bad request: {e}")))
-                .expect("response serialization is infallible")
-        }
+    answer(view, line).0
+}
+
+/// Answer one request line from one parse: the response line, and
+/// whether the request was `shutdown`.
+fn answer(view: &LiveView, line: &str) -> (String, bool) {
+    let (response, shutdown) = match serde_json::from_str::<Value>(line.trim()) {
+        Err(e) => (error(format!("bad request: {e}")), false),
+        Ok(request) => match str_field(&request, "cmd") {
+            Some("shutdown") => (
+                obj(vec![("ok", Value::Bool(true)), ("bye", Value::Bool(true))]),
+                true,
+            ),
+            cmd => (respond(view, cmd, &request), false),
+        },
     };
-    let response = match str_field(&request, "cmd") {
+    let line = serde_json::to_string(&response).expect("response serialization is infallible");
+    (line, shutdown)
+}
+
+fn respond(view: &LiveView, cmd: Option<&str>, request: &Value) -> Value {
+    match cmd {
         Some("status") => status(view),
-        Some("health") => health(view, str_field(&request, "shard")),
-        Some("estimate") => estimate(view, &request),
-        Some("stats") => stats(view, &request),
-        Some("whatif") => whatif(view, &request),
-        Some("shutdown") => obj(vec![("ok", Value::Bool(true)), ("bye", Value::Bool(true))]),
+        Some("health") => health(view, str_field(request, "shard")),
+        Some("estimate") => estimate(view, request),
+        Some("stats") => stats(view, request),
+        Some("whatif") => whatif(view, request),
         Some(other) => error(format!(
             "unknown cmd `{other}` (supported: {SUPPORTED_CMDS})"
         )),
         None => error(format!(
             "missing string field `cmd` (supported: {SUPPORTED_CMDS})"
         )),
-    };
-    serde_json::to_string(&response).expect("response serialization is infallible")
+    }
 }
 
 fn status(view: &LiveView) -> Value {
@@ -663,32 +667,12 @@ fn whatif(view: &LiveView, request: &Value) -> Value {
 /// single-threaded accept loop forever.
 pub const CLIENT_READ_DEADLINE: std::time::Duration = std::time::Duration::from_secs(30);
 
-/// Serve [`handle_line`] over a TCP listener, one client at a time,
-/// until a client sends `{"cmd":"shutdown"}`. Connection drops move on
-/// to the next client; the listener itself erroring ends the loop. A
-/// client that stays silent for [`CLIENT_READ_DEADLINE`] is dropped.
-pub fn serve(report: &DaemonReport, listener: TcpListener) -> std::io::Result<()> {
-    serve_deadline(report, listener, CLIENT_READ_DEADLINE)
-}
-
-/// [`serve`] with an explicit per-connection read deadline.
-pub fn serve_deadline(
-    report: &DaemonReport,
-    listener: TcpListener,
-    read_deadline: std::time::Duration,
-) -> std::io::Result<()> {
-    let view = report.live_view();
-    serve_with(
-        |line| handle_line_view(&view, line),
-        listener,
-        read_deadline,
-    )
-}
-
-/// Serve [`handle_line_view`] over a TCP listener against an in-flight
-/// run: every request is answered from the newest view published on
-/// `bus`, so answers advance as the coordinator streams the day. Same
-/// loop discipline (and silent-client deadline) as [`serve`].
+/// Serve [`handle_line_view`] over a TCP listener, one client at a
+/// time, until a client sends `{"cmd":"shutdown"}`: every request is
+/// answered from the newest view published on `bus`, so answers advance
+/// as the coordinator streams the day. Connection drops move on to the
+/// next client; the listener itself erroring ends the loop. A client
+/// that stays silent for [`CLIENT_READ_DEADLINE`] is dropped.
 pub fn serve_live(bus: &LiveBus, listener: TcpListener) -> std::io::Result<()> {
     serve_live_deadline(bus, listener, CLIENT_READ_DEADLINE)
 }
@@ -696,18 +680,6 @@ pub fn serve_live(bus: &LiveBus, listener: TcpListener) -> std::io::Result<()> {
 /// [`serve_live`] with an explicit per-connection read deadline.
 pub fn serve_live_deadline(
     bus: &LiveBus,
-    listener: TcpListener,
-    read_deadline: std::time::Duration,
-) -> std::io::Result<()> {
-    serve_with(
-        |line| handle_line_view(&bus.load(), line),
-        listener,
-        read_deadline,
-    )
-}
-
-fn serve_with(
-    mut respond: impl FnMut(&str) -> String,
     listener: TcpListener,
     read_deadline: std::time::Duration,
 ) -> std::io::Result<()> {
@@ -734,15 +706,11 @@ fn serve_with(
             if line.trim().is_empty() {
                 continue;
             }
-            let mut response = respond(&line);
+            let (mut response, shutdown) = answer(&bus.load(), &line);
             response.push('\n');
             if writer.write_all(response.as_bytes()).is_err() {
                 break;
             }
-            let shutdown = serde_json::from_str::<Value>(line.trim())
-                .ok()
-                .and_then(|v| v.field("cmd").ok().cloned())
-                .is_some_and(|cmd| matches!(cmd, Value::Str(ref c) if c == "shutdown"));
             if shutdown {
                 return Ok(());
             }

@@ -2,32 +2,36 @@
 //! snapshots.
 //!
 //! Ownership mirrors the supervision design: one [`ShardRecorder`] per
-//! shard, shared (`Arc`) between the coordinator and every worker epoch
-//! of that shard — a restart replaces the worker but keeps the
-//! recorder, so histograms span epochs and the restart counter is
-//! recorded where restarts are decided. The [`TelemetryHub`] owns the
+//! shard, held by the coordinator across every worker epoch of that
+//! shard — a restart replaces the worker but keeps the recorder, so
+//! histograms span epochs. The [`TelemetryHub`] owns the
 //! roster and can cut a [`TelemetrySnapshot`] at any instant without
 //! stopping anyone: recorders are wait-free writers
 //! ([`AtomicLogHistogram`]) and a snapshot is a read-only sweep.
 //!
 //! ## Who records what
 //!
-//! * **Workers** record the latency families: per-method solve wall
-//!   time (from [`tm_core::stream::StreamTick::solve_ns`]), dispatch →
-//!   dequeue queue delay, and checkpoint serialization cost. A worker
-//!   records a tick's timings only after its `TickDone` send is
-//!   accepted, so an abandoned zombie epoch can never pollute the
-//!   histograms. Replayed ticks on a *live* epoch DO record — the
-//!   histograms describe all real work the supervisor heard about, so
-//!   the exact solve-sample population per shard is
-//!   `completed_ticks + Σ restart.replayed` (pinned in
-//!   `tests/live_protocol.rs`).
-//! * **The coordinator** counts facts: ticks, degraded ticks,
-//!   imputed/masked rows (each counted once, on first acceptance of a
-//!   tick result — replays overwrite bit-identically and are not
-//!   re-counted) and restarts. The counters therefore reconcile
-//!   *exactly* with the finished [`crate::DaemonReport`]'s aggregates;
-//!   the `live-matrix` CI gate asserts this.
+//! The coordinator records everything, from what it accepts off the
+//! worker's link, identically for both transports:
+//!
+//! * **Latencies**: per-method solve wall time (from
+//!   [`tm_core::stream::StreamTick::solve_ns`]) and dispatch → dequeue
+//!   queue delay when the awaited tick's result is accepted, and
+//!   checkpoint serialization cost (measured by the worker, shipped in
+//!   the checkpoint frame) when the checkpoint is. An abandoned zombie
+//!   epoch or a duplicated frame therefore never pollutes a histogram.
+//!   Replayed ticks DO record — the histograms describe all real work
+//!   the supervisor heard about, so the exact solve and queue-delay
+//!   population per shard is `completed_ticks + Σ restart.replayed`
+//!   (pinned for both transports in `tests/live_protocol.rs` and the
+//!   `live-matrix`/`net-matrix` CI gates).
+//! * **Facts**: ticks, degraded ticks, imputed/masked rows (each
+//!   counted once, on first acceptance of a tick result — replays
+//!   overwrite bit-identically and are not re-counted), restarts, and
+//!   reconnects/resends (from the transport's events). The counters
+//!   therefore reconcile *exactly* with the finished
+//!   [`crate::DaemonReport`]'s aggregates; the `live-matrix` CI gate
+//!   asserts this.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,20 +123,20 @@ impl ShardRecorder {
         &self.name
     }
 
-    /// Record one tick's per-method solve walls (worker side; slice is
-    /// in label order, shorter slices record what they have).
+    /// Record one tick's per-method solve walls (slice in label order;
+    /// shorter slices record what they have).
     pub fn record_solves(&self, solve_ns: &[u64]) {
         for (hist, &ns) in self.solve.iter().zip(solve_ns) {
             hist.record(ns);
         }
     }
 
-    /// Record one dispatch→dequeue queue delay (worker side).
+    /// Record one dispatch→dequeue queue delay.
     pub fn record_queue_delay(&self, ns: u64) {
         self.queue_delay.record(ns);
     }
 
-    /// Record one checkpoint serialization (worker side).
+    /// Record one checkpoint serialization.
     pub fn record_checkpoint(&self, ns: u64) {
         self.checkpoint.record(ns);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -154,13 +158,13 @@ impl ShardRecorder {
         self.restarts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a wire-level reconnect (socket transport, parent side).
+    /// Count a wire-level reconnect (socket transport).
     pub fn count_reconnect(&self) {
         self.reconnects.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count an in-flight tick frame resent after a reconnect (socket
-    /// transport, parent side).
+    /// transport).
     pub fn count_resent(&self) {
         self.resent_frames.fetch_add(1, Ordering::Relaxed);
     }
@@ -259,7 +263,7 @@ impl TelemetrySnapshot {
 }
 
 /// The roster of recorders for one run. The coordinator builds the hub,
-/// hands each worker its shard's `Arc<ShardRecorder>`, and cuts a
+/// records through each shard's `Arc<ShardRecorder>`, and cuts a
 /// [`TelemetrySnapshot`] per lockstep round for the live view — never
 /// blocking a writer.
 #[derive(Debug)]

@@ -2,11 +2,11 @@
 //!
 //! The daemon records three latency families per shard — solve wall
 //! time per method, coordinator→worker queue delay, and checkpoint
-//! serialization cost — at one `record()` per observation on the worker
-//! hot path. That rules out anything that locks, allocates, or resizes:
-//! this module is the classic HDR-histogram compromise, specialised to
-//! a fixed layout so every histogram in the process is bucket-for-bucket
-//! mergeable by addition.
+//! serialization cost — at one `record()` per observation on the
+//! coordinator's hot path. That rules out anything that locks,
+//! allocates, or resizes: this module is the classic HDR-histogram
+//! compromise, specialised to a fixed layout so every histogram in the
+//! process is bucket-for-bucket mergeable by addition.
 //!
 //! ## Bucket layout
 //!
@@ -25,8 +25,8 @@
 //! Two faces share the layout: [`LogHistogram`] is the plain, mergeable
 //! snapshot type (what aggregation, quantiles, and tests operate on);
 //! [`AtomicLogHistogram`] is the writer face — relaxed `fetch_add` per
-//! record, wait-free, safely shared between a worker thread and the
-//! aggregator taking snapshots mid-run.
+//! record, wait-free, safely shared between the recording thread and
+//! the aggregator taking snapshots mid-run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -247,7 +247,7 @@ pub struct HistogramSummary {
 
 /// The wait-free writer face: same layout, atomic bucket counts.
 /// `record` is a handful of relaxed RMW operations — no locks, no
-/// allocation — so a worker can log every tick while the aggregator
+/// allocation — so a recorder can log every tick while the aggregator
 /// snapshots concurrently. A snapshot is a near-point-in-time view:
 /// each field is read atomically but the set is not a single cut,
 /// which telemetry (monotone counters, converging quantiles) tolerates

@@ -8,8 +8,9 @@
 //!   log-bucketed histograms (HDR style, ≤ 3.125% relative error),
 //!   mergeable by addition, with a wait-free atomic writer face;
 //! * [`aggregator`] — ownership and roster: one [`ShardRecorder`] per
-//!   shard shared across worker epochs, a [`TelemetryHub`] that cuts
-//!   consistent [`TelemetrySnapshot`]s without stalling the solve loop;
+//!   shard, kept by the coordinator across worker epochs, and a
+//!   [`TelemetryHub`] that cuts consistent [`TelemetrySnapshot`]s
+//!   without stalling the solve loop;
 //! * [`live`] — the serving surface: the coordinator publishes a
 //!   [`LiveView`] (latest per-shard estimates + health + telemetry)
 //!   through the [`LiveBus`] after every lockstep round, and

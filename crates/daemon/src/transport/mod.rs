@@ -2,18 +2,19 @@
 //! workers.
 //!
 //! The supervision layer ([`crate::coordinator`]) is written against
-//! one seam — a `WorkerChannel` spawned by a `ShardTransport` —
-//! and two implementations sit behind it:
+//! one seam — a `WorkerChannel` spawned by a `ShardTransport` — and
+//! speaks one message type across it, [`wire::Frame`]. Both
+//! implementations run the same worker loop (`crate::worker`) on the
+//! far side; only the link between the two ends differs:
 //!
-//! * `thread` — the original in-process transport: one worker thread
-//!   per shard, `mpsc` channels, zero serialization. The default.
+//! * `thread` — one worker thread per shard, an `mpsc` pair, frames
+//!   moved unencoded. The default.
 //! * [`socket`] — process isolation: each shard's worker is a
-//!   `tm_shard_worker` child process speaking the length-prefixed,
-//!   checksummed frame protocol of [`wire`] over localhost TCP. Ticks
-//!   flow down; heartbeats, results and checkpoints flow up. The
-//!   channel hardens the wire path: connect/read deadlines, reconnect
-//!   with exponential backoff, resend of the in-flight tick, and a
-//!   probe that heals half-open sessions inside the heartbeat
+//!   `tm_shard_worker` child process, and the same frames travel
+//!   length-prefixed and checksummed ([`wire`]) over localhost TCP.
+//!   The channel hardens the wire path: connect/read deadlines,
+//!   reconnect with exponential backoff, resend of the in-flight tick,
+//!   and a probe that heals half-open sessions inside the heartbeat
 //!   deadline.
 //!
 //! Everything above the seam — lockstep, heartbeat deadlines,
@@ -22,7 +23,9 @@
 //! identically: non-WCB estimates from a socket run are bit-identical
 //! to the in-process engine (the wire format round-trips `f64`
 //! exactly; the `net-matrix` CI gate pins this under seeded network
-//! chaos).
+//! chaos). A transport records no telemetry: it surfaces wire incidents
+//! as [`TransportEvent`]s, and the coordinator counts reconnects and
+//! resends from those.
 //!
 //! [`netchaos`] schedules seeded wire faults (dropped connections,
 //! black holes, slow links, corrupt/truncated/duplicated frames, and
@@ -40,10 +43,9 @@ use std::time::Duration;
 use crate::config::{DaemonConfig, ShardSpec, TransportConfig};
 use crate::error::Result;
 use crate::feed::ShardFeed;
-use crate::telemetry::ShardRecorder;
-use crate::worker::{FromWorker, ToWorker};
 
 use netchaos::{NetFaultKind, NetFaultState};
+use wire::Frame;
 
 /// One noteworthy wire-level incident, surfaced per shard in the
 /// [`crate::ShardReport`], the live `health` verb, and (as counters)
@@ -102,13 +104,13 @@ pub(crate) enum ChannelError {
 /// and any successfully received message means the worker was alive to
 /// send it.
 pub(crate) trait WorkerChannel: Send {
-    /// Dispatch one message. `Err(())` means the worker is already
-    /// gone (the coordinator treats it like a mid-tick death).
-    fn send(&mut self, msg: ToWorker) -> std::result::Result<(), ()>;
+    /// Dispatch one frame (`Tick` or `Drain`). `Err(())` means the
+    /// worker is already gone (the coordinator treats it like a
+    /// mid-tick death).
+    fn send(&mut self, frame: Frame) -> std::result::Result<(), ()>;
 
-    /// Receive the next message, waiting at most `timeout`.
-    fn recv_deadline(&mut self, timeout: Duration)
-        -> std::result::Result<FromWorker, ChannelError>;
+    /// Receive the next frame, waiting at most `timeout`.
+    fn recv_deadline(&mut self, timeout: Duration) -> std::result::Result<Frame, ChannelError>;
 
     /// Drain accumulated [`TransportEvent`]s (empty for the thread
     /// transport). The coordinator harvests these after every
@@ -138,8 +140,6 @@ pub(crate) struct SpawnSpec<'a> {
     pub config: &'a DaemonConfig,
     /// Serialized checkpoint to restore before the first tick.
     pub checkpoint: Option<&'a str>,
-    /// The shard's telemetry recorder (shared across epochs).
-    pub recorder: Arc<ShardRecorder>,
 }
 
 /// A factory of [`WorkerChannel`]s — one per shard per epoch.

@@ -9,7 +9,8 @@
 //! [`ConfigureBody`] (dataset spec + seed — the child regenerates the
 //! dataset itself, the full series never crosses the wire), and the
 //! child answers `Ready` once its engine is built and any checkpoint
-//! restored. After that the session is the same lockstep dialogue the
+//! restored. After that the child runs the shared worker loop
+//! (`crate::worker`) over its session — the same lockstep dialogue the
 //! thread transport speaks: `Tick` down; `Heartbeat`, `TickDone`,
 //! `Checkpoint` up.
 //!
@@ -20,8 +21,8 @@
 //! * **Lost connection** (EOF, reset, decode error): the parent keeps
 //!   its listener open; the child reconnects with exponential backoff
 //!   and a `resume` hello, and the parent resends the in-flight tick.
-//!   The child caches its last `TickDone` by tick index, so a resent
-//!   tick is answered from cache — the warm engine never double-solves
+//!   The worker loop keeps its last result by tick index, so a resent
+//!   tick is answered from it — the warm engine never double-solves
 //!   an interval, which is what keeps socket estimates bit-identical
 //!   to the in-process engine.
 //! * **Half-open session** (black hole): the parent probes — if no
@@ -41,7 +42,7 @@
 //! (consume-once), so the production recovery paths above are what the
 //! `net-matrix` CI gate exercises — no test-only healing code.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -49,7 +50,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tm_core::checkpoint::EngineCheckpoint;
 use tm_core::stream::{StreamEngine, StreamMode};
 use tm_traffic::EvalDataset;
 
@@ -58,11 +58,9 @@ use super::wire::{self, ConfigureBody, Frame};
 use super::{
     ChannelError, ShardTransport, SpawnSpec, TransportEvent, TransportEventKind, WorkerChannel,
 };
-use crate::chaos::ChaosKind;
 use crate::config::SocketOptions;
 use crate::error::{DaemonError, Result};
-use crate::telemetry::ShardRecorder;
-use crate::worker::{FromWorker, ToWorker};
+use crate::worker::{self, build_engine, Link, Sent};
 
 /// Read-timeout slice on established connections — how often blocked
 /// reads wake up to check deadlines.
@@ -70,20 +68,6 @@ const READ_SLICE: Duration = Duration::from_millis(20);
 
 /// Poll cadence of the non-blocking accept loop.
 const ACCEPT_SLICE: Duration = Duration::from_millis(2);
-
-/// Clamp a duration into the histograms' nanosecond domain.
-fn as_ns(elapsed: Duration) -> u64 {
-    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Wall clock in ns since the Unix epoch. The child stamps its tick
-/// dequeue with it and the parent its dispatch, so the two can be
-/// subtracted (both ends run on one host).
-fn wall_clock_ns() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, as_ns)
-}
 
 fn retryable(kind: std::io::ErrorKind) -> bool {
     matches!(
@@ -182,11 +166,9 @@ impl ShardTransport for SocketTransport {
             pending: VecDeque::new(),
             inflight: None,
             events: Vec::new(),
-            recorder: Arc::clone(&spec.recorder),
             faults: Arc::clone(&self.faults),
             heartbeat_timeout: spec.config.heartbeat_timeout,
             last_tick: 0,
-            done_seen: HashSet::new(),
             blackhole: false,
             drop_cause: String::new(),
         };
@@ -202,9 +184,6 @@ struct Inflight {
     tick: usize,
     bytes: Vec<u8>,
     dispatched: Instant,
-    /// [`wall_clock_ns`] at dispatch, the base of the queue delay.
-    dispatched_ns: u64,
-    hb_seen: bool,
 }
 
 /// Parent-side channel to one worker process epoch.
@@ -217,17 +196,12 @@ struct SocketChannel {
     token: String,
     conn: Option<TcpStream>,
     buf: Vec<u8>,
-    pending: VecDeque<FromWorker>,
+    pending: VecDeque<Frame>,
     inflight: Option<Inflight>,
     events: Vec<TransportEvent>,
-    recorder: Arc<ShardRecorder>,
     faults: Arc<NetFaultState>,
     heartbeat_timeout: Duration,
     last_tick: usize,
-    /// Ticks whose solve latency was already recorded this epoch —
-    /// duplicate `TickDone`s (resends, duplicated frames) must not
-    /// double-count telemetry.
-    done_seen: HashSet<usize>,
     /// An injected black hole is pending: the tick frame was never
     /// written and the session must be force-cycled at the probe
     /// deadline.
@@ -332,8 +306,8 @@ impl SocketChannel {
     }
 
     /// Wait for the child to reconnect, verify its resume hello, then
-    /// resend the in-flight tick. Surfaces the incident as counters
-    /// and [`TransportEvent`]s.
+    /// resend the in-flight tick. Surfaces the incident as
+    /// [`TransportEvent`]s.
     fn reestablish(&mut self, deadline: Instant) -> std::result::Result<(), ChannelError> {
         loop {
             match self.listener.accept() {
@@ -371,7 +345,6 @@ impl SocketChannel {
         }
         self.buf = buf;
         self.conn = Some(stream);
-        self.recorder.count_reconnect();
         let cause = if self.drop_cause.is_empty() {
             "connection lost".to_string()
         } else {
@@ -386,7 +359,6 @@ impl SocketChannel {
             let tick = inflight.tick;
             let bytes = inflight.bytes.clone();
             if self.write_frame(&bytes).is_ok() {
-                self.recorder.count_resent();
                 self.events.push(TransportEvent {
                     tick,
                     epoch: self.epoch,
@@ -400,16 +372,19 @@ impl SocketChannel {
     }
 
     /// Decode every complete frame in the buffer into the pending
-    /// queue, recording telemetry as frames are accepted.
+    /// queue. A `TickDone` for the in-flight tick retires it: nothing is
+    /// left to resend.
     fn drain_frames(&mut self) {
         loop {
             match wire::decode(&self.buf) {
                 Ok(Some((frame, used))) => {
                     self.buf.drain(..used);
-                    self.ingest(frame);
-                    if self.conn.is_none() {
-                        break; // ingest dropped the connection
+                    if let Frame::TickDone { tick, .. } = &frame {
+                        if self.inflight.as_ref().is_some_and(|i| i.tick == *tick) {
+                            self.inflight = None;
+                        }
                     }
+                    self.pending.push_back(frame);
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -419,70 +394,18 @@ impl SocketChannel {
             }
         }
     }
-
-    fn ingest(&mut self, frame: Frame) {
-        match frame {
-            Frame::Heartbeat { dequeued_ns } => {
-                // The child's dequeue stamp, not this read: the
-                // coordinator may read this shard's heartbeat only
-                // after settling the shards before it.
-                if let Some(inflight) = &mut self.inflight {
-                    if !inflight.hb_seen {
-                        inflight.hb_seen = true;
-                        self.recorder
-                            .record_queue_delay(dequeued_ns.saturating_sub(inflight.dispatched_ns));
-                    }
-                }
-                self.pending.push_back(FromWorker::Heartbeat);
-            }
-            Frame::TickDone { tick, result } => {
-                if self.done_seen.insert(tick) {
-                    self.recorder.record_solves(&result.solve_ns);
-                }
-                if self.inflight.as_ref().is_some_and(|i| i.tick == tick) {
-                    self.inflight = None;
-                }
-                self.pending
-                    .push_back(FromWorker::TickDone { tick, result });
-            }
-            Frame::Checkpoint {
-                tick,
-                json,
-                ckpt_ns,
-            } => {
-                self.recorder.record_checkpoint(ckpt_ns);
-                self.pending
-                    .push_back(FromWorker::Checkpoint { tick, json });
-            }
-            Frame::Failed { message } => {
-                self.pending.push_back(FromWorker::Failed { message });
-            }
-            Frame::Drained => self.pending.push_back(FromWorker::Drained),
-            // Nothing else is parent-bound; ignore strays.
-            _ => {}
-        }
-    }
 }
 
 impl WorkerChannel for SocketChannel {
-    fn send(&mut self, msg: ToWorker) -> std::result::Result<(), ()> {
-        match msg {
-            ToWorker::Drain => {
-                self.inflight = None;
-                let bytes = wire::encode(&Frame::Drain);
-                self.write_frame(&bytes).map_err(|_| ())
-            }
-            ToWorker::Tick {
-                tick, loads, chaos, ..
-            } => {
+    fn send(&mut self, frame: Frame) -> std::result::Result<(), ()> {
+        let bytes = wire::encode(&frame);
+        match frame {
+            Frame::Tick { tick, .. } => {
                 self.last_tick = tick;
-                let bytes = wire::encode(&Frame::Tick { tick, chaos, loads });
                 self.inflight = Some(Inflight {
                     tick,
                     bytes: bytes.clone(),
                     dispatched: Instant::now(),
-                    dispatched_ns: wall_clock_ns(),
-                    hb_seen: false,
                 });
                 let fault = self.faults.take(self.shard, tick);
                 if let Some(kind) = fault {
@@ -552,13 +475,14 @@ impl WorkerChannel for SocketChannel {
                     }
                 }
             }
+            _ => {
+                self.inflight = None;
+                self.write_frame(&bytes).map_err(|_| ())
+            }
         }
     }
 
-    fn recv_deadline(
-        &mut self,
-        timeout: Duration,
-    ) -> std::result::Result<FromWorker, ChannelError> {
+    fn recv_deadline(&mut self, timeout: Duration) -> std::result::Result<Frame, ChannelError> {
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(msg) = self.pending.pop_front() {
@@ -737,16 +661,40 @@ impl ChildSession {
         }
     }
 
-    fn send(&mut self, frame: &Frame) -> std::result::Result<(), ()> {
-        self.conn.write_all(&wire::encode(frame)).map_err(|_| ())
+    fn write(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.conn.write_all(&wire::encode(frame))
+    }
+}
+
+/// The child's link to the parent: every unusable connection, on read
+/// or on write, is re-established with backoff before giving up.
+impl Link for ChildSession {
+    fn recv(&mut self) -> Option<Frame> {
+        loop {
+            match self.read_frame() {
+                Ok(frame) => return Some(frame),
+                Err(()) if self.reconnect() => {}
+                Err(()) => return None, // parent is gone: exit quietly
+            }
+        }
+    }
+
+    fn send(&mut self, frame: Frame) -> Sent {
+        if self.write(&frame).is_ok() {
+            Sent::Delivered
+        } else if self.reconnect() {
+            Sent::Resumed
+        } else {
+            Sent::Gone
+        }
     }
 }
 
 /// Build the shard engine from its wire configuration: regenerate the
-/// dataset from spec + seed, assemble the method roster, restore the
-/// checkpoint if one was shipped. Every failure is a rendered message
+/// dataset from spec + seed, then build the engine (restoring the
+/// checkpoint if one was shipped). Every failure is a rendered message
 /// for a typed `Failed` frame — never a panic.
-fn build_engine(body: &ConfigureBody) -> std::result::Result<StreamEngine, String> {
+fn engine_for(body: &ConfigureBody) -> std::result::Result<StreamEngine, String> {
     let dataset = EvalDataset::generate(body.spec.clone(), body.seed)
         .map_err(|e| format!("dataset generation failed: {e}"))?;
     let mode = if body.warm {
@@ -754,28 +702,18 @@ fn build_engine(body: &ConfigureBody) -> std::result::Result<StreamEngine, Strin
     } else {
         StreamMode::Cold
     };
-    let mut engine = StreamEngine::for_dataset(&dataset, &body.methods, mode)
-        .map_err(|e| format!("engine construction failed: {e}"))?;
-    if let Some(json) = &body.checkpoint {
-        let ckpt = EngineCheckpoint::from_json(json)
-            .map_err(|e| format!("checkpoint restore failed: {e}"))?;
-        engine
-            .restore(&ckpt)
-            .map_err(|e| format!("checkpoint restore failed: {e}"))?;
-    }
-    Ok(engine)
+    build_engine(&dataset, &body.methods, mode, body.checkpoint.as_deref())
+        .map_err(|e| format!("engine construction failed: {e}"))
 }
 
 /// Entry point of the `tm_shard_worker` binary: one shard worker
 /// session over a parent-supplied address and token. Returns the
 /// process exit code.
 ///
-/// The child is as dumb as the thread worker: heartbeat, solve, report,
-/// checkpoint. Its one extra duty is wire resilience — it reconnects
-/// (with backoff and a `resume` hello) whenever its connection dies,
-/// and it caches its last `TickDone` so a resent tick is answered from
-/// cache instead of re-solved, keeping the warm engine's state exactly
-/// in step with the coordinator's tick sequence.
+/// After the handshake the child runs the same worker loop as a thread
+/// worker. Its one extra duty is wire resilience, which lives in its
+/// link: it reconnects (with backoff and a `resume` hello) whenever its
+/// connection dies.
 pub fn worker_main(args: &[String]) -> i32 {
     let mut addr = None;
     let mut token = None;
@@ -807,97 +745,19 @@ pub fn worker_main(args: &[String]) -> i32 {
             Err(()) => return 3,
         }
     };
-    // Capped so the chaos sleeps below can never overflow `Duration`.
+    // Capped so the chaos sleeps can never overflow `Duration`.
     let heartbeat = Duration::from_millis(body.heartbeat_timeout_ms.min(3_600_000));
-    let mut engine = match build_engine(&body) {
+    let engine = match engine_for(&body) {
         Ok(engine) => engine,
         Err(message) => {
-            let _ = session.send(&Frame::Failed { message });
+            let _ = session.write(&Frame::Failed { message });
             return 4;
         }
     };
-    if session.send(&Frame::Ready).is_err() {
+    if session.write(&Frame::Ready).is_err() {
         return 3;
     }
-    let mut cached: Option<(usize, Vec<u8>)> = None;
-    loop {
-        let frame = match session.read_frame() {
-            Ok(frame) => frame,
-            Err(()) => {
-                if session.reconnect() {
-                    continue;
-                }
-                return 0; // parent is gone: exit quietly
-            }
-        };
-        match frame {
-            Frame::Drain => {
-                let _ = session.send(&Frame::Drained);
-                return 0;
-            }
-            Frame::Tick { tick, chaos, loads } => {
-                let alive = Frame::Heartbeat {
-                    dequeued_ns: wall_clock_ns(),
-                };
-                if session.send(&alive).is_err() {
-                    if session.reconnect() {
-                        continue; // the parent resends the tick
-                    }
-                    return 0;
-                }
-                match chaos {
-                    // Abrupt death mid-tick, as a real crash would be.
-                    Some(ChaosKind::Kill) => std::process::exit(101),
-                    // Stall past the liveness deadline; the parent
-                    // abandons this epoch and Drop-kills the process.
-                    Some(ChaosKind::Hang) => std::thread::sleep(heartbeat * 3),
-                    // Slow but alive.
-                    Some(ChaosKind::Delay) => std::thread::sleep(heartbeat / 8),
-                    None => {}
-                }
-                if let Some((done_tick, bytes)) = &cached {
-                    if *done_tick == tick {
-                        // Duplicate delivery (resend or duplicated
-                        // frame): answer from cache, never re-solve.
-                        let bytes = bytes.clone();
-                        if session.conn.write_all(&bytes).is_err() && !session.reconnect() {
-                            return 0;
-                        }
-                        continue;
-                    }
-                }
-                match engine.push_interval(*loads) {
-                    Ok(result) => {
-                        let bytes = wire::encode(&Frame::TickDone {
-                            tick,
-                            result: Box::new(result),
-                        });
-                        cached = Some((tick, bytes.clone()));
-                        if session.conn.write_all(&bytes).is_err() && !session.reconnect() {
-                            return 0;
-                        }
-                        if body.checkpoint_every > 0 && (tick + 1) % body.checkpoint_every == 0 {
-                            let started = Instant::now();
-                            let json = engine.checkpoint().to_json();
-                            let ckpt_ns = as_ns(started.elapsed());
-                            let _ = session.send(&Frame::Checkpoint {
-                                tick,
-                                json,
-                                ckpt_ns,
-                            });
-                        }
-                    }
-                    Err(e) => {
-                        let _ = session.send(&Frame::Failed {
-                            message: e.to_string(),
-                        });
-                        return 0;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
+    worker::run(engine, &mut session, body.checkpoint_every, heartbeat)
 }
 
 #[cfg(test)]

@@ -1,57 +1,74 @@
-//! The in-process transport: one worker thread per shard, `mpsc`
-//! channels, zero serialization. This is the seed design unchanged —
-//! just moved behind the [`ShardTransport`] seam so the coordinator no
-//! longer knows which side of a process boundary its workers live on.
+//! The in-process transport: one worker thread per shard running the
+//! shared worker loop over an `mpsc` pair. Frames cross unencoded —
+//! zero serialization.
 
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tm_core::checkpoint::EngineCheckpoint;
-use tm_core::stream::StreamEngine;
-
+use super::wire::Frame;
 use super::{ChannelError, ShardTransport, SpawnSpec, TransportEvent, WorkerChannel};
 use crate::error::Result;
-use crate::worker::{spawn_worker, FromWorker, ToWorker, WorkerHandle, WorkerPolicy};
+use crate::worker::{self, build_engine, Link, Sent};
 
 /// Factory for in-thread workers.
 pub(crate) struct ThreadTransport;
 
 impl ShardTransport for ThreadTransport {
     fn spawn(&self, spec: &SpawnSpec<'_>) -> Result<Box<dyn WorkerChannel>> {
-        let mut engine =
-            StreamEngine::for_dataset(&spec.feed.dataset, &spec.config.methods, spec.config.mode)?;
-        if let Some(json) = spec.checkpoint {
-            // Both failure modes are typed: a corrupt checkpoint fails
-            // JSON/version validation in `from_json`, a roster/mode
-            // mismatch fails `restore` — never a panic.
-            engine.restore(&EngineCheckpoint::from_json(json)?)?;
+        let config = spec.config;
+        let engine = build_engine(
+            &spec.feed.dataset,
+            &config.methods,
+            config.mode,
+            spec.checkpoint,
+        )?;
+        let (to, down) = channel();
+        let (up, from) = channel();
+        let (every, heartbeat) = (config.checkpoint_every, config.heartbeat_timeout);
+        let join = std::thread::spawn(move || {
+            worker::run(engine, &mut MpscLink { down, up }, every, heartbeat);
+        });
+        Ok(Box::new(ThreadChannel { to, from, join }))
+    }
+}
+
+/// The worker thread's end: frames down, frames up.
+struct MpscLink {
+    down: Receiver<Frame>,
+    up: Sender<Frame>,
+}
+
+impl Link for MpscLink {
+    fn recv(&mut self) -> Option<Frame> {
+        self.down.recv().ok()
+    }
+
+    fn send(&mut self, frame: Frame) -> Sent {
+        match self.up.send(frame) {
+            Ok(()) => Sent::Delivered,
+            Err(_) => Sent::Gone,
         }
-        let policy = WorkerPolicy {
-            checkpoint_every: spec.config.checkpoint_every,
-            heartbeat_timeout: spec.config.heartbeat_timeout,
-        };
-        let handle = spawn_worker(engine, policy, std::sync::Arc::clone(&spec.recorder));
-        Ok(Box::new(ThreadChannel { handle }))
     }
 }
 
 /// Channel to one worker thread epoch. Dropping it closes both mpsc
 /// ends, which is exactly how zombies are abandoned: their next send
-/// fails and the thread exits on its own.
+/// fails and the thread exits on its own. The coordinator joins the
+/// thread only after a clean drain.
 struct ThreadChannel {
-    handle: WorkerHandle,
+    to: Sender<Frame>,
+    from: Receiver<Frame>,
+    join: JoinHandle<()>,
 }
 
 impl WorkerChannel for ThreadChannel {
-    fn send(&mut self, msg: ToWorker) -> std::result::Result<(), ()> {
-        self.handle.to.send(msg).map_err(|_| ())
+    fn send(&mut self, frame: Frame) -> std::result::Result<(), ()> {
+        self.to.send(frame).map_err(|_| ())
     }
 
-    fn recv_deadline(
-        &mut self,
-        timeout: Duration,
-    ) -> std::result::Result<FromWorker, ChannelError> {
-        self.handle.from.recv_timeout(timeout).map_err(|e| match e {
+    fn recv_deadline(&mut self, timeout: Duration) -> std::result::Result<Frame, ChannelError> {
+        self.from.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => ChannelError::Timeout,
             RecvTimeoutError::Disconnected => ChannelError::Down,
         })
@@ -64,21 +81,18 @@ impl WorkerChannel for ThreadChannel {
     fn finish(self: Box<Self>, _grace: Duration) {
         // Only called after a clean drain, so the join cannot block on
         // a hung worker (those epochs are dropped, not finished).
-        let _ = self.handle.join.join();
+        let _ = self.join.join();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use tm_core::stream::{StreamEngine, StreamMode};
 
     use super::*;
     use crate::config::DaemonConfig;
     use crate::error::DaemonError;
     use crate::feed::build_feeds;
-    use crate::telemetry::ShardRecorder;
     use crate::ShardSpec;
     use tm_traffic::DatasetSpec;
 
@@ -86,7 +100,6 @@ mod tests {
         let shards = vec![ShardSpec::new("east", DatasetSpec::tiny(), 11)];
         let config = DaemonConfig::new(vec!["gravity".parse().unwrap()]);
         let feeds = build_feeds(&shards, &config, 0..4).unwrap();
-        let recorder = Arc::new(ShardRecorder::new("east", &["gravity".to_string()]));
         ThreadTransport.spawn(&SpawnSpec {
             index: 0,
             epoch: 0,
@@ -94,7 +107,6 @@ mod tests {
             feed: &feeds[0],
             config: &config,
             checkpoint,
-            recorder,
         })
     }
 

@@ -8,7 +8,7 @@ use tm_core::measure::{LoadFaultPlan, LoadOutage};
 use tm_core::stream::{StreamEngine, StreamMode, StreamTick};
 use tm_core::Method;
 use tm_daemon::{
-    build_feeds, handle_line, ChaosPlan, Daemon, DaemonConfig, DaemonReport, FailureCause,
+    build_feeds, handle_line_view, ChaosPlan, Daemon, DaemonConfig, DaemonReport, FailureCause,
     ShardFeed, ShardSpec, ShardState,
 };
 use tm_traffic::DatasetSpec;
@@ -202,7 +202,7 @@ fn protocol_answers_status_health_and_estimates() {
     let daemon = Daemon::new(shards(), config().with_chaos(chaos)).unwrap();
     let report = daemon.run(0..8).unwrap();
 
-    let status = handle_line(&report, r#"{"cmd":"status"}"#);
+    let status = handle_line_view(&report.live_view(), r#"{"cmd":"status"}"#);
     assert!(status.contains(r#""ok":true"#), "{status}");
     assert!(status.contains(r#""ticks":8"#), "{status}");
     assert!(status.contains(r#""total_restarts":1"#), "{status}");
@@ -211,22 +211,22 @@ fn protocol_answers_status_health_and_estimates() {
         "{status}"
     );
 
-    let health = handle_line(&report, r#"{"cmd":"health","shard":"east"}"#);
+    let health = handle_line_view(&report.live_view(), r#"{"cmd":"health","shard":"east"}"#);
     assert!(health.contains(r#""cause":"panic""#), "{health}");
     assert!(health.contains(r#""state":"completed""#), "{health}");
 
-    let json = handle_line(
-        &report,
+    let json = handle_line_view(
+        &report.live_view(),
         r#"{"cmd":"estimate","shard":"west","tick":4,"method":"gravity"}"#,
     );
     assert!(json.contains(r#""demands":["#), "{json}");
-    let csv = handle_line(
-        &report,
+    let csv = handle_line_view(
+        &report.live_view(),
         r#"{"cmd":"estimate","shard":"west","tick":4,"method":"gravity","format":"csv"}"#,
     );
     assert!(csv.contains("pair,mbps"), "{csv}");
-    let text = handle_line(
-        &report,
+    let text = handle_line_view(
+        &report.live_view(),
         r#"{"cmd":"estimate","shard":"west","tick":4,"method":"gravity","format":"text"}"#,
     );
     assert!(text.contains("Mbps total"), "{text}");
@@ -239,7 +239,7 @@ fn protocol_answers_status_health_and_estimates() {
         r#"{"cmd":"estimate","shard":"west","tick":0,"method":"nope"}"#,
         r#"{"cmd":"health","shard":"nope"}"#,
     ] {
-        let response = handle_line(&report, bad);
+        let response = handle_line_view(&report.live_view(), bad);
         assert!(response.contains(r#""ok":false"#), "{bad} => {response}");
     }
 }
@@ -254,7 +254,9 @@ fn protocol_serves_over_tcp_until_shutdown() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || tm_daemon::serve(&report, listener));
+    let bus = tm_daemon::LiveBus::new();
+    bus.publish(report.live_view());
+    let server = std::thread::spawn(move || tm_daemon::serve_live(&bus, listener));
 
     let stream = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());

@@ -13,7 +13,8 @@ use tm_core::measure::{LoadFaultPlan, LoadOutage};
 use tm_core::Method;
 use tm_daemon::telemetry::LiveBus;
 use tm_daemon::{
-    handle_line, handle_line_view, parse_daemon_toml, ChaosPlan, Daemon, DaemonConfig, ShardSpec,
+    handle_line_view, parse_daemon_toml, ChaosPlan, Daemon, DaemonConfig, ShardSpec, SocketOptions,
+    TransportConfig,
 };
 use tm_traffic::DatasetSpec;
 
@@ -67,7 +68,7 @@ fn unknown_verbs_echo_the_verb_and_the_menu() {
     let daemon = Daemon::new(shards(), config()).unwrap();
     let report = daemon.run(0..2).unwrap();
 
-    let response = handle_line(&report, r#"{"cmd":"frobnicate"}"#);
+    let response = handle_line_view(&report.live_view(), r#"{"cmd":"frobnicate"}"#);
     assert!(response.contains(r#""ok":false"#), "{response}");
     assert!(
         response.contains("unknown cmd `frobnicate`"),
@@ -82,7 +83,7 @@ fn unknown_verbs_echo_the_verb_and_the_menu() {
         );
     }
     // A request with no cmd at all gets the same menu.
-    let response = handle_line(&report, r#"{"shard":"east"}"#);
+    let response = handle_line_view(&report.live_view(), r#"{"shard":"east"}"#);
     assert!(
         response.contains("missing string field `cmd`"),
         "{response}"
@@ -158,7 +159,7 @@ fn mid_run_answers_are_bit_identical_to_post_run() {
         "every tick of both shards must have been answered live"
     );
     for (request, live) in &recorded {
-        let post = handle_line(&report, request);
+        let post = handle_line_view(&report.live_view(), request);
         assert_eq!(live, &post, "mid-run answer diverged for {request}");
     }
 }
@@ -225,14 +226,14 @@ fn telemetry_counters_reconcile_with_the_final_report() {
     }
 
     // The stats verb serves the same numbers.
-    let stats = parse(&handle_line(&report, r#"{"cmd":"stats"}"#));
+    let stats = parse(&handle_line_view(&report.live_view(), r#"{"cmd":"stats"}"#));
     let counters = stats.field("counters").expect("counters");
     assert_eq!(u64_of(counters, "ticks"), totals.ticks);
     assert_eq!(u64_of(counters, "restarts"), totals.restarts);
     assert_eq!(u64_of(counters, "checkpoints"), totals.checkpoints);
-    let text = handle_line(&report, r#"{"cmd":"stats","format":"text"}"#);
+    let text = handle_line_view(&report.live_view(), r#"{"cmd":"stats","format":"text"}"#);
     assert!(text.contains("global solve walls"), "{text}");
-    let filtered = handle_line(&report, r#"{"cmd":"stats","shard":"nope"}"#);
+    let filtered = handle_line_view(&report.live_view(), r#"{"cmd":"stats","shard":"nope"}"#);
     assert!(filtered.contains(r#""ok":false"#), "{filtered}");
 }
 
@@ -242,8 +243,8 @@ fn whatif_projects_link_loads_without_touching_state() {
     let report = daemon.run(0..6).unwrap();
 
     // Identity scenario: nothing changes.
-    let id = parse(&handle_line(
-        &report,
+    let id = parse(&handle_line_view(
+        &report.live_view(),
         r#"{"cmd":"whatif","shard":"east","method":"gravity"}"#,
     ));
     assert_eq!(u64_of(&id, "tick"), 5, "defaults to the latest tick");
@@ -258,8 +259,8 @@ fn whatif_projects_link_loads_without_touching_state() {
     assert_eq!(u64_of(&id, "overloaded_links"), 0);
 
     // Routing is linear: doubling demand doubles every link load.
-    let doubled = parse(&handle_line(
-        &report,
+    let doubled = parse(&handle_line_view(
+        &report.live_view(),
         r#"{"cmd":"whatif","shard":"east","method":"gravity","tick":5,"scale":2.0}"#,
     ));
     let before = f64_of(&doubled, "max_link_mbps_before");
@@ -270,8 +271,8 @@ fn whatif_projects_link_loads_without_touching_state() {
     );
 
     // A targeted delta moves exactly the requested volume.
-    let delta = parse(&handle_line(
-        &report,
+    let delta = parse(&handle_line_view(
+        &report.live_view(),
         r#"{"cmd":"whatif","shard":"east","method":"gravity","deltas":[{"pair":0,"mbps":250.0}]}"#,
     ));
     let moved = f64_of(&delta, "total_mbps_after") - f64_of(&delta, "total_mbps_before");
@@ -291,7 +292,7 @@ fn whatif_projects_link_loads_without_touching_state() {
             "out of range",
         ),
     ] {
-        let response = handle_line(&report, bad);
+        let response = handle_line_view(&report.live_view(), bad);
         assert!(response.contains(r#""ok":false"#), "{bad} => {response}");
         assert!(response.contains(needle), "{bad} => {response}");
     }
@@ -305,7 +306,10 @@ fn status_reports_progress_uptime_and_mode() {
     let daemon = Daemon::new(shards(), config.with_chaos(chaos)).unwrap();
     let report = daemon.run(0..TICKS).unwrap();
 
-    let status = parse(&handle_line(&report, r#"{"cmd":"status"}"#));
+    let status = parse(&handle_line_view(
+        &report.live_view(),
+        r#"{"cmd":"status"}"#,
+    ));
     assert_eq!(u64_of(&status, "uptime_ticks"), TICKS as u64);
     assert_eq!(
         status.field("mode").unwrap(),
@@ -330,12 +334,12 @@ fn status_reports_progress_uptime_and_mode() {
         "lost_ticks",
         "degraded_ticks",
     ] {
-        let line = handle_line(&report, r#"{"cmd":"status"}"#);
+        let line = handle_line_view(&report.live_view(), r#"{"cmd":"status"}"#);
         assert!(line.contains(field), "missing `{field}`: {line}");
     }
     // An estimate for a quarantine-lost tick says so.
-    let lost = handle_line(
-        &report,
+    let lost = handle_line_view(
+        &report.live_view(),
         r#"{"cmd":"estimate","shard":"east","tick":8,"method":"gravity"}"#,
     );
     assert!(lost.contains("lost to quarantine"), "{lost}");
@@ -387,8 +391,8 @@ kind = "kill"
         r#"{"cmd":"estimate","shard":"west","tick":3,"method":"entropy(1e3)"}"#,
     ] {
         assert_eq!(
-            handle_line(&report, request),
-            handle_line(&programmatic, request)
+            handle_line_view(&report.live_view(), request),
+            handle_line_view(&programmatic.live_view(), request)
         );
     }
 }
@@ -407,7 +411,10 @@ fn silent_client_cannot_wedge_the_serve_loop() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let deadline = Duration::from_millis(200);
-    let server = std::thread::spawn(move || tm_daemon::serve_deadline(&report, listener, deadline));
+    let bus = LiveBus::new();
+    bus.publish(report.live_view());
+    let server =
+        std::thread::spawn(move || tm_daemon::serve_live_deadline(&bus, listener, deadline));
 
     // First client connects and says nothing; it holds the accept loop
     // for at most one deadline.
@@ -472,4 +479,45 @@ fn live_serve_applies_the_read_deadline() {
     assert!(line.contains(r#""bye":true"#), "{line}");
     drop(silent);
     server.join().unwrap().unwrap();
+}
+
+/// Histogram populations are a property of the coordinator, not of the
+/// transport: under kill + hang chaos, each shard's solve and
+/// queue-delay histograms hold exactly `completed_ticks + Σ replayed`
+/// samples over in-process threads and over child processes alike.
+#[test]
+fn histogram_populations_match_on_both_transports() {
+    let socket = TransportConfig::Socket(SocketOptions {
+        worker_bin: Some(env!("CARGO_BIN_EXE_tm_shard_worker").into()),
+        connect_timeout: Duration::from_secs(30),
+    });
+    for transport in [TransportConfig::Thread, socket] {
+        let chaos = ChaosPlan::none().with_kill(0, 5).with_hang(1, 7);
+        let config = config().with_chaos(chaos).with_transport(transport.clone());
+        let report = Daemon::new(shards(), config)
+            .unwrap()
+            .run(0..TICKS)
+            .unwrap();
+        assert!(report.all_completed(), "{transport:?}");
+        assert_eq!(report.total_restarts(), 2, "{transport:?}");
+        for shard in &report.shards {
+            let telemetry = report.telemetry.shard(&shard.name).expect("telemetry");
+            let replayed: usize = shard.restarts.iter().map(|r| r.replayed).sum();
+            let samples = (shard.completed_ticks() + replayed) as u64;
+            for (label, hist) in &telemetry.solve {
+                assert_eq!(
+                    hist.count(),
+                    samples,
+                    "{transport:?}: shard {} method {label}",
+                    shard.name
+                );
+            }
+            assert_eq!(
+                telemetry.queue_delay.count(),
+                samples,
+                "{transport:?}: shard {} queue delay",
+                shard.name
+            );
+        }
+    }
 }

@@ -12,7 +12,7 @@ use std::time::Duration;
 use tm_core::stream::{StreamEngine, StreamMode, StreamTick};
 use tm_core::Method;
 use tm_daemon::{
-    build_feeds, handle_line, ChaosPlan, Daemon, DaemonConfig, DaemonReport, NetFaultKind,
+    build_feeds, handle_line_view, ChaosPlan, Daemon, DaemonConfig, DaemonReport, NetFaultKind,
     NetFaultPlan, ShardFeed, ShardSpec, SocketOptions, TransportConfig, TransportEventKind,
 };
 use tm_traffic::DatasetSpec;
@@ -228,16 +228,16 @@ fn protocol_surfaces_reconnects_and_resends() {
     let report = daemon.run(0..5).unwrap();
     assert!(report.all_completed());
 
-    let health = handle_line(&report, r#"{"cmd":"health","shard":"east"}"#);
+    let health = handle_line_view(&report.live_view(), r#"{"cmd":"health","shard":"east"}"#);
     assert!(health.contains(r#""transport_events":["#), "{health}");
     assert!(health.contains("fault injected: drop"), "{health}");
     assert!(health.contains("reconnect"), "{health}");
 
-    let stats = handle_line(&report, r#"{"cmd":"stats"}"#);
+    let stats = handle_line_view(&report.live_view(), r#"{"cmd":"stats"}"#);
     assert!(stats.contains(r#""reconnects":1"#), "{stats}");
     assert!(stats.contains(r#""resent_frames":1"#), "{stats}");
 
-    let text = handle_line(&report, r#"{"cmd":"stats","format":"text"}"#);
+    let text = handle_line_view(&report.live_view(), r#"{"cmd":"stats","format":"text"}"#);
     assert!(text.contains("reconnects="), "{text}");
 }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use backbone_tm::daemon::telemetry::LiveBus;
-use backbone_tm::daemon::{handle_line, handle_line_view, load_daemon_toml, Daemon};
+use backbone_tm::daemon::{handle_line_view, load_daemon_toml, Daemon};
 
 fn main() {
     let config_path = std::env::args()
@@ -91,6 +91,7 @@ fn main() {
     }
 
     println!("\nprotocol session (one JSON line per request/response)");
+    let view = report.live_view();
     for request in [
         r#"{"cmd":"status"}"#.to_string(),
         r#"{"cmd":"health","shard":"south"}"#.to_string(),
@@ -102,7 +103,7 @@ fn main() {
         r#"{"cmd":"whatif","shard":"south","method":"gravity","scale":1.3}"#.to_string(),
     ] {
         println!("  > {request}");
-        let response = handle_line(&report, &request);
+        let response = handle_line_view(&view, &request);
         println!("  < {}", truncate(&response, 160));
     }
 
@@ -110,7 +111,7 @@ fn main() {
     // (the response is one JSON line; its `text` payload escapes
     // newlines, so split on the escape for display).
     println!();
-    let text = handle_line(&report, r#"{"cmd":"stats","format":"text"}"#);
+    let text = handle_line_view(&view, r#"{"cmd":"stats","format":"text"}"#);
     if let Some(start) = text.find("global solve walls") {
         for line in text[start..].split("\\n").take(1 + report.labels.len()) {
             println!("  {line}");
