@@ -132,14 +132,6 @@ pub struct CollectionResult {
 }
 
 impl CollectionResult {
-    /// Iterate the recovered per-interval rate vectors in time order —
-    /// the simulated-SNMP feed that drives a streaming estimation
-    /// engine tick by tick (each item is one 5-minute interval's
-    /// measured LSP rates, ready to be turned into link loads).
-    pub fn rate_intervals(&self) -> impl ExactSizeIterator<Item = &[f64]> {
-        self.rates.iter().map(Vec::as_slice)
-    }
-
     /// Split the recovered feed **column-wise** into per-shard results —
     /// the fan-out step of the supervised daemon (`tm_daemon`), where
     /// each worker consumes only its own pairs' rate series. Ranges are
@@ -702,21 +694,6 @@ mod tests {
             ..Default::default()
         };
         assert!(run_collection(&d, &host, 3, &bad, 1).is_err());
-    }
-
-    #[test]
-    fn rate_intervals_iterates_in_time_order() {
-        let d = demands();
-        let cfg = CollectionConfig {
-            jitter_max_s: 0.0,
-            ..Default::default()
-        };
-        let res = run_collection(&d, &[0, 0, 1, 2], 3, &cfg, 7).unwrap();
-        let rows: Vec<&[f64]> = res.rate_intervals().collect();
-        assert_eq!(rows.len(), res.rates.len());
-        for (k, row) in rows.iter().enumerate() {
-            assert_eq!(*row, res.rates[k].as_slice());
-        }
     }
 
     #[test]

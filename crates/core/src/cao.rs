@@ -18,6 +18,7 @@
 //! relative change stalls.
 
 use serde::{Deserialize, Serialize};
+use tm_linalg::vector;
 use tm_opt::nnls::{self, SsnOptions, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
@@ -143,7 +144,7 @@ impl CaoEstimator {
                         grad.copy_from_slice(&buf_g.iter().map(|g| 2.0 * g).collect::<Vec<_>>());
                         buf_r.iter().map(|r| r * r).sum::<f64>()
                     },
-                    spg::project_nonneg,
+                    vector::project_nonneg,
                     vec![1.0 / a.cols() as f64; a.cols()],
                     SpgOptions {
                         max_iter: 1500,
@@ -264,7 +265,7 @@ impl CaoEstimator {
                     }
                     f
                 },
-                spg::project_nonneg,
+                vector::project_nonneg,
                 lambda.clone(),
                 SpgOptions {
                     max_iter: 500,

@@ -1,4 +1,4 @@
-//! Checkpoint/restore of a [`StreamEngine`]'s warm state.
+//! Checkpoint/restore of a [`StreamEngine`](crate::StreamEngine)'s warm state.
 //!
 //! A long-running estimation daemon cannot afford to cold-start a
 //! worker mid-day: the rolling second-moment windows take a full
@@ -37,9 +37,10 @@
 //!
 //! The engine's *configuration* (problem, methods, mode, quality
 //! options) is deliberately **not** serialized: a checkpoint is state,
-//! not provenance. [`StreamEngine::restore`] validates that the
-//! receiving engine was built with a matching method roster and mode,
-//! and rejects mismatches instead of guessing.
+//! not provenance.
+//! [`StreamEngine::restore`](crate::StreamEngine::restore) validates
+//! that the receiving engine was built with a matching method roster
+//! and mode, and rejects mismatches instead of guessing.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use tm_traffic::IntervalLoads;
@@ -49,7 +50,7 @@ use crate::cao::CaoWarmStart;
 use crate::entropy::EntropyWarmStart;
 use crate::kruithof::KruithofWarmStart;
 use crate::problem::Estimate;
-use crate::stream::{FanoutRolling, RollingMoments, StreamEngine};
+use crate::stream::{FanoutRolling, RollingMoments};
 use crate::vardi::VardiWarmStart;
 
 /// Format version stamped into every checkpoint; bumped on any change
@@ -57,7 +58,7 @@ use crate::vardi::VardiWarmStart;
 /// instead of deserialized wrong.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// Frozen mutable state of a [`StreamEngine`] — see the
+/// Frozen mutable state of a [`StreamEngine`](crate::StreamEngine) — see the
 /// [module docs](self) for the exactness contract.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
@@ -199,15 +200,4 @@ impl EngineCheckpoint {
         }
         Ok(ckpt)
     }
-}
-
-/// Round-trip helper used by tests and the daemon: checkpoint
-/// `engine`, serialize to JSON, parse back, and restore into `fresh`
-/// (an engine built with the same configuration).
-pub fn json_roundtrip_restore(
-    engine: &StreamEngine,
-    fresh: &mut StreamEngine,
-) -> crate::Result<()> {
-    let ckpt = EngineCheckpoint::from_json(&engine.checkpoint().to_json())?;
-    fresh.restore(&ckpt)
 }

@@ -81,8 +81,8 @@ pub use measure::{LoadFaultPlan, LoadOutage, LoadQuality, QualityOptions, RowQua
 pub use method::{Method, MethodConfig};
 pub use problem::{DatasetExt, Estimate, EstimationProblem, Estimator, TimeSeriesData};
 pub use stream::{
-    DegradationAction, IntervalStream, MethodDegradation, QuarantineReason, StreamEngine,
-    StreamMode, StreamTick, TickDegradation,
+    DegradationAction, MethodDegradation, QuarantineReason, StreamEngine, StreamMode, StreamTick,
+    TickDegradation,
 };
 pub use system::MeasurementSystem;
 
@@ -107,8 +107,8 @@ pub mod prelude {
     };
     pub use crate::problem::{DatasetExt, Estimate, EstimationProblem, Estimator, TimeSeriesData};
     pub use crate::stream::{
-        dataset_stream, DegradationAction, IntervalStream, MethodDegradation, QuarantineReason,
-        StreamEngine, StreamMode, StreamTick, TickDegradation,
+        dataset_stream, DegradationAction, MethodDegradation, QuarantineReason, StreamEngine,
+        StreamMode, StreamTick, TickDegradation,
     };
     pub use crate::system::MeasurementSystem;
     pub use crate::vardi::VardiEstimator;

@@ -373,53 +373,6 @@ impl LoadQuality {
             conservation_ok,
         }
     }
-
-    /// True when every row is clean (the degradation-free fast path).
-    pub fn is_all_clean(&self) -> bool {
-        self.links.iter().all(|q| q.is_usable())
-            && self.ingress.iter().all(|q| q.is_usable())
-            && self.egress.iter().all(|q| q.is_usable())
-    }
-
-    /// Number of rows that cannot constrain an estimate.
-    pub fn n_unusable(&self) -> usize {
-        self.links
-            .iter()
-            .chain(&self.ingress)
-            .chain(&self.egress)
-            .filter(|q| !q.is_usable())
-            .count()
-    }
-
-    /// Stacked-row indices of the clean rows, in the measurement
-    /// matrix's row order (interior links, then — when edge
-    /// measurements are stacked — ingress and egress rows). This is
-    /// the mask fed to
-    /// [`MeasurementSystem::masked_view`](crate::system::MeasurementSystem::masked_view).
-    pub fn clean_stacked_rows(&self, use_edge: bool) -> Vec<usize> {
-        let mut rows = Vec::new();
-        let mut base = 0usize;
-        for (i, q) in self.links.iter().enumerate() {
-            if q.is_usable() {
-                rows.push(base + i);
-            }
-        }
-        base += self.links.len();
-        if use_edge {
-            for (i, q) in self.ingress.iter().enumerate() {
-                if q.is_usable() {
-                    rows.push(base + i);
-                }
-            }
-            base += self.ingress.len();
-            for (i, q) in self.egress.iter().enumerate() {
-                if q.is_usable() {
-                    rows.push(base + i);
-                }
-            }
-        }
-        rows
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -651,8 +604,6 @@ mod tests {
         assert_eq!(q.links[1], RowQuality::Missing);
         assert_eq!(q.links[2], RowQuality::Suspect);
         assert_eq!(q.links[3], RowQuality::Suspect, "beyond max_rate_mbps");
-        assert!(!q.is_all_clean());
-        assert_eq!(q.n_unusable(), 3);
         assert!(q.conservation_ok);
         assert!(q.conservation_residual < 1e-12);
     }
@@ -660,9 +611,6 @@ mod tests {
     #[test]
     fn quality_all_clean_and_conservation_violation() {
         let opts = QualityOptions::default();
-        let clean = LoadQuality::assess(&[1.0, 2.0], &[3.0], &[3.0], &opts);
-        assert!(clean.is_all_clean());
-        assert_eq!(clean.n_unusable(), 0);
         // 50% imbalance between clean totals: flagged.
         let bad = LoadQuality::assess(&[1.0], &[100.0], &[50.0], &opts);
         assert!(!bad.conservation_ok);
@@ -671,17 +619,6 @@ mod tests {
         // half-observed tick doesn't fail conservation spuriously.
         let part = LoadQuality::assess(&[1.0], &[f64::NAN, 50.0], &[25.0, 25.0], &opts);
         assert!(part.conservation_ok, "{}", part.conservation_residual);
-    }
-
-    #[test]
-    fn clean_stacked_rows_match_measurement_layout() {
-        let opts = QualityOptions::default();
-        let q = LoadQuality::assess(&[1.0, f64::NAN, 3.0], &[4.0, -1.0], &[6.0, 7.0], &opts);
-        // Interior-only mask skips link 1.
-        assert_eq!(q.clean_stacked_rows(false), vec![0, 2]);
-        // Edge-stacked mask: links 0,2; ingress row 0 (index 3);
-        // egress rows 0,1 (indices 5,6).
-        assert_eq!(q.clean_stacked_rows(true), vec![0, 2, 3, 5, 6]);
     }
 
     #[test]

@@ -294,44 +294,17 @@ impl Deserialize for QuarantineReason {
     }
 }
 
-/// A source of per-interval load observations: thin iterator glue
-/// between a load time series (a generated dataset, a collected SNMP
-/// series, a live feed) and [`StreamEngine::run`].
-#[derive(Debug, Clone)]
-pub struct IntervalStream<I> {
-    inner: I,
-}
-
-impl<I: Iterator<Item = IntervalLoads>> IntervalStream<I> {
-    /// Wrap any iterator of interval loads.
-    pub fn new(inner: I) -> Self {
-        IntervalStream { inner }
-    }
-}
-
-impl<I: Iterator<Item = IntervalLoads>> Iterator for IntervalStream<I> {
-    type Item = IntervalLoads;
-
-    fn next(&mut self) -> Option<IntervalLoads> {
-        self.inner.next()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-/// [`IntervalStream`] over a dataset's sample range (the
-/// series → interval glue of `tm_traffic`).
+/// The interval loads of a dataset's sample range, in time order,
+/// ready for [`StreamEngine::run`] (the series → interval glue of
+/// `tm_traffic`).
 pub fn dataset_stream(
     dataset: &EvalDataset,
     range: std::ops::Range<usize>,
-) -> Result<IntervalStream<impl Iterator<Item = IntervalLoads> + '_>> {
-    let iter = dataset
+) -> Result<impl Iterator<Item = IntervalLoads> + '_> {
+    Ok(dataset
         .intervals(range)
         .map_err(|e| EstimationError::InvalidProblem(e.to_string()))?
-        .map(|(_, loads)| loads);
-    Ok(IntervalStream::new(iter))
+        .map(|(_, loads)| loads))
 }
 
 /// Per-method streaming state.

@@ -15,7 +15,7 @@
 //! evaluates 0.01 and 1). The stacked system is sparse; SPG solves it.
 
 use serde::{Deserialize, Serialize};
-use tm_linalg::Csr;
+use tm_linalg::{vector, Csr};
 use tm_opt::nnls::{self, SsnOptions, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
@@ -257,7 +257,7 @@ impl VardiEstimator {
                         }
                         buf_r.iter().map(|r| r * r).sum::<f64>()
                     },
-                    spg::project_nonneg,
+                    vector::project_nonneg,
                     x0,
                     opts,
                 )?;

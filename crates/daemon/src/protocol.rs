@@ -569,15 +569,31 @@ fn whatif(view: &LiveView, request: &Value) -> Value {
             let Some(mbps) = f64_field(item, "mbps") else {
                 return error("each delta needs a numeric `mbps`");
             };
+            // The JSON reader parses an out-of-range literal such as
+            // `1e400` as an infinity.
+            if !mbps.is_finite() {
+                return error(format!("delta on pair {pair}: `mbps` must be finite"));
+            }
             if pair >= scenario.len() {
                 return error(format!(
                     "delta pair {pair} out of range ({} pairs)",
                     scenario.len()
                 ));
             }
-            scenario[pair] = (scenario[pair] + mbps).max(0.0);
+            let demand = scenario[pair] + mbps;
+            if !demand.is_finite() {
+                return error(format!(
+                    "delta on pair {pair}: the resulting demand is not finite"
+                ));
+            }
+            scenario[pair] = demand.max(0.0);
             deltas_applied += 1;
         }
+    }
+    // Finite demands can still overflow when scaled or summed.
+    let total_after: f64 = scenario.iter().sum();
+    if !total_after.is_finite() {
+        return error("the scenario's total demand is not finite");
     }
 
     let routing = &shard.dataset.routing;
@@ -642,7 +658,7 @@ fn whatif(view: &LiveView, request: &Value) -> Value {
         ("deltas_applied", n(deltas_applied)),
         ("pairs", n(scenario.len())),
         ("total_mbps_before", Value::F64(demands.iter().sum())),
-        ("total_mbps_after", Value::F64(scenario.iter().sum())),
+        ("total_mbps_after", Value::F64(total_after)),
         (
             "max_link_mbps_before",
             Value::F64(before.iter().copied().fold(0.0, f64::max)),

@@ -402,11 +402,7 @@ impl WorkerChannel for SocketChannel {
         match frame {
             Frame::Tick { tick, .. } => {
                 self.last_tick = tick;
-                self.inflight = Some(Inflight {
-                    tick,
-                    bytes: bytes.clone(),
-                    dispatched: Instant::now(),
-                });
+                let dispatched = Instant::now();
                 let fault = self.faults.take(self.shard, tick);
                 if let Some(kind) = fault {
                     self.events.push(TransportEvent {
@@ -415,7 +411,7 @@ impl WorkerChannel for SocketChannel {
                         kind: TransportEventKind::FaultInjected { kind },
                     });
                 }
-                match fault {
+                let sent = match fault {
                     None => {
                         if self.write_frame(&bytes).is_err() {
                             // Transient wire failure, not a worker
@@ -473,7 +469,15 @@ impl WorkerChannel for SocketChannel {
                         self.blackhole = true;
                         Ok(())
                     }
-                }
+                };
+                // Kept encoded for a resend after a reconnect: the bytes
+                // move here once every write above is done.
+                self.inflight = Some(Inflight {
+                    tick,
+                    bytes,
+                    dispatched,
+                });
+                sent
             }
             _ => {
                 self.inflight = None;

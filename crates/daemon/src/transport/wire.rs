@@ -29,7 +29,7 @@
 //! [`FrameError`] only for data that can never become a valid frame —
 //! the caller's cue to drop the connection and reconnect.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use tm_core::stream::StreamTick;
 use tm_core::Method;
 use tm_traffic::{DatasetSpec, IntervalLoads};
@@ -217,27 +217,30 @@ pub enum Frame {
     Drained,
 }
 
-// Body structs for the framed JSON payloads (unit frames have none).
-#[derive(Serialize, Deserialize)]
+// Body structs the decoder reads the framed JSON payloads into (unit
+// frames have none). The encoder writes the same objects from borrowed
+// fields (`write_payload`), so a frame's data is never copied to be
+// sent; field names and order must match on both sides.
+#[derive(Deserialize)]
 struct HelloBody {
     token: String,
     resume: bool,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct TickBody {
     tick: usize,
     chaos: Option<ChaosKind>,
     loads: IntervalLoads,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct TickDoneBody {
     tick: usize,
     result: StreamTick,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct FailedBody {
     message: String,
 }
@@ -304,27 +307,32 @@ fn frame_type(frame: &Frame) -> u8 {
 
 /// Append a frame's payload to `out`.
 fn write_payload(frame: &Frame, out: &mut Vec<u8>) {
-    let mut json = |r: Result<String, serde_json::Error>| {
-        out.extend_from_slice(r.expect("wire bodies always serialize").as_bytes())
+    let mut json = |body: Value| {
+        let text = serde_json::to_string(&body).expect("wire bodies always serialize");
+        out.extend_from_slice(text.as_bytes())
+    };
+    // A JSON object of borrowed fields, laid out as the derived
+    // `Serialize` of the matching body struct would be.
+    let object = |fields: &[(&str, &dyn Serialize)]| {
+        Value::Map(
+            fields
+                .iter()
+                .map(|(name, value)| (name.to_string(), value.to_value()))
+                .collect(),
+        )
     };
     match frame {
-        Frame::Hello { token, resume } => json(serde_json::to_string(&HelloBody {
-            token: token.clone(),
-            resume: *resume,
-        })),
-        Frame::Configure(body) => json(serde_json::to_string(body.as_ref())),
-        Frame::Tick { tick, chaos, loads } => json(serde_json::to_string(&TickBody {
-            tick: *tick,
-            chaos: *chaos,
-            loads: (**loads).clone(),
-        })),
-        Frame::TickDone { tick, result } => json(serde_json::to_string(&TickDoneBody {
-            tick: *tick,
-            result: (**result).clone(),
-        })),
-        Frame::Failed { message } => json(serde_json::to_string(&FailedBody {
-            message: message.clone(),
-        })),
+        Frame::Hello { token, resume } => json(object(&[("token", token), ("resume", resume)])),
+        Frame::Configure(body) => json(body.to_value()),
+        Frame::Tick { tick, chaos, loads } => json(object(&[
+            ("tick", tick),
+            ("chaos", chaos),
+            ("loads", loads.as_ref()),
+        ])),
+        Frame::TickDone { tick, result } => {
+            json(object(&[("tick", tick), ("result", result.as_ref())]))
+        }
+        Frame::Failed { message } => json(object(&[("message", message)])),
         Frame::Heartbeat { dequeued_ns } => out.extend_from_slice(&dequeued_ns.to_le_bytes()),
         Frame::Checkpoint {
             tick,
@@ -718,5 +726,77 @@ mod tests {
         // Known-answer test: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
+    }
+
+    /// A `TickDone` whose result covers every payload shape: an
+    /// estimate, an error, an absent method, a non-finite float and a
+    /// degradation record.
+    fn sample_tick_done() -> Frame {
+        use tm_core::stream::{DegradationAction, MethodDegradation, TickDegradation};
+        use tm_core::{Estimate, EstimationError, QuarantineReason};
+        Frame::TickDone {
+            tick: 7,
+            result: Box::new(StreamTick {
+                interval: 7,
+                estimates: vec![
+                    Some(Ok(Estimate {
+                        demands: vec![0.1 + 0.2, f64::INFINITY, 3.0],
+                        method: "gravity".into(),
+                    })),
+                    Some(Err(EstimationError::InvalidProblem("masked".into()))),
+                    None,
+                ],
+                degradation: Some(TickDegradation {
+                    interval: 7,
+                    masked_rows: vec![2],
+                    imputed_rows: vec![0, 5],
+                    conservation_residual: 1e-3,
+                    conservation_ok: true,
+                    methods: vec![MethodDegradation {
+                        label: "entropy".into(),
+                        action: DegradationAction::FallbackLastGood,
+                        quarantine: Some(QuarantineReason::BudgetCapped {
+                            achieved_tol: 0.5,
+                            iters: 40,
+                        }),
+                    }],
+                }),
+                solve_ns: vec![1_250, 0, 0],
+            }),
+        }
+    }
+
+    #[test]
+    fn tick_and_tick_done_bytes_are_pinned() {
+        // The exact wire bytes of a sample `Tick` and `TickDone`, header
+        // and checksum included: how a body is serialized may change,
+        // the bytes it puts on the wire may not.
+        let tick = encode(&sample_frames()[3]);
+        assert_eq!(
+            tick[..HEADER_LEN],
+            [84, 77, 87, 50, 4, 0, 0, 0, 98, 55, 155, 156, 82]
+        );
+        assert_eq!(
+            std::str::from_utf8(&tick[HEADER_LEN..]).unwrap(),
+            r#"{"tick":7,"chaos":"Delay","loads":{"link_loads":[1.5,null,0.25],"ingress":[0.125],"egress":[2.0]}}"#
+        );
+        let done = encode(&sample_tick_done());
+        assert_eq!(
+            done[..HEADER_LEN],
+            [84, 77, 87, 50, 6, 0, 0, 1, 202, 34, 124, 56, 115]
+        );
+        assert_eq!(
+            std::str::from_utf8(&done[HEADER_LEN..]).unwrap(),
+            concat!(
+                r#"{"tick":7,"result":{"interval":7,"estimates":["#,
+                r#"{"ok":{"demands":[0.30000000000000004,null,3.0],"method":"gravity"}},"#,
+                r#"{"err":{"kind":"invalid_problem","message":"masked"}},null],"#,
+                r#""degradation":{"interval":7,"masked_rows":[2],"imputed_rows":[0,5],"#,
+                r#""conservation_residual":0.001,"conservation_ok":true,"methods":["#,
+                r#"{"label":"entropy","action":{"kind":"fallback_last_good"},"#,
+                r#""quarantine":{"kind":"budget_capped","achieved_tol":0.5,"iters":40}}]},"#,
+                r#""solve_ns":[1250,0,0]}}"#
+            )
+        );
     }
 }

@@ -299,6 +299,46 @@ fn whatif_projects_link_loads_without_touching_state() {
 }
 
 #[test]
+fn whatif_rejects_non_finite_scenarios() {
+    let daemon = Daemon::new(shards(), config()).unwrap();
+    let report = daemon.run(0..2).unwrap();
+    let view = report.live_view();
+    let ask = |tail: &str| {
+        handle_line_view(
+            &view,
+            &format!(r#"{{"cmd":"whatif","shard":"east","method":"gravity",{tail}}}"#),
+        )
+    };
+
+    // `1e400` parses as an infinity: a typed error, not `"ok":true` with
+    // null totals.
+    for (tail, needle) in [
+        (
+            r#""deltas":[{"pair":0,"mbps":1e400}]"#,
+            "`mbps` must be finite",
+        ),
+        (
+            r#""deltas":[{"pair":0,"mbps":-1e400}]"#,
+            "`mbps` must be finite",
+        ),
+        (
+            r#""deltas":[{"pair":0,"mbps":1.7e308},{"pair":0,"mbps":1.7e308}]"#,
+            "resulting demand is not finite",
+        ),
+        (r#""scale":1e308"#, "total demand is not finite"),
+    ] {
+        let response = ask(tail);
+        assert!(response.contains(r#""ok":false"#), "{tail} => {response}");
+        assert!(response.contains(needle), "{tail} => {response}");
+    }
+
+    // A large finite delta is still a scenario.
+    let big = parse(&ask(r#""deltas":[{"pair":0,"mbps":1e300}]"#));
+    assert_eq!(big.field("ok").unwrap(), &Value::Bool(true));
+    assert!(f64_of(&big, "total_mbps_after").is_finite());
+}
+
+#[test]
 fn status_reports_progress_uptime_and_mode() {
     let mut config = config();
     config.max_restarts = 0;

@@ -1,14 +1,24 @@
-//! Fuzzing the socket wire decoder, checkpoint frames first: truncated
-//! headers, bit flips, arbitrary payloads and invalid UTF-8 must come
-//! back as "need more bytes" or a typed `FrameError`, never a panic.
-//! Checkpoints are the largest frames and the only raw-text payload, and
-//! the coordinator restores engines from what this decoder hands it.
+//! Fuzzing the daemon's parse boundaries.
+//!
+//! The socket wire decoder, checkpoint frames first: truncated headers,
+//! bit flips, arbitrary payloads and invalid UTF-8 must come back as
+//! "need more bytes" or a typed `FrameError`, never a panic. Checkpoints
+//! are the largest frames and the only raw-text payload, and the
+//! coordinator restores engines from what this decoder hands it.
+//!
+//! The protocol line parser: arbitrary bytes and well-formed requests
+//! with fields swapped for random JSON (huge and out-of-range numbers
+//! included) must each get one JSON object with a boolean `ok`, never a
+//! panic, and a successful `whatif` must report a finite total.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use serde::Value;
 use tm_core::stream::{StreamEngine, StreamMode};
+use tm_daemon::telemetry::LiveView;
 use tm_daemon::transport::wire::{decode, encode, Frame, FrameError, HEADER_LEN, MAGIC};
+use tm_daemon::{handle_line_view, Daemon, DaemonConfig, ShardSpec};
 use tm_traffic::{DatasetSpec, EvalDataset};
 
 /// Frame type bytes of the fixed-layout frames.
@@ -213,5 +223,183 @@ proptest! {
         let mut input = if magic == 1 { MAGIC.to_be_bytes().to_vec() } else { Vec::new() };
         input.extend_from_slice(&tail);
         decode_never_panics(&input).ok();
+    }
+}
+
+/// The final view of a finished two-tick run on one tiny shard.
+fn live_view() -> &'static LiveView {
+    static VIEW: OnceLock<LiveView> = OnceLock::new();
+    VIEW.get_or_init(|| {
+        let methods = vec![
+            "gravity".parse().unwrap(),
+            "entropy:lambda=1e3".parse().unwrap(),
+        ];
+        let shards = vec![ShardSpec::new("east", DatasetSpec::tiny(), 11)];
+        let daemon = Daemon::new(shards, DaemonConfig::new(methods)).expect("daemon");
+        daemon.run(0..2).expect("tiny run").live_view()
+    })
+}
+
+/// Answer `line`, requiring one JSON object with a boolean `ok`, and a
+/// finite `total_mbps_after` on every successful `whatif`.
+fn answer_is_well_formed(line: &str) {
+    let response = handle_line_view(live_view(), line);
+    let value: Value = serde_json::from_str(&response)
+        .unwrap_or_else(|e| panic!("{line} => unparsable {response}: {e}"));
+    assert!(matches!(value, Value::Map(_)), "{line} => {response}");
+    let Ok(Value::Bool(ok)) = value.field("ok") else {
+        panic!("{line} => no boolean `ok`: {response}");
+    };
+    let whatif = serde_json::from_str::<Value>(line)
+        .is_ok_and(|request| matches!(request.field("cmd"), Ok(Value::Str(c)) if c == "whatif"));
+    if *ok && whatif {
+        assert!(
+            matches!(value.field("total_mbps_after"), Ok(Value::F64(t)) if t.is_finite()),
+            "{line} => {response}"
+        );
+    }
+}
+
+/// JSON text for one field: a scalar from a list that includes
+/// integers past `i64`/`u64`, floats past `f64` (read as infinities),
+/// and names the daemon knows; a random number, tiny, plain or huge;
+/// or, `depth` permitting, a small array or object of the same.
+fn json_text(rng: &mut TestRng, depth: u32) -> String {
+    const SCALARS: &[&str] = &[
+        "null",
+        "true",
+        "false",
+        "0",
+        "-1",
+        "1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775809",
+        "0.5",
+        "-2.5",
+        "1.7976931348623157e308",
+        "1e400",
+        "-1e400",
+        "1e-400",
+        r#""""#,
+        r#""east""#,
+        r#""gravity""#,
+        r#""entropy:lambda=1e3""#,
+        r#""text""#,
+        r#""csv""#,
+        r#""\u0000""#,
+    ];
+    let kinds = if depth == 0 { 2 } else { 4 };
+    match (0u32..kinds).generate(rng) {
+        0 => SCALARS[(0..SCALARS.len()).generate(rng)].to_string(),
+        1 => {
+            let mantissa = (-10.0f64..10.0).generate(rng);
+            let exponent = match (0u8..3).generate(rng) {
+                0 => (-400i32..-300).generate(rng),
+                1 => (-5i32..5).generate(rng),
+                _ => (300i32..400).generate(rng),
+            };
+            format!("{mantissa}e{exponent}")
+        }
+        2 => {
+            let items: Vec<String> = (0..(0usize..3).generate(rng))
+                .map(|_| json_text(rng, depth - 1))
+                .collect();
+            format!("[{}]", items.join(","))
+        }
+        _ => {
+            let mut fields = Vec::new();
+            for key in ["pair", "mbps", "shard"] {
+                if (0u8..2).generate(rng) == 1 {
+                    fields.push(format!(r#""{key}":{}"#, json_text(rng, depth - 1)));
+                }
+            }
+            format!("{{{}}}", fields.join(","))
+        }
+    }
+}
+
+/// Random JSON text for one field.
+struct AnyJson;
+
+impl Strategy for AnyJson {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        json_text(rng, 2)
+    }
+}
+
+/// Each verb's fields with a valid value. A `whatif` delta is built
+/// from the `pair` and `mbps` slots.
+const VERBS: &[(&str, &[(&str, &str)])] = &[
+    ("status", &[]),
+    ("health", &[("shard", r#""east""#)]),
+    (
+        "estimate",
+        &[
+            ("shard", r#""east""#),
+            ("method", r#""gravity""#),
+            ("tick", "1"),
+            ("format", r#""csv""#),
+        ],
+    ),
+    ("stats", &[("shard", r#""east""#), ("format", r#""text""#)]),
+    (
+        "whatif",
+        &[
+            ("shard", r#""east""#),
+            ("method", r#""gravity""#),
+            ("tick", "1"),
+            ("scale", "2.0"),
+            ("pair", "0"),
+            ("mbps", "250.0"),
+        ],
+    ),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Arbitrary bytes, read as a line the way the serve loop does.
+    #[test]
+    fn arbitrary_request_lines_get_one_json_answer(line in bytes(0..96)) {
+        answer_is_well_formed(&String::from_utf8_lossy(&line));
+    }
+}
+
+proptest! {
+    // About one case in 75 reaches a successful `whatif`, and fewer
+    // still carry an extreme number into it, so this property runs
+    // many cases.
+    #![proptest_config(ProptestConfig::with_cases(16384))]
+
+    /// Every verb's request with each field kept (edit 0 or 1),
+    /// swapped for random JSON (2) or left out (3).
+    #[test]
+    fn requests_with_random_fields_get_one_json_answer(
+        verb in 0usize..5,
+        edits in collection::vec((0u8..4, AnyJson), 6),
+    ) {
+        let (cmd, fields) = VERBS[verb];
+        let mut parts = vec![format!(r#""cmd":"{cmd}""#)];
+        let mut delta = Vec::new();
+        for (&(name, valid), (edit, random)) in fields.iter().zip(&edits) {
+            let value = match edit {
+                0 | 1 => valid,
+                2 => random.as_str(),
+                _ => continue,
+            };
+            let part = format!(r#""{name}":{value}"#);
+            if matches!(name, "pair" | "mbps") {
+                delta.push(part);
+            } else {
+                parts.push(part);
+            }
+        }
+        if cmd == "whatif" {
+            parts.push(format!(r#""deltas":[{{{}}}]"#, delta.join(",")));
+        }
+        answer_is_well_formed(&format!("{{{}}}", parts.join(",")));
     }
 }

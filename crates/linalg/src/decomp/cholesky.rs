@@ -267,14 +267,6 @@ impl Cholesky {
     pub fn l(&self) -> &Mat {
         &self.l
     }
-
-    /// `log det A = 2 Σ log L_ii`.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows())
-            .map(|i| self.l.get(i, i).ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -447,14 +439,5 @@ mod tests {
         assert!(ch.downdate(&[2.0, 0.0]).is_err());
         let mut ch = Cholesky::factor(&Mat::identity(2)).unwrap();
         assert!(ch.downdate(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn log_det_identity_is_zero() {
-        let ch = Cholesky::factor(&Mat::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-14);
-        let a = Mat::from_diag(&[2.0, 8.0]);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - 16f64.ln()).abs() < 1e-12);
     }
 }

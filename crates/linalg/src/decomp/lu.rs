@@ -14,8 +14,6 @@ pub struct Lu {
     lu: Mat,
     /// `piv[k]` = row swapped into position `k` at step `k`.
     piv: Vec<usize>,
-    /// Sign of the permutation (for determinants).
-    sign: f64,
 }
 
 impl Lu {
@@ -36,7 +34,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut piv = Vec::with_capacity(n);
-        let mut sign = 1.0;
         let scale = a.max_abs().max(1.0);
 
         // The elimination inner loop runs on contiguous row slices (the
@@ -63,7 +60,6 @@ impl Lu {
             }
             if p != k {
                 lu.swap_rows(p, k);
-                sign = -sign;
             }
             piv.push(p);
 
@@ -80,7 +76,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, piv, sign })
+        Ok(Lu { lu, piv })
     }
 
     /// Solve `A·x = b`.
@@ -119,32 +115,6 @@ impl Lu {
             head[i] = acc / self.lu.get(i, i);
         }
         Ok(x)
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        let mut d = self.sign;
-        for i in 0..n {
-            d *= self.lu.get(i, i);
-        }
-        d
-    }
-
-    /// Inverse of the factored matrix (column-by-column solves).
-    pub fn inverse(&self) -> Result<Mat> {
-        let n = self.lu.rows();
-        let mut inv = Mat::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                inv.set(i, j, col[i]);
-            }
-            e[j] = 0.0;
-        }
-        Ok(inv)
     }
 }
 
@@ -187,21 +157,6 @@ mod tests {
             Lu::factor(&a),
             Err(LinalgError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn determinant_and_inverse() {
-        let a = Mat::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]);
-        let lu = Lu::factor(&a).unwrap();
-        assert!((lu.det() - 10.0).abs() < 1e-10);
-        let inv = lu.inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod.get(i, j) - expect).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]

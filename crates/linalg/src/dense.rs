@@ -243,11 +243,6 @@ impl Mat {
         g
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        crate::vector::norm2(&self.data)
-    }
-
     /// `self ← self + a·B`.
     pub fn axpy_mat(&mut self, a: f64, b: &Mat) -> Result<()> {
         if self.shape() != b.shape() {
@@ -418,7 +413,6 @@ mod tests {
     #[test]
     fn norms_and_scaling() {
         let mut m = Mat::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((m.frobenius() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         m.scale(2.0);
         assert_eq!(m.get(1, 1), 8.0);

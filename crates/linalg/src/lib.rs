@@ -15,13 +15,11 @@
 //!   (0/1, very sparse) and Vardi second-moment systems, with the
 //!   sparse-first kernels ([`Csr::gram`], counting-sort construction,
 //!   O(nnz) transpose, fused weighted products, row/col scaling),
-//! * [`LinOp`] — the dense-or-sparse operator abstraction every solver
-//!   in `tm-opt` is written against (see `docs/PERF.md`),
+//! * [`LinOp`] — one product interface over `Mat` and `Csr`, for
+//!   checks that take either (the solvers call the concrete types),
 //! * [`sparse_lu`] — sparse LU factorization of simplex bases with
 //!   FTRAN/BTRAN triangular solves and product-form eta updates (the
 //!   engine room of `tm_opt::revised`),
-//! * [`iterative`] — conjugate-gradient solvers over abstract
-//!   [`LinearOperator`]s (blanket-implemented for every [`LinOp`]),
 //! * [`workspace`] — scratch-buffer pooling for solver loops that
 //!   would otherwise reallocate per iteration (used by the dual NNLS
 //!   outer loop; the SPG inner loop hoists its own fixed buffers),
@@ -49,7 +47,6 @@
 pub mod decomp;
 pub mod dense;
 pub mod error;
-pub mod iterative;
 pub mod linop;
 pub mod sparse;
 pub mod sparse_lu;
@@ -59,8 +56,7 @@ pub mod workspace;
 
 pub use dense::Mat;
 pub use error::LinalgError;
-pub use iterative::LinearOperator;
-pub use linop::{DynLinOp, LinOp};
+pub use linop::LinOp;
 pub use sparse::Csr;
 pub use sparse_lu::{BasisLu, SparseLu};
 pub use workspace::Workspace;

@@ -1,15 +1,9 @@
 //! The [`LinOp`] abstraction: one interface over dense [`Mat`] and
 //! sparse [`Csr`] operators.
 //!
-//! Every estimator hot path in `tm-core` reduces to repeated products
-//! with the measurement matrix. `LinOp` lets the solvers in `tm-opt` be
-//! written once and run on either representation — sparse CSR for the
-//! production routing matrices (O(nnz) per product), dense for small
-//! systems and for benchmarking the dense baseline the sparse engine is
-//! measured against.
-//!
-//! [`DynLinOp`] is the owned either-type for call sites that pick the
-//! representation at runtime (e.g. the perf harness benching both).
+//! The solvers call `Mat` and `Csr` directly. `LinOp` serves code that
+//! must accept either representation: `tm_opt::nnls::kkt_violation`
+//! checks dense and sparse NNLS solutions through it.
 
 use crate::dense::Mat;
 use crate::sparse::Csr;
@@ -110,59 +104,6 @@ impl LinOp for Csr {
     }
 }
 
-/// An owned dense-or-sparse operator chosen at runtime.
-#[derive(Debug, Clone)]
-pub enum DynLinOp {
-    /// Dense row-major operator.
-    Dense(Mat),
-    /// Compressed-sparse-row operator.
-    Sparse(Csr),
-}
-
-impl DynLinOp {
-    /// Borrow the underlying operator as a `&dyn LinOp`.
-    pub fn as_linop(&self) -> &dyn LinOp {
-        match self {
-            DynLinOp::Dense(m) => m,
-            DynLinOp::Sparse(c) => c,
-        }
-    }
-}
-
-impl From<Mat> for DynLinOp {
-    fn from(m: Mat) -> Self {
-        DynLinOp::Dense(m)
-    }
-}
-
-impl From<Csr> for DynLinOp {
-    fn from(c: Csr) -> Self {
-        DynLinOp::Sparse(c)
-    }
-}
-
-impl LinOp for DynLinOp {
-    fn rows(&self) -> usize {
-        self.as_linop().rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.as_linop().cols()
-    }
-
-    fn nnz(&self) -> usize {
-        self.as_linop().nnz()
-    }
-
-    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        self.as_linop().matvec_into(x, y)
-    }
-
-    fn tr_matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        self.as_linop().tr_matvec_into(x, y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,8 +124,8 @@ mod tests {
         let (m, c) = pair();
         let x = [1.0, -2.0, 0.5];
         let t = [2.0, 0.0, -1.0, 1.5];
-        let ops: Vec<DynLinOp> = vec![m.clone().into(), c.clone().into()];
-        for op in &ops {
+        let ops: [&dyn LinOp; 2] = [&m, &c];
+        for op in ops {
             assert_eq!(op.rows(), 4);
             assert_eq!(op.cols(), 3);
             let y = op.matvec(&x);

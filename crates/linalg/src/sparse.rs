@@ -466,26 +466,6 @@ impl Csr {
         }
     }
 
-    /// Fused `y = Aᵀ·(w ⊙ x)` — the weighted normal-equation right-hand
-    /// side `AᵀWx` for diagonal `W = diag(w)`, in one pass over the
-    /// nonzeros with no intermediate vector.
-    pub fn tr_matvec_weighted_into(&self, w: &[f64], x: &[f64], y: &mut [f64]) {
-        assert_eq!(w.len(), self.rows, "tr_matvec_weighted: weight mismatch");
-        assert_eq!(x.len(), self.rows, "tr_matvec_weighted: input mismatch");
-        assert_eq!(y.len(), self.cols, "tr_matvec_weighted: output mismatch");
-        y.fill(0.0);
-        for i in 0..self.rows {
-            let wx = w[i] * x[i];
-            if wx == 0.0 {
-                continue;
-            }
-            let (idx, val) = self.row(i);
-            for (k, &j) in idx.iter().enumerate() {
-                y[j] += val[k] * wx;
-            }
-        }
-    }
-
     /// New matrix with the same sparsity pattern and values
     /// `f(i, j, v)` — O(nnz), no re-sorting (used to build matrices
     /// that share a precomputed pattern, e.g. `S·G·S` scalings).
@@ -641,28 +621,6 @@ impl Csr {
         }
         n
     }
-
-    /// Largest singular value estimate via a few power iterations on
-    /// `AᵀA` (used to pick safe step sizes in projected gradient).
-    pub fn spectral_norm_est(&self, iters: usize) -> f64 {
-        if self.nnz() == 0 {
-            return 0.0;
-        }
-        let mut v = vec![1.0 / (self.cols as f64).sqrt(); self.cols];
-        let mut lam = 0.0;
-        for _ in 0..iters.max(1) {
-            let av = self.matvec(&v);
-            let atav = self.tr_matvec(&av);
-            lam = crate::vector::norm2(&atav);
-            if lam == 0.0 {
-                return 0.0;
-            }
-            v = atav;
-            let n = crate::vector::norm2(&v);
-            crate::vector::scale(1.0 / n, &mut v);
-        }
-        lam.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -782,15 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn spectral_norm_close_to_true() {
-        // For the diagonal matrix diag(3, 4), the spectral norm is 4.
-        let m = Csr::from_triplets(2, 2, vec![(0, 0, 3.0), (1, 1, 4.0)]).unwrap();
-        let est = m.spectral_norm_est(50);
-        assert!((est - 4.0).abs() < 1e-6, "estimate {est}");
-        assert_eq!(Csr::zeros(3, 3).spectral_norm_est(5), 0.0);
-    }
-
-    #[test]
     fn matvec_into_buffers() {
         let m = sample();
         let mut y = vec![9.0; 3];
@@ -836,17 +785,6 @@ mod tests {
         assert!(m.scale_rows(&[1.0]).is_err());
         let u = m.scale(0.5);
         assert_eq!(u.get(2, 1), 2.0);
-    }
-
-    #[test]
-    fn weighted_tr_matvec_fuses_diagonal() {
-        let m = sample();
-        let w = [2.0, 5.0, 0.5];
-        let x = [1.0, 3.0, -2.0];
-        let mut y = vec![9.0; 3];
-        m.tr_matvec_weighted_into(&w, &x, &mut y);
-        let wx: Vec<f64> = w.iter().zip(&x).map(|(a, b)| a * b).collect();
-        assert_eq!(y, m.tr_matvec(&wx));
     }
 
     #[test]

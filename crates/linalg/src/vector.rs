@@ -24,11 +24,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     amax * ss.sqrt()
 }
 
-/// One-norm `‖x‖₁`.
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Infinity norm `‖x‖∞`.
 pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
@@ -81,34 +76,6 @@ pub fn mean(x: &[f64]) -> f64 {
     }
 }
 
-/// Index of the maximum entry (first occurrence). `None` when empty.
-pub fn argmax(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &v) in x.iter().enumerate() {
-        if v > x[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
-/// Index of the minimum entry (first occurrence). `None` when empty.
-pub fn argmin(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &v) in x.iter().enumerate() {
-        if v < x[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 /// `n` points spaced uniformly on `[a, b]` inclusive. `n == 1` yields `[a]`.
 pub fn linspace(a: f64, b: f64, n: usize) -> Vec<f64> {
     match n {
@@ -126,13 +93,6 @@ pub fn logspace(a: f64, b: f64, n: usize) -> Vec<f64> {
         .into_iter()
         .map(|e| 10f64.powf(e))
         .collect()
-}
-
-/// Clamp every entry into `[lo, hi]` in place.
-pub fn clamp_in_place(x: &mut [f64], lo: f64, hi: f64) {
-    for v in x {
-        *v = v.clamp(lo, hi);
-    }
 }
 
 /// Project onto the non-negative orthant in place (`x ← max(x, 0)`).
@@ -153,7 +113,6 @@ mod tests {
         let x = [3.0, 4.0];
         assert_eq!(dot(&x, &x), 25.0);
         assert!((norm2(&x) - 5.0).abs() < 1e-12);
-        assert_eq!(norm1(&x), 7.0);
         assert_eq!(norm_inf(&[-9.0, 2.0]), 9.0);
     }
 
@@ -188,16 +147,6 @@ mod tests {
         assert_eq!(sum(&[1.0, 2.0, 3.0]), 6.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(argmax(&[1.0, 5.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 5.0, -3.0]), Some(2));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
-    }
-
-    #[test]
-    fn argmax_first_occurrence_on_ties() {
-        assert_eq!(argmax(&[2.0, 2.0, 1.0]), Some(0));
-        assert_eq!(argmin(&[1.0, 1.0, 2.0]), Some(0));
     }
 
     #[test]
@@ -217,9 +166,6 @@ mod tests {
         let mut x = vec![-1.0, 0.5, 2.0];
         project_nonneg(&mut x);
         assert_eq!(x, vec![0.0, 0.5, 2.0]);
-        let mut y = vec![-1.0, 0.5, 2.0];
-        clamp_in_place(&mut y, 0.0, 1.0);
-        assert_eq!(y, vec![0.0, 0.5, 1.0]);
     }
 
     #[test]

@@ -169,48 +169,6 @@ pub fn generate(spec: &BackboneSpec, seed: u64) -> Result<Topology> {
     Ok(topo)
 }
 
-/// Two-level hierarchical backbone: a densely meshed core ring plus leaf
-/// PoPs homed onto two distinct core PoPs each (dual-homing). Used by the
-/// scaling benchmarks; not one of the paper's evaluation networks.
-pub fn two_level(name: &str, core: usize, leaves: usize, seed: u64) -> Result<Topology> {
-    if core < 3 {
-        return Err(NetError::InvalidTopology("core needs >= 3 PoPs".into()));
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6869_6572);
-    let mut topo = Topology::new(name.to_string());
-    for i in 0..core {
-        topo.add_node(format!("{name}-core{i:02}"), NodeRole::Access);
-    }
-    for i in 0..leaves {
-        topo.add_node(format!("{name}-leaf{i:02}"), NodeRole::Access);
-    }
-    // Core ring + full next-nearest chords.
-    for i in 0..core {
-        topo.add_duplex(NodeId(i), NodeId((i + 1) % core), 10_000.0, 10.0)?;
-    }
-    if core > 4 {
-        for i in 0..core {
-            let j = (i + 2) % core;
-            if i < j {
-                topo.add_duplex(NodeId(i), NodeId(j), 10_000.0, 18.0)?;
-            }
-        }
-    }
-    // Dual-homed leaves.
-    for l in 0..leaves {
-        let id = NodeId(core + l);
-        let h1 = rng.random_range(0..core);
-        let mut h2 = rng.random_range(0..core);
-        while h2 == h1 {
-            h2 = rng.random_range(0..core);
-        }
-        topo.add_duplex(id, NodeId(h1), 2_500.0, 30.0)?;
-        topo.add_duplex(id, NodeId(h2), 2_500.0, 45.0)?;
-    }
-    topo.validate()?;
-    Ok(topo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,17 +244,6 @@ mod tests {
         let t = generate(&BackboneSpec::tiny(5), 2).unwrap();
         assert_eq!(t.n_nodes(), 5);
         assert!(t.is_strongly_connected());
-    }
-
-    #[test]
-    fn two_level_is_connected_and_sized() {
-        let t = two_level("h", 6, 10, 3).unwrap();
-        assert_eq!(t.n_nodes(), 16);
-        assert!(t.is_strongly_connected());
-        // 6 ring + 4 chords (wrap-around skipped by the i<j filter)
-        // + 2 per leaf = 6 + 4 + 20 duplex = 60 directed.
-        assert_eq!(t.n_links(), 2 * (6 + 4 + 20));
-        assert!(two_level("h", 2, 1, 3).is_err());
     }
 
     #[test]

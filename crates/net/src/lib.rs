@@ -15,20 +15,17 @@
 //!
 //! * [`topology`] — nodes (access / peering / transit roles), directed
 //!   capacitated links, validation;
-//! * [`generators`] — deterministic random backbones matching the paper's
-//!   node/link counts exactly, plus generic ring-and-chord and two-level
-//!   hierarchical generators;
+//! * [`generators`] — deterministic random ring-and-chord backbones
+//!   matching the paper's PoP-level node/link counts exactly;
 //! * [`routing`] — Dijkstra shortest paths and CSPF (constrained shortest
 //!   path first), the constraint-based routing protocol the paper
 //!   simulates with Cariden MATE, including full LSP-mesh establishment;
 //! * [`matrix`] — the routing matrix `R` of Eq. (1): a sparse 0/1 matrix
 //!   mapping OD demands to the links they traverse, with optional
-//!   ingress/egress edge-link rows (`t_e(n)`, `t_x(m)`);
-//! * [`aggregate`] — router-level → PoP-level aggregation following the
-//!   paper's rule (aggregated demand follows the largest original
-//!   demand's path);
-//! * [`fmt`] — a MATE-like plain-text export/import of topologies and
-//!   routes.
+//!   ingress/egress edge-link rows (`t_e(n)`, `t_x(m)`).
+//!
+//! The generators emit PoP-level topologies directly, so the paper's
+//! router-to-PoP aggregation step (§5.1.4) has no counterpart here.
 //!
 //! ## Omissions
 //!
@@ -40,9 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod error;
-pub mod fmt;
 pub mod generators;
 pub mod matrix;
 pub mod routing;

@@ -201,19 +201,6 @@ impl RoutingMatrix {
             .expect("in-bounds by construction")
     }
 
-    /// Full measurement matrix. With `include_edge`, rows are stacked as
-    /// `[interior; ingress; egress]` (`L + 2N` rows), matching a network
-    /// where access links are polled alongside core links.
-    pub fn full_matrix(&self, include_edge: bool) -> Csr {
-        if !include_edge {
-            return self.interior.clone();
-        }
-        self.interior
-            .vstack(&self.ingress_matrix())
-            .and_then(|m| m.vstack(&self.egress_matrix()))
-            .expect("column counts agree by construction")
-    }
-
     /// Interior link loads `t = R·s`.
     pub fn interior_loads(&self, demands: &[f64]) -> Result<Vec<f64>> {
         self.check_demands(demands)?;
@@ -238,16 +225,6 @@ impl RoutingMatrix {
             loads[dst.0] += demands[p];
         }
         Ok(loads)
-    }
-
-    /// Full measurement vector aligned with [`Self::full_matrix`].
-    pub fn full_loads(&self, demands: &[f64], include_edge: bool) -> Result<Vec<f64>> {
-        let mut t = self.interior_loads(demands)?;
-        if include_edge {
-            t.extend(self.ingress_loads(demands)?);
-            t.extend(self.egress_loads(demands)?);
-        }
-        Ok(t)
     }
 
     fn check_demands(&self, demands: &[f64]) -> Result<()> {
@@ -346,12 +323,6 @@ mod tests {
         let total: f64 = demands.iter().sum();
         assert!((te.iter().sum::<f64>() - total).abs() < 1e-12);
         assert!((tx.iter().sum::<f64>() - total).abs() < 1e-12);
-
-        // Full matrix & loads agree.
-        let full = rm.full_matrix(true);
-        let tfull = rm.full_loads(&demands, true).unwrap();
-        assert_eq!(full.rows(), t.n_links() + 2 * 3);
-        assert_eq!(full.matvec(&demands), tfull);
     }
 
     #[test]

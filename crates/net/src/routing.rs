@@ -243,22 +243,6 @@ pub fn route_lsp_mesh(
     RoutingMatrix::from_paths(topo, paths)
 }
 
-/// Utilization (reserved / capacity) per link implied by routing the
-/// given demands along the given matrix — used by the traffic
-/// engineering example and by CSPF diagnostics.
-pub fn link_utilization(
-    topo: &Topology,
-    routing: &RoutingMatrix,
-    demands: &[f64],
-) -> Result<Vec<f64>> {
-    let loads = routing.interior_loads(demands)?;
-    let mut util = vec![0.0; topo.n_links()];
-    for (l, &load) in loads.iter().enumerate() {
-        util[l] = load / topo.links()[l].capacity_mbps;
-    }
-    Ok(util)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,19 +413,5 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn utilization_reflects_loads() {
-        let t = square();
-        let pairs = OdPairs::new(4);
-        let mut demands = vec![0.0; pairs.count()];
-        demands[pairs.index(NodeId(0), NodeId(2)).unwrap()] = 500.0;
-        let rm = route_lsp_mesh(&t, &demands, CspfConfig::default()).unwrap();
-        let util = link_utilization(&t, &rm, &demands).unwrap();
-        // The diagonal carries 500 of 1000 => 0.5 on exactly one link.
-        let max = util.iter().cloned().fold(0.0f64, f64::max);
-        assert!((max - 0.5).abs() < 1e-12);
-        assert_eq!(util.iter().filter(|&&u| u > 0.0).count(), 1);
     }
 }

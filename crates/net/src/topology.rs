@@ -264,15 +264,6 @@ impl Topology {
         }
         Ok(())
     }
-
-    /// Total capacity leaving each node (Mbps) — a crude node "size".
-    pub fn egress_capacity(&self) -> Vec<f64> {
-        let mut cap = vec![0.0; self.nodes.len()];
-        for l in &self.links {
-            cap[l.src.0] += l.capacity_mbps;
-        }
-        cap
-    }
 }
 
 #[cfg(test)]
@@ -356,13 +347,6 @@ mod tests {
         t.add_node("T", NodeRole::Transit);
         let d = t.demand_nodes();
         assert_eq!(d, vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn egress_capacity_sums_outgoing() {
-        let t = triangle();
-        let cap = t.egress_capacity();
-        assert_eq!(cap, vec![2000.0, 2000.0, 2000.0]);
     }
 
     #[test]

@@ -71,20 +71,6 @@ proptest! {
     }
 
     #[test]
-    fn text_format_roundtrips(seed in 0u64..2000, n in 4usize..8) {
-        let topo = generators::generate(&BackboneSpec::tiny(n), seed).expect("valid");
-        let pairs = OdPairs::new(n);
-        let rm = route_lsp_mesh(&topo, &vec![2.0; pairs.count()], CspfConfig::default())
-            .expect("routable");
-        let text = tm_net::fmt::export(&topo, Some(&rm));
-        let (topo2, rm2) = tm_net::fmt::import(&text).expect("own export parses");
-        prop_assert_eq!(topo2.n_nodes(), topo.n_nodes());
-        prop_assert_eq!(topo2.n_links(), topo.n_links());
-        let rm2 = rm2.expect("routes present");
-        prop_assert_eq!(rm2.interior(), rm.interior());
-    }
-
-    #[test]
     fn cspf_respects_admission_when_feasible(seed in 0u64..500) {
         // With a generous subscription factor everything routes; with a
         // fallback disabled and zero subscription it must fail.

@@ -11,12 +11,9 @@
 //! an at-tolerance [`crate::nnls::NnlsSolution`] otherwise. Streaming
 //! callers that decide whether a warm start is still trustworthy need
 //! one shape for all of them; [`Convergence`] is that shape, produced
-//! by the `convergence()` accessor on each result type and by
-//! [`Convergence::from_error`] on the error path.
+//! by the `convergence()` accessor on each result type.
 
 use serde::{Deserialize, Serialize};
-
-use crate::error::OptError;
 
 /// Outcome of an iterative solve: tolerance met or budget capped.
 ///
@@ -55,19 +52,6 @@ impl Convergence {
             iters,
         }
     }
-
-    /// Extract a budget-capped status from an error, when the error is
-    /// [`OptError::DidNotConverge`]. Other error variants carry no
-    /// iteration information and yield `None`.
-    pub fn from_error(err: &OptError) -> Option<Self> {
-        match err {
-            OptError::DidNotConverge {
-                iterations,
-                measure,
-            } => Some(Convergence::budget_capped(*measure, *iterations)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -82,13 +66,5 @@ mod tests {
         let b = Convergence::budget_capped(0.5, 100);
         assert!(!b.converged);
         assert_eq!(b.achieved_tol, 0.5);
-
-        let err = OptError::DidNotConverge {
-            iterations: 42,
-            measure: 0.25,
-        };
-        let c = Convergence::from_error(&err).expect("typed");
-        assert_eq!(c, Convergence::budget_capped(0.25, 42));
-        assert!(Convergence::from_error(&OptError::Invalid("x".into())).is_none());
     }
 }

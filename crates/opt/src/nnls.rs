@@ -63,9 +63,8 @@ pub struct NnlsSolution {
 
 impl NnlsSolution {
     /// Typed convergence status. NNLS solvers only return `Ok` at
-    /// tolerance, so this always reports `converged: true`; the
-    /// budget-capped counterpart is recovered from the error path via
-    /// [`Convergence::from_error`].
+    /// tolerance, so this always reports `converged: true`; budget
+    /// exhaustion is the [`OptError::DidNotConverge`] error.
     pub fn convergence(&self) -> Convergence {
         Convergence::achieved(self.achieved_tol, self.iterations)
     }

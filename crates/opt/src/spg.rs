@@ -235,11 +235,6 @@ where
     })
 }
 
-/// Project onto the nonnegative orthant (closure helper).
-pub fn project_nonneg(x: &mut [f64]) {
-    vector::project_nonneg(x);
-}
-
 /// Project onto the box `[lo_i, hi_i]` per coordinate.
 pub fn project_box<'a>(lo: &'a [f64], hi: &'a [f64]) -> impl Fn(&mut [f64]) + 'a {
     move |x: &mut [f64]| {
@@ -278,7 +273,7 @@ mod tests {
                 }
                 f
             },
-            project_nonneg,
+            vector::project_nonneg,
             vec![0.0; 3],
             SpgOptions::default(),
         )
@@ -297,7 +292,7 @@ mod tests {
                 g[0] = x[0] + 1.0;
                 0.5 * (x[0] + 1.0) * (x[0] + 1.0)
             },
-            project_nonneg,
+            vector::project_nonneg,
             vec![5.0],
             SpgOptions::default(),
         )
@@ -317,7 +312,7 @@ mod tests {
                 g.copy_from_slice(&gr);
                 0.5 * vector::dot(&r, &r)
             },
-            project_nonneg,
+            vector::project_nonneg,
             vec![0.0, 0.0],
             SpgOptions {
                 tol: 1e-12,
@@ -381,7 +376,7 @@ mod tests {
                 g[0] = x[0] - 1.0;
                 0.5 * (x[0] - 1.0) * (x[0] - 1.0)
             },
-            project_nonneg,
+            vector::project_nonneg,
             vec![100.0],
             SpgOptions {
                 max_iter: 1,
@@ -406,7 +401,7 @@ mod tests {
                     g[1] = 2.0 * (x[1] - 1.0);
                     0.5 * (x[0] - 3.0).powi(2) + (x[1] - 1.0).powi(2)
                 },
-                project_nonneg,
+                vector::project_nonneg,
                 vec![0.0, 0.0],
                 SpgOptions {
                     initial_step,
@@ -433,7 +428,7 @@ mod tests {
                 g[0] = f64::NAN;
                 f64::NAN
             },
-            project_nonneg,
+            vector::project_nonneg,
             vec![1.0],
             SpgOptions::default(),
         );

@@ -360,7 +360,7 @@ proptest! {
                 grad.copy_from_slice(&g);
                 0.5 * vector::dot(&r, &r)
             },
-            tm_opt::spg::project_nonneg,
+            vector::project_nonneg,
             vec![0.1; 3],
             tm_opt::spg::SpgOptions { max_iter: 5000, tol: 1e-10, ..Default::default() },
         ).unwrap();

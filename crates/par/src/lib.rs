@@ -101,62 +101,6 @@ where
     flat
 }
 
-/// Map `f` over owned items in parallel, preserving order.
-pub fn into_par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    let n = items.len();
-    let workers = threads().min(n.max(1));
-    if workers <= 1 || n <= 1 || IN_WORKER.with(|w| w.get()) {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::new();
-    let mut items = items;
-    while !items.is_empty() {
-        let rest = items.split_off(items.len().min(chunk));
-        chunks.push(std::mem::replace(&mut items, rest));
-    }
-    let mut out: Vec<Vec<U>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for slice in chunks {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                slice.into_iter().map(f).collect::<Vec<U>>()
-            }));
-        }
-        for h in handles {
-            out.push(h.join().expect("tm_par worker panicked"));
-        }
-    });
-    let mut flat = Vec::with_capacity(n);
-    for mut v in out {
-        flat.append(&mut v);
-    }
-    flat
-}
-
-/// Parallel map-then-fold with a *fixed* reduction order.
-///
-/// `f` maps each item to an accumulator contribution; `fold` combines
-/// contributions **in input order** (serially, after the parallel map),
-/// so floating-point results are bit-identical to the serial
-/// `items.iter().map(f).fold(init, fold)`.
-pub fn par_map_reduce<T, U, A, F, G>(items: &[T], f: F, init: A, fold: G) -> A
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-    G: FnMut(A, U) -> A,
-{
-    par_map(items, f).into_iter().fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,25 +119,6 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i + 10);
         }
-    }
-
-    #[test]
-    fn into_par_map_moves_items() {
-        let items: Vec<String> = (0..57).map(|i| format!("x{i}")).collect();
-        let out = into_par_map(items, |s| s.len());
-        assert_eq!(out.len(), 57);
-        assert_eq!(out[0], 2);
-        assert_eq!(out[10], 3);
-    }
-
-    #[test]
-    fn reduce_order_is_serial_order() {
-        // Floating-point sum depends on order; the parallel reduce must
-        // match the serial fold exactly.
-        let items: Vec<f64> = (0..10_000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let serial = items.iter().map(|x| x * x).fold(0.0f64, |a, b| a + b);
-        let parallel = par_map_reduce(&items, |x| x * x, 0.0f64, |a, b| a + b);
-        assert_eq!(serial.to_bits(), parallel.to_bits());
     }
 
     #[test]

@@ -142,21 +142,6 @@ impl EvalDataset {
         Ok(self.routing.interior_loads(s)?)
     }
 
-    /// Link-load time series over a sample range, including edge links
-    /// when `include_edge` (rows ordered `[interior; ingress; egress]`).
-    pub fn link_load_series(
-        &self,
-        range: std::ops::Range<usize>,
-        include_edge: bool,
-    ) -> Result<Vec<Vec<f64>>> {
-        let mut out = Vec::with_capacity(range.len());
-        for k in range {
-            let s = self.demands_at(k)?;
-            out.push(self.routing.full_loads(s, include_edge)?);
-        }
-        Ok(out)
-    }
-
     /// Number of OD pairs.
     pub fn n_pairs(&self) -> usize {
         self.routing.pairs().count()
@@ -261,13 +246,6 @@ mod tests {
         let t = d.link_loads_at(k).unwrap();
         let expect = d.routing.interior().matvec(s);
         assert_eq!(t, expect);
-        // Full loads include edges.
-        let series = d.link_load_series(k..k + 3, true).unwrap();
-        assert_eq!(series.len(), 3);
-        assert_eq!(
-            series[0].len(),
-            d.topology.n_links() + 2 * d.topology.n_nodes()
-        );
     }
 
     #[test]

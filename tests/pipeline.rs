@@ -6,7 +6,6 @@ use backbone_tm::core::fanout::FanoutEstimator;
 use backbone_tm::core::kruithof::KruithofEstimator;
 use backbone_tm::core::vardi::VardiEstimator;
 use backbone_tm::core::wcb::worst_case_bounds;
-use backbone_tm::net::fmt as netfmt;
 use backbone_tm::prelude::*;
 
 fn europe() -> EvalDataset {
@@ -142,21 +141,6 @@ fn collected_measurements_support_estimation() {
     let mre =
         mean_relative_error(truth, &est.demands, CoverageThreshold::Share(0.9)).expect("aligned");
     assert!(mre < 0.5, "estimation from collected data MRE {mre}");
-}
-
-#[test]
-fn topology_text_format_roundtrips_through_estimation() {
-    // Export the routed topology, re-import it, and verify the routing
-    // matrix produces identical link loads.
-    let d = europe();
-    let text = netfmt::export(&d.topology, Some(&d.routing));
-    let (topo2, routing2) = netfmt::import(&text).expect("own export parses");
-    let routing2 = routing2.expect("routes present");
-    assert_eq!(topo2.n_nodes(), d.topology.n_nodes());
-    let s = d.demands_at(d.busy_start).expect("in range");
-    let t1 = d.routing.interior_loads(s).expect("dims");
-    let t2 = routing2.interior_loads(s).expect("dims");
-    assert_eq!(t1, t2);
 }
 
 #[test]
