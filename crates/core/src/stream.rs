@@ -2201,6 +2201,128 @@ mod tests {
         }
     }
 
+    /// Tick `k` of the seed-42 Europe day under the canonical fault
+    /// plan: the repaired, stacked measurement vector the engine solves,
+    /// with the engine whose anchor holds the measurement matrix.
+    fn canonical_faulted_tick(k: usize) -> (StreamEngine, Vec<f64>) {
+        let seed = 42;
+        let d = EvalDataset::generate(DatasetSpec::europe(), seed).unwrap();
+        let plan = LoadFaultPlan::canonical(d.topology.n_links(), seed);
+        let mut engine =
+            StreamEngine::for_dataset(&d, &methods(&["gravity"]), StreamMode::Warm).unwrap();
+        for j in 0..=k {
+            let mut loads = d.interval_loads(j).unwrap();
+            plan.apply(j, &mut loads.link_loads);
+            engine.push_interval(loads).unwrap();
+        }
+        let repaired = engine.history.back().unwrap();
+        let mut t = repaired.link_loads.clone();
+        if engine.anchor.problem().uses_edge_measurements() {
+            t.extend_from_slice(&repaired.ingress);
+            t.extend_from_slice(&repaired.egress);
+        }
+        (engine, t)
+    }
+
+    /// The canonical faulted tick the relaxed-form tests share: the
+    /// first tick of the corruption burst, whose exact form is
+    /// infeasible.
+    const FAULTED_TICK: usize = 12;
+
+    #[test]
+    fn bounded_band_matches_the_explicit_band_on_every_rung() {
+        // The relaxed form as it was first written, `[[A, I, 0],
+        // [0, I, I]]` over `(s, u, w)` with right-hand side
+        // `(t + σ, 2σ)`, solved by the dense reference tableau, is the
+        // oracle for the bounded-variable band `A·s + u = t + σ`,
+        // `0 ≤ u ≤ 2σ`: the same feasibility verdict on every ladder
+        // rung, and the same bounds on every feasible one.
+        use crate::wcb::{RelaxedBand, RELAXED_SLACK_LADDER};
+        use tm_linalg::Csr;
+        use tm_opt::simplex::SimplexSolver;
+        let (engine, t) = canonical_faulted_tick(FAULTED_TICK);
+        let a = engine.anchor.matrix();
+        assert!(
+            matches!(
+                WcbSolver::from_parts(a, &t),
+                Err(EstimationError::Opt(OptError::Infeasible { .. }))
+            ),
+            "the tick's exact form must be infeasible"
+        );
+        let (m, n) = (a.rows(), a.cols());
+        let mut trips = Vec::with_capacity(a.nnz() + 3 * m);
+        for i in 0..m {
+            let (idx, val) = a.row(i);
+            for (&j, &v) in idx.iter().zip(val) {
+                trips.push((i, j, v));
+            }
+            trips.push((i, n + i, 1.0));
+            trips.push((m + i, n + i, 1.0));
+            trips.push((m + i, n + m + i, 1.0));
+        }
+        let explicit = Csr::from_triplets(2 * m, n + 2 * m, trips).unwrap();
+        let positive: Vec<f64> = t.iter().copied().filter(|&v| v > 0.0).collect();
+        let t_bar = positive.iter().sum::<f64>() / positive.len() as f64;
+        let scale = t.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
+        let band = RelaxedBand::new(a).unwrap();
+        let mut verdicts = Vec::new();
+        for (rung, &slack) in RELAXED_SLACK_LADDER.iter().enumerate() {
+            let sigma: Vec<f64> = t.iter().map(|&ti| slack * ti.max(t_bar)).collect();
+            let mut rhs: Vec<f64> = t.iter().zip(&sigma).map(|(ti, s)| ti + s).collect();
+            rhs.extend(sigma.iter().map(|s| 2.0 * s));
+            let dense = match SimplexSolver::new_sparse(&explicit, &rhs) {
+                Ok(solver) => Some(solver),
+                Err(OptError::Infeasible { .. }) => None,
+                Err(e) => panic!("rung {rung}: reference phase 1 failed: {e}"),
+            };
+            let bounded = band.phase1(&t, rung).unwrap();
+            assert_eq!(
+                dense.is_some(),
+                bounded.is_some(),
+                "rung {rung}: feasibility of the explicit vs the bounded band"
+            );
+            verdicts.push(bounded.is_some());
+            let (Some(mut dense), Some(bounded)) = (dense, bounded) else {
+                continue;
+            };
+            assert_eq!(bounded.slack_rel(), Some(slack));
+            let got = bounded.bounds(&mut Workspace::new()).unwrap();
+            let mut c = vec![0.0; n + 2 * m];
+            for p in 0..n {
+                c[p] = 1.0;
+                let upper = dense.maximize(&c).unwrap().objective;
+                let lower = dense.minimize(&c).unwrap().objective.max(0.0);
+                c[p] = 0.0;
+                assert!(
+                    (lower - got.lower[p]).abs() <= 1e-9 * scale
+                        && (upper.max(lower) - got.upper[p]).abs() <= 1e-9 * scale,
+                    "rung {rung} pair {p}: explicit [{lower}, {upper}] vs bounded [{}, {}]",
+                    got.lower[p],
+                    got.upper[p]
+                );
+            }
+        }
+        assert!(
+            verdicts.contains(&false) && verdicts.contains(&true),
+            "the tick must exercise both verdicts: {verdicts:?}"
+        );
+    }
+
+    #[test]
+    fn faulted_europe_sweep_cost_is_pinned() {
+        // The relaxed sweep of the canonical faulted tick from a fresh
+        // ladder climb. Like Fig. 8's clean sweep, its pivot path —
+        // pivots, bound flips and refactorizations — is pinned, so a
+        // change to the bounded-variable ratio test or pricing shows.
+        let (engine, t) = canonical_faulted_tick(FAULTED_TICK);
+        let (solver, slack) = WcbSolver::from_parts_relaxed(engine.anchor.matrix(), &t).unwrap();
+        let b = solver.bounds(&mut Workspace::new()).unwrap();
+        assert_eq!(slack, 1.6e-2, "rung of the faulted tick");
+        assert_eq!(b.total_pivots, 1961, "pivots of the faulted sweep");
+        assert_eq!(b.bound_flips, 9, "bound flips of the faulted sweep");
+        assert_eq!(b.refactors, 75, "refactorizations of the faulted sweep");
+    }
+
     /// Whether the engine's first slot, a WCB slot, carries an elastic
     /// basis into its next tick.
     fn carries_elastic(engine: &StreamEngine) -> bool {

@@ -25,14 +25,19 @@
 //! warm `StreamEngine` therefore carries the basis and shares the
 //! phase-1 work across the day.
 //!
-//! The same holds on infeasible ticks. The relaxed form's band matrix
-//! depends on `A` alone, so the stream builds it once and carries the
-//! relaxed (elastic) basis with its slack rung from one infeasible tick
-//! to the next. The rung search re-anchors that basis first and then
-//! confirms the rung below with a fresh phase 1, so it settles on the
-//! same lowest feasible rung as [`WcbSolver::from_parts_relaxed`]'s
-//! climb from the bottom; the bounds agree with a fresh relaxed solve to
-//! LP tolerance.
+//! The same holds on infeasible ticks. There the relaxed form widens
+//! each row to a band, `A·s + u = t + σ` with one slack per row bounded
+//! by `0 ≤ u ≤ 2σ`: `m` rows and `n + m` columns, the slack bounds held
+//! implicitly by the bounded-variable simplex. Its matrix `[A, I]`
+//! depends on `A` alone, and a ladder rung is only a right-hand side and
+//! a set of slack bounds, so the stream builds the matrix once and
+//! carries the relaxed (elastic) basis with its slack rung from one
+//! infeasible tick to the next, re-anchoring it on a new `t` or a new
+//! rung by a dual repair. The rung search re-anchors that basis first
+//! and then confirms the rung below with a fresh phase 1, so it settles
+//! on the same lowest feasible rung as
+//! [`WcbSolver::from_parts_relaxed`]'s climb from the bottom; the bounds
+//! agree with a fresh relaxed solve to LP tolerance.
 //!
 //! The midpoint `(lower+upper)/2` turns out to be a strong prior for the
 //! regularized estimators (Fig. 9 / Fig. 15 / Table 2).
@@ -57,6 +62,10 @@ pub struct DemandBounds {
     pub total_pivots: usize,
     /// Basis refactorizations over the same sweep (Fig. 8 prints both).
     pub refactors: usize,
+    /// Bound flips over the same sweep: steps in which a bounded slack
+    /// of the relaxed form moved to its other bound instead of
+    /// pivoting (always 0 on the exact form, which has no bounds).
+    pub bound_flips: usize,
 }
 
 impl DemandBounds {
@@ -94,13 +103,14 @@ const PAIRS_PER_CHUNK: usize = 16;
 /// ([`WcbSolver::from_parts_relaxed`]): each rung widens the per-row
 /// band `|A·s − t| ≤ σ` by 4x. The final rung (`1.0`) admits `s = 0`
 /// and is therefore always feasible.
-const RELAXED_SLACK_LADDER: [f64; 6] = [1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1, 1.0];
+pub(crate) const RELAXED_SLACK_LADDER: [f64; 6] = [1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1, 1.0];
 
 /// The relaxed-equality band form of a measurement matrix `A` (`m`
-/// rows, `n` pairs): the `2m × (n + 2m)` matrix `[[A, I, 0], [0, I, I]]`
-/// over `(s, u, w)`. With right-hand side `(t + σ, 2σ)` it encodes
-/// `A·s ∈ [t − σ, t + σ]` in standard form. It depends on `A` alone, so
-/// one band serves every tick and every ladder rung.
+/// rows, `n` pairs): the `m × (n + m)` matrix `[A, I]` over `(s, u)`.
+/// With right-hand side `t + σ` and the column bounds `0 ≤ u ≤ 2σ` it
+/// encodes `A·s ∈ [t − σ, t + σ]`. It depends on `A` alone, so one band
+/// serves every tick and every ladder rung: a rung is a right-hand side
+/// and a set of bounds ([`relaxed_rhs`]).
 #[derive(Debug, Clone)]
 pub(crate) struct RelaxedBand {
     aug: Csr,
@@ -111,30 +121,28 @@ impl RelaxedBand {
     /// Build the band form of `a`.
     pub(crate) fn new(a: &Csr) -> Result<Self> {
         let (m, n) = (a.rows(), a.cols());
-        let mut trips = Vec::with_capacity(a.nnz() + 3 * m);
+        let mut trips = Vec::with_capacity(a.nnz() + m);
         for i in 0..m {
             let (idx, val) = a.row(i);
             for (&j, &v) in idx.iter().zip(val) {
                 trips.push((i, j, v));
             }
             trips.push((i, n + i, 1.0)); // A·s + u = t + σ
-            trips.push((m + i, n + i, 1.0)); // u + w = 2·σ
-            trips.push((m + i, n + m + i, 1.0));
         }
         Ok(RelaxedBand {
-            aug: Csr::from_triplets(2 * m, n + 2 * m, trips)?,
+            aug: Csr::from_triplets(m, n + m, trips)?,
             n,
         })
     }
 
     /// Fresh phase 1 at ladder rung `rung`: `Ok(None)` when the rung is
     /// infeasible for `t`.
-    fn phase1(&self, t: &[f64], rung: usize) -> Result<Option<WcbSolver>> {
-        match RevisedSimplex::new_sparse(&self.aug, &relaxed_rhs(t, RELAXED_SLACK_LADDER[rung])) {
+    pub(crate) fn phase1(&self, t: &[f64], rung: usize) -> Result<Option<WcbSolver>> {
+        let (rhs, upper) = relaxed_rhs(t, RELAXED_SLACK_LADDER[rung], self.n);
+        match RevisedSimplex::new_sparse(&self.aug, &rhs, Some(&upper)) {
             Ok(base) => Ok(Some(WcbSolver {
                 base: Box::new(base),
                 p_count: self.n,
-                n_cols: self.aug.cols(),
                 rung: Some(rung),
             })),
             Err(OptError::Infeasible { .. }) => Ok(None),
@@ -143,10 +151,12 @@ impl RelaxedBand {
     }
 }
 
-/// Right-hand side `(t + σ, 2σ)` of the band form at relative slack
-/// `slack_rel`: `σᵢ = slack_rel · max(tᵢ, t̄)` with `t̄` the mean
-/// positive measurement, so zero-load rows still get room.
-fn relaxed_rhs(t: &[f64], slack_rel: f64) -> Vec<f64> {
+/// Right-hand side `t + σ` and column bounds of the band form over `n`
+/// pairs at relative slack `slack_rel`: the pairs are unbounded, the
+/// slack `uᵢ` of row `i` is bounded by `2σᵢ`. `σᵢ = slack_rel ·
+/// max(tᵢ, t̄)` with `t̄` the mean positive measurement, so zero-load
+/// rows still get room.
+fn relaxed_rhs(t: &[f64], slack_rel: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
     let positive: Vec<f64> = t.iter().copied().filter(|&v| v > 0.0).collect();
     let t_bar = if positive.is_empty() {
         1.0
@@ -154,10 +164,10 @@ fn relaxed_rhs(t: &[f64], slack_rel: f64) -> Vec<f64> {
         positive.iter().sum::<f64>() / positive.len() as f64
     };
     let sigma = |ti: f64| slack_rel * ti.max(t_bar);
-    let mut b = Vec::with_capacity(2 * t.len());
-    b.extend(t.iter().map(|&ti| ti + sigma(ti)));
-    b.extend(t.iter().map(|&ti| 2.0 * sigma(ti)));
-    b
+    let rhs = t.iter().map(|&ti| ti + sigma(ti)).collect();
+    let mut upper = vec![f64::INFINITY; n];
+    upper.extend(t.iter().map(|&ti| 2.0 * sigma(ti)));
+    (rhs, upper)
 }
 
 /// Reusable worst-case-bound solver: one phase 1, many objectives, and
@@ -165,11 +175,10 @@ fn relaxed_rhs(t: &[f64], slack_rel: f64) -> Vec<f64> {
 #[derive(Debug, Clone)]
 pub struct WcbSolver {
     base: Box<RevisedSimplex>,
+    /// Pairs: the first `p_count` LP columns, the only ones the bound
+    /// sweep objectives. The relaxed form adds one bounded slack
+    /// column per row after them.
     p_count: usize,
-    /// Total LP columns: `p_count` for the exact equality form,
-    /// `p_count + 2·m` for the relaxed form (slack split `u`/`w` per
-    /// row). The bound sweep only objectives the first `p_count`.
-    n_cols: usize,
     /// Ladder rung the feasible region was widened by (`None` for the
     /// exact equality form).
     rung: Option<usize>,
@@ -184,9 +193,8 @@ impl WcbSolver {
     pub fn from_parts(a: &Csr, b: &[f64]) -> Result<Self> {
         let p_count = a.cols();
         Ok(WcbSolver {
-            base: Box::new(RevisedSimplex::new_sparse(a, b)?),
+            base: Box::new(RevisedSimplex::new_sparse(a, b, None)?),
             p_count,
-            n_cols: p_count,
             rung: None,
         })
     }
@@ -197,15 +205,16 @@ impl WcbSolver {
     /// loads are mutually inconsistent (ingress/egress sums no longer
     /// balance the interior loads).
     ///
-    /// Each equality row is widened to a band via a non-negative slack
-    /// split: `A·s + u = t + σ` and `u + w = 2·σ` (`u, w ≥ 0`) encode
-    /// `A·s ∈ [t − σ, t + σ]` in standard form. The per-row slack is
+    /// Each equality row is widened to a band by one bounded slack:
+    /// `A·s + u = t + σ` with `0 ≤ u ≤ 2·σ` encodes
+    /// `A·s ∈ [t − σ, t + σ]`, the bound held implicitly by the
+    /// bounded-variable simplex. The per-row slack is
     /// `σᵢ = slack_rel · max(tᵢ, t̄)` (`t̄` = mean positive measurement,
     /// so zero-load rows still get room), and `slack_rel` climbs
     /// `RELAXED_SLACK_LADDER` until phase 1 succeeds; the final rung
-    /// `1.0` admits `s = 0, u = t + σ, w = σ − t` and thus always
-    /// terminates the climb. Returns the solver and the slack level it
-    /// settled on: the **lowest feasible rung**.
+    /// `1.0` admits `s = 0, u = t + σ` (`t + σ ≤ 2σ` there) and thus
+    /// always terminates the climb. Returns the solver and the slack
+    /// level it settled on: the **lowest feasible rung**.
     ///
     /// The returned solver sweeps bounds over the original `a.cols()`
     /// pairs only. Its basis lives on the band form at its rung, and
@@ -223,48 +232,61 @@ impl WcbSolver {
     ///
     /// Without a `carried` solver this climbs the ladder with fresh
     /// phase 1s from the bottom. With one (a relaxed solver from an
-    /// earlier tick), its basis is re-anchored at its own rung by
-    /// [`WcbSolver::rebase`] first: a successful repair proves that rung
-    /// feasible. A failed one (any error included — the carry is only a
-    /// shortcut) falls back to a fresh phase 1 at that rung. From a
-    /// feasible rung the search steps down while the rung below is
-    /// feasible too, so one fresh phase 1 usually just confirms that the
-    /// rung below is infeasible; from an infeasible rung it climbs.
-    /// Feasibility is monotone in the rung (a wider band contains the
-    /// narrower one), so either way the result is the lowest feasible
-    /// rung.
+    /// earlier tick), its basis is re-anchored at its own rung first: a
+    /// successful repair proves that rung feasible. A failed one (any
+    /// error included — the carry is only a shortcut) falls back to a
+    /// fresh phase 1 at that rung. From a feasible rung the search steps
+    /// down while the rung below is feasible too, so one fresh phase 1
+    /// usually just confirms that the rung below is infeasible. From an
+    /// infeasible rung it climbs: a rung is only a new right-hand side
+    /// and new slack bounds, so each rung above first re-anchors the
+    /// carried basis there, and runs a fresh phase 1 only when that
+    /// repair fails. Feasibility is monotone in the rung (a wider band
+    /// contains the narrower one), so either way the result is the
+    /// lowest feasible rung. The top rung admits `s = 0` for any `t ≥ 0`;
+    /// a `t` it rejects is an [`OptError::Invalid`] error.
     pub(crate) fn relaxed(band: &RelaxedBand, t: &[f64], carried: Option<Self>) -> Result<Self> {
-        let mut rung = 0;
-        let mut feasible = None;
-        if let Some(mut solver) = carried {
-            rung = solver.rung.expect("only relaxed solvers are carried");
-            feasible = if matches!(solver.rebase(t), Ok(true)) {
-                Some(solver)
-            } else {
-                band.phase1(t, rung)?
-            };
-            if feasible.is_none() {
-                rung += 1;
+        let start = carried
+            .as_ref()
+            .map_or(0, |c| c.rung.expect("only relaxed solvers are carried"));
+        let mut carried = carried;
+        for rung in start..RELAXED_SLACK_LADDER.len() {
+            let mut feasible = None;
+            if let Some(mut solver) = carried.take() {
+                match solver.rebase_at(t, rung) {
+                    Ok(true) => feasible = Some(solver),
+                    Ok(false) => carried = Some(solver),
+                    // An erroring repair may leave the basis
+                    // inconsistent: drop it.
+                    Err(_) => {}
+                }
             }
-        }
-        if let Some(mut best) = feasible {
-            while rung > 0 {
-                match band.phase1(t, rung - 1)? {
-                    Some(lower) => {
-                        best = lower;
-                        rung -= 1;
+            if feasible.is_none() {
+                feasible = band.phase1(t, rung)?;
+            }
+            let Some(mut best) = feasible else {
+                continue;
+            };
+            // Past `start`, every rung below this one was proven
+            // infeasible. At `start`, the rungs below were not: step down
+            // while the next one is feasible too.
+            if rung == start {
+                let mut below = rung;
+                while below > 0 {
+                    match band.phase1(t, below - 1)? {
+                        Some(lower) => best = lower,
+                        None => break,
                     }
-                    None => break,
+                    below -= 1;
                 }
             }
             return Ok(best);
         }
-        for r in rung..RELAXED_SLACK_LADDER.len() {
-            if let Some(solver) = band.phase1(t, r)? {
-                return Ok(solver);
-            }
-        }
-        unreachable!("slack_rel = 1.0 admits s = 0 and always passes phase 1")
+        // `slack_rel = 1.0` admits `s = 0` whenever `t ≥ 0`.
+        Err(OptError::Invalid(
+            "relaxed WCB: no ladder rung is feasible (negative measurements?)".into(),
+        )
+        .into())
     }
 
     /// `Some(slack_rel)` when this is a relaxed-equality solver
@@ -285,14 +307,33 @@ impl WcbSolver {
     /// caller must then rebuild with a fresh phase 1 — after a `false`
     /// the solver may have pivoted and **must be discarded**.
     pub fn rebase(&mut self, b_new: &[f64]) -> Result<bool> {
-        let budget = self.base.active_rows().max(64);
-        let repaired = match self.rung {
-            None => self.base.rebase_repair(b_new, budget)?,
-            Some(rung) => self
-                .base
-                .rebase_repair(&relaxed_rhs(b_new, RELAXED_SLACK_LADDER[rung]), budget)?,
-        };
+        match self.rung {
+            None => {
+                let budget = self.repair_budget();
+                Ok(self.base.rebase_repair(b_new, None, budget)?)
+            }
+            Some(rung) => self.rebase_at(b_new, rung),
+        }
+    }
+
+    /// Re-anchor a relaxed solver on `t` at ladder rung `rung`: the
+    /// band's right-hand side and slack bounds move to that rung, and
+    /// the dual repair restores feasibility. On success the solver sits
+    /// on `rung`; on `false` it keeps its old rung but is infeasible for
+    /// it, and only another re-anchoring makes it usable again.
+    fn rebase_at(&mut self, t: &[f64], rung: usize) -> Result<bool> {
+        let (rhs, upper) = relaxed_rhs(t, RELAXED_SLACK_LADDER[rung], self.p_count);
+        let budget = self.repair_budget();
+        let repaired = self.base.rebase_repair(&rhs, Some(&upper), budget)?;
+        if repaired {
+            self.rung = Some(rung);
+        }
         Ok(repaired)
+    }
+
+    /// Dual-repair pivots allowed before a re-anchoring gives up.
+    fn repair_budget(&self) -> usize {
+        self.base.active_rows().max(64)
     }
 
     /// Sweep the `2·P` bound LPs from the held basis (parallel in
@@ -309,10 +350,11 @@ impl WcbSolver {
         let partials = tm_par::par_map(&chunks, |&(lo, hi)| -> Result<ChunkBounds> {
             let mut solver = self.base.clone();
             let refactors_before = solver.refactors();
+            let flips_before = solver.bound_flips();
             let mut lower = Vec::with_capacity(hi - lo);
             let mut upper = Vec::with_capacity(hi - lo);
             let mut pivots = 0usize;
-            let mut c = vec![0.0; self.n_cols];
+            let mut c = vec![0.0; solver.n_vars()];
             for p in lo..hi {
                 c[p] = 1.0;
                 let hi_sol = solver.maximize(&c)?;
@@ -330,6 +372,7 @@ impl WcbSolver {
                 upper,
                 pivots,
                 refactors: solver.refactors() - refactors_before,
+                bound_flips: solver.bound_flips() - flips_before,
             })
         });
 
@@ -337,19 +380,21 @@ impl WcbSolver {
         let mut upper = ws.take(0);
         lower.reserve(p_count);
         upper.reserve(p_count);
-        let (mut total_pivots, mut refactors) = (0usize, 0usize);
+        let (mut total_pivots, mut refactors, mut bound_flips) = (0usize, 0usize, 0usize);
         for partial in partials {
             let chunk = partial?;
             lower.extend_from_slice(&chunk.lower);
             upper.extend_from_slice(&chunk.upper);
             total_pivots += chunk.pivots;
             refactors += chunk.refactors;
+            bound_flips += chunk.bound_flips;
         }
         Ok(DemandBounds {
             lower,
             upper,
             total_pivots,
             refactors,
+            bound_flips,
         })
     }
 }
@@ -395,6 +440,7 @@ struct ChunkBounds {
     upper: Vec<f64>,
     pivots: usize,
     refactors: usize,
+    bound_flips: usize,
 }
 
 #[cfg(test)]

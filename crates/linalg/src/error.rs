@@ -23,14 +23,6 @@ pub enum LinalgError {
         /// Index of the failing diagonal entry.
         index: usize,
     },
-    /// An iterative method exhausted its iteration budget before reaching
-    /// the requested tolerance.
-    DidNotConverge {
-        /// Number of iterations performed.
-        iterations: usize,
-        /// Residual norm at the final iterate.
-        residual: f64,
-    },
     /// Invalid argument (e.g. empty input where data is required).
     InvalidArgument(String),
 }
@@ -47,14 +39,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite { index } => {
                 write!(f, "matrix is not positive definite at index {index}")
             }
-            LinalgError::DidNotConverge {
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations \
-                 (residual {residual:.3e})"
-            ),
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
@@ -80,14 +64,6 @@ impl Serialize for LinalgError {
                 kind("not_positive_definite"),
                 ("index".to_string(), index.to_value()),
             ],
-            LinalgError::DidNotConverge {
-                iterations,
-                residual,
-            } => vec![
-                kind("did_not_converge"),
-                ("iterations".to_string(), iterations.to_value()),
-                ("residual".to_string(), residual.to_value()),
-            ],
             LinalgError::InvalidArgument(msg) => vec![
                 kind("invalid_argument"),
                 ("message".to_string(), msg.to_value()),
@@ -108,10 +84,6 @@ impl Deserialize for LinalgError {
                 }),
                 "not_positive_definite" => Ok(LinalgError::NotPositiveDefinite {
                     index: usize::from_value(v.field("index")?)?,
-                }),
-                "did_not_converge" => Ok(LinalgError::DidNotConverge {
-                    iterations: usize::from_value(v.field("iterations")?)?,
-                    residual: f64::from_value(v.field("residual")?)?,
                 }),
                 "invalid_argument" => Ok(LinalgError::InvalidArgument(String::from_value(
                     v.field("message")?,
@@ -139,11 +111,6 @@ mod tests {
         assert!(e.to_string().contains('7'));
         let e = LinalgError::NotPositiveDefinite { index: 2 };
         assert!(e.to_string().contains('2'));
-        let e = LinalgError::DidNotConverge {
-            iterations: 100,
-            residual: 1e-3,
-        };
-        assert!(e.to_string().contains("100"));
         let e = LinalgError::InvalidArgument("empty".into());
         assert!(e.to_string().contains("empty"));
     }
@@ -156,10 +123,6 @@ mod tests {
             },
             LinalgError::Singular { pivot: 7 },
             LinalgError::NotPositiveDefinite { index: 2 },
-            LinalgError::DidNotConverge {
-                iterations: 100,
-                residual: 1e-3,
-            },
             LinalgError::InvalidArgument("empty".into()),
         ] {
             assert_eq!(LinalgError::from_value(&e.to_value()).unwrap(), e);

@@ -179,28 +179,6 @@ impl RoutingMatrix {
             .ok_or_else(|| NetError::Dimension(format!("pair {p} out of bounds")))
     }
 
-    /// Ingress edge-link matrix (`N × P`): row `n` selects all pairs with
-    /// source `n` (the paper's `t_e(n)`).
-    pub fn ingress_matrix(&self) -> Csr {
-        let mut trip = Vec::with_capacity(self.pairs.count());
-        for (p, src, _) in self.pairs.iter() {
-            trip.push((src.0, p, 1.0));
-        }
-        Csr::from_triplets(self.n_nodes, self.pairs.count(), trip)
-            .expect("in-bounds by construction")
-    }
-
-    /// Egress edge-link matrix (`N × P`): row `m` selects all pairs with
-    /// destination `m` (the paper's `t_x(m)`).
-    pub fn egress_matrix(&self) -> Csr {
-        let mut trip = Vec::with_capacity(self.pairs.count());
-        for (p, _, dst) in self.pairs.iter() {
-            trip.push((dst.0, p, 1.0));
-        }
-        Csr::from_triplets(self.n_nodes, self.pairs.count(), trip)
-            .expect("in-bounds by construction")
-    }
-
     /// Interior link loads `t = R·s`.
     pub fn interior_loads(&self, demands: &[f64]) -> Result<Vec<f64>> {
         self.check_demands(demands)?;
@@ -323,21 +301,6 @@ mod tests {
         let total: f64 = demands.iter().sum();
         assert!((te.iter().sum::<f64>() - total).abs() < 1e-12);
         assert!((tx.iter().sum::<f64>() - total).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edge_matrices_have_unit_column_sums() {
-        let t = line3();
-        let pairs = OdPairs::new(3);
-        let rm = route_lsp_mesh(&t, &vec![1.0; pairs.count()], CspfConfig::default()).unwrap();
-        let ing = rm.ingress_matrix();
-        let egr = rm.egress_matrix();
-        for p in 0..pairs.count() {
-            let si: f64 = (0..3).map(|n| ing.get(n, p)).sum();
-            let se: f64 = (0..3).map(|n| egr.get(n, p)).sum();
-            assert_eq!(si, 1.0);
-            assert_eq!(se, 1.0);
-        }
     }
 
     #[test]

@@ -38,9 +38,6 @@ pub struct Node {
     pub name: String,
     /// Node role.
     pub role: NodeRole,
-    /// PoP this node belongs to (meaningful at router granularity; at
-    /// PoP granularity each node is its own PoP).
-    pub pop: usize,
 }
 
 /// A directed link.
@@ -88,16 +85,8 @@ impl Topology {
         self.nodes.push(Node {
             name: name.into(),
             role,
-            pop: id.0,
         });
         self.out_links.push(Vec::new());
-        id
-    }
-
-    /// Add a node assigned to an explicit PoP (router granularity).
-    pub fn add_router(&mut self, name: impl Into<String>, role: NodeRole, pop: usize) -> NodeId {
-        let id = self.add_node(name, role);
-        self.nodes[id.0].pop = pop;
         id
     }
 
@@ -347,17 +336,6 @@ mod tests {
         t.add_node("T", NodeRole::Transit);
         let d = t.demand_nodes();
         assert_eq!(d, vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn router_pop_assignment() {
-        let mut t = Topology::new("r");
-        let r1 = t.add_router("pop0-r1", NodeRole::Access, 0);
-        let r2 = t.add_router("pop0-r2", NodeRole::Transit, 0);
-        assert_eq!(t.node(r1).unwrap().pop, 0);
-        assert_eq!(t.node(r2).unwrap().pop, 0);
-        let plain = t.add_node("solo", NodeRole::Access);
-        assert_eq!(t.node(plain).unwrap().pop, plain.0);
     }
 
     #[test]

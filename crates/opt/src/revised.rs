@@ -1,24 +1,38 @@
-//! Revised simplex over CSR constraint columns with a sparse LU basis.
+//! Bounded-variable revised simplex over CSR constraint columns with a
+//! sparse LU basis.
 //!
-//! The full-tableau solver in [`crate::simplex`] carries a dense
-//! `m × n` tableau `B⁻¹A` and pays `O(m·n)` per pivot even though the
-//! routing constraint matrix is ~1% dense at backbone scale. The
-//! revised method keeps only what an iteration actually needs:
+//! The engine solves `A·x = b, 0 ≤ x ≤ u`, where a column's upper bound
+//! `uⱼ` may be `+∞` (no bound). The full-tableau solver in
+//! [`crate::simplex`] carries a dense `m × n` tableau `B⁻¹A` and pays
+//! `O(m·n)` per pivot even though the routing constraint matrix is ~1%
+//! dense at backbone scale. The revised method keeps only what an
+//! iteration actually needs:
 //!
 //! * the constraint matrix in CSR **and** CSC (its transpose) form,
 //! * the current basis `B` as a [`tm_linalg::BasisLu`] — a sparse LU
 //!   with partial pivoting, a Markowitz-style fill-reducing column
 //!   order, and a product-form eta file for rank-one basis updates,
-//! * the basic solution `x_B`, maintained incrementally.
+//! * which nonbasic columns sit at their upper bound (the rest sit at
+//!   zero),
+//! * the basic solution `x_B = B⁻¹·(b − Σ_{j at upper} uⱼ·Aⱼ)`,
+//!   maintained incrementally.
 //!
 //! Per iteration: one BTRAN for the dual prices, a pricing pass over
 //! CSC columns (Dantzig rule over a rotating partial-pricing window,
-//! with Bland's rule as the anti-cycling fallback), one FTRAN of the
-//! entering column, the ratio test on that FTRAN image, and an eta
-//! update — `O(nnz)` instead of `O(m·n)`. The factorization is rebuilt
+//! with Bland's rule as the anti-cycling fallback; a column at its upper
+//! bound is eligible when its reduced cost is positive), one FTRAN of
+//! the entering column, the ratio test on that FTRAN image, and an eta
+//! update — `O(nnz)` instead of `O(m·n)`. The ratio test bounds the step
+//! by the basics reaching zero, by the basics reaching their upper
+//! bounds, and by the entering column's own range: when that range is
+//! the shortest, the column **flips** to its other bound and the basis
+//! (and its factorization) stays as it is. The factorization is rebuilt
 //! when the eta chain grows past its threshold, when an eta pivot is
 //! unstable, or after `m` consecutive updates (drift guard); `x_B` is
 //! recomputed from scratch at every refactorization.
+//!
+//! Without finite bounds no column ever sits at its upper bound, and
+//! every step is the one the plain `x ≥ 0` simplex takes, bit for bit.
 //!
 //! Phase 1 is the same sum-of-artificials program the tableau solver
 //! runs, executed on the revised engine itself: the artificial identity
@@ -38,7 +52,7 @@ use crate::simplex::LpSolution;
 use crate::Result;
 
 /// Pivot-budget multiplier (per objective) before declaring failure —
-/// matches the tableau solver.
+/// matches the tableau solver. Bound flips count against it too.
 const PIVOT_BUDGET_FACTOR: usize = 200;
 
 /// Consecutive eta updates after which the basis is refactored even if
@@ -49,7 +63,7 @@ const DRIFT_REFACTOR_PIVOTS: usize = 256;
 const LU_TOL: f64 = 1e-12;
 
 /// Revised simplex solver holding a feasible basis for one constraint
-/// system `A·x = b, x ≥ 0`.
+/// system `A·x = b, 0 ≤ x ≤ u`.
 #[derive(Debug, Clone)]
 pub struct RevisedSimplex {
     /// Column (CSC) view of the constraint matrix — row `j` of `at` is
@@ -63,6 +77,11 @@ pub struct RevisedSimplex {
     flip: Vec<f64>,
     m: usize,
     n: usize,
+    /// Upper bound per structural column (`f64::INFINITY`: none).
+    upper: Vec<f64>,
+    /// Nonbasic structural column `j` sits at its upper bound (at zero
+    /// otherwise). Never set for a basic column.
+    at_upper: Vec<bool>,
     /// `basis[i]` = column basic at position `i`; `>= n` is the
     /// artificial unit column `e_{basis[i]−n}`.
     basis: Vec<usize>,
@@ -83,11 +102,16 @@ pub struct RevisedSimplex {
     /// Refactorizations since construction (the trivial factorization
     /// of the artificial identity basis is not counted).
     refactors: usize,
+    /// Bound flips since construction.
+    flips: usize,
     // ---- solve scratch (allocation-free steady state) ----
     /// The basis columns gathered for a refactorization, flat
     /// (`col_ent[col_ptr[i]..col_ptr[i + 1]]` is position `i`).
     col_ptr: Vec<usize>,
     col_ent: Vec<(usize, f64)>,
+    /// The right-hand side the basis solves for, `b − Σ uⱼ·Aⱼ` over the
+    /// columns at their upper bound.
+    rhs: Vec<f64>,
     y: Vec<f64>,
     w: Vec<f64>,
     col_buf: Vec<f64>,
@@ -124,12 +148,27 @@ impl<'c> Phase<'c> {
     }
 }
 
+/// `out = b − Σ uⱼ·Aⱼ` over the columns `j` at a finite upper bound.
+fn shifted_rhs(at: &Csr, b: &[f64], upper: &[f64], at_upper: &[bool], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend_from_slice(b);
+    for (j, (&up, &u)) in at_upper.iter().zip(upper).enumerate() {
+        if up && u.is_finite() {
+            let (rows, vals) = at.row(j);
+            for (&r, &v) in rows.iter().zip(vals) {
+                out[r] -= u * v;
+            }
+        }
+    }
+}
+
 impl RevisedSimplex {
-    /// Build a solver for `A·x = b, x ≥ 0` and run phase 1 (the
-    /// sum-of-artificials program, on the revised engine). Fails with
-    /// [`OptError::Infeasible`] when the system has no nonnegative
-    /// solution.
-    pub fn new_sparse(a: &Csr, b: &[f64]) -> Result<Self> {
+    /// Build a solver for `A·x = b, 0 ≤ x ≤ u` and run phase 1 (the
+    /// sum-of-artificials program, on the revised engine). `upper` gives
+    /// one bound per column (`f64::INFINITY` for none); `None` means no
+    /// column has one. Fails with [`OptError::Infeasible`] when the
+    /// system has no solution within the bounds.
+    pub fn new_sparse(a: &Csr, b: &[f64], upper: Option<&[f64]>) -> Result<Self> {
         let (m, n) = (a.rows(), a.cols());
         if b.len() != m {
             return Err(OptError::Invalid(format!(
@@ -141,8 +180,19 @@ impl RevisedSimplex {
         if m == 0 || n == 0 {
             return Err(OptError::Invalid("revised simplex: empty problem".into()));
         }
+        let upper = match upper {
+            None => vec![f64::INFINITY; n],
+            Some(u) => {
+                check_upper(u, n)?;
+                u.to_vec()
+            }
+        };
         let a_max = a.data().iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-        let scale = a_max.max(vector::norm_inf(b)).max(1.0);
+        let u_max = upper
+            .iter()
+            .filter(|u| u.is_finite())
+            .fold(0.0f64, |acc, &u| acc.max(u));
+        let scale = a_max.max(vector::norm_inf(b)).max(u_max).max(1.0);
         let tol = 1e-9 * scale;
 
         let flip: Vec<f64> = b
@@ -162,10 +212,13 @@ impl RevisedSimplex {
         let mut solver = RevisedSimplex {
             at,
             xb: bf.clone(),
+            rhs: bf.clone(),
             b: bf,
             flip,
             m,
             n,
+            upper,
+            at_upper: vec![false; n],
             basis,
             in_basis: vec![false; n],
             factor,
@@ -174,6 +227,7 @@ impl RevisedSimplex {
             cursor: 0,
             updates_since_refactor: 0,
             refactors: 0,
+            flips: 0,
             col_ptr,
             col_ent,
             y: vec![0.0; m],
@@ -214,14 +268,17 @@ impl RevisedSimplex {
         self.refactors
     }
 
-    /// Re-anchor the solver on a new right-hand side with the **same**
-    /// constraint matrix, keeping the current basis — the warm start
-    /// used when a snapshot shard sweeps many measurement vectors over
-    /// one routing pattern. Returns `Ok(false)` (solver unchanged
-    /// semantically, `x_B` restored) when the basis is not feasible for
-    /// `b_new` or the sign pattern differs; the caller should then fall
-    /// back to a fresh phase 1.
-    pub fn rebase(&mut self, b_new: &[f64]) -> Result<bool> {
+    /// Bound flips since construction: ratio-test steps in which the
+    /// entering column moved to its other bound instead of entering the
+    /// basis. A clone starts from its source's count.
+    pub fn bound_flips(&self) -> usize {
+        self.flips
+    }
+
+    /// The flipped form of `b_new`, after checking its length and, when
+    /// given, the new bounds. `None` when a sign differs from the
+    /// original system's (the stored columns are flipped for those).
+    fn flipped_rhs(&self, b_new: &[f64], upper: Option<&[f64]>) -> Result<Option<Vec<f64>>> {
         if b_new.len() != self.m {
             return Err(OptError::Invalid(format!(
                 "rebase: b has {} entries for {} rows",
@@ -229,79 +286,138 @@ impl RevisedSimplex {
                 self.m
             )));
         }
+        if let Some(u) = upper {
+            check_upper(u, self.n)?;
+        }
         let mut bf = Vec::with_capacity(self.m);
         for (i, &v) in b_new.iter().enumerate() {
             let f = self.flip[i] * v;
             if f < 0.0 {
-                return Ok(false);
+                return Ok(None);
             }
             bf.push(f);
         }
-        self.factor.ftran_into(&bf, &mut self.w);
+        Ok(Some(bf))
+    }
+
+    /// Adopt new upper bounds. A nonbasic column at its old upper bound
+    /// moves with it, or to zero when its new bound is infinite.
+    fn set_upper(&mut self, upper: &[f64]) {
+        self.upper.copy_from_slice(upper);
+        for (up, &u) in self.at_upper.iter_mut().zip(upper) {
+            *up &= u.is_finite();
+        }
+    }
+
+    /// Re-anchor the solver on a new right-hand side with the **same**
+    /// constraint matrix, keeping the current basis — the warm start
+    /// used when a snapshot shard sweeps many measurement vectors over
+    /// one routing pattern. `upper`, when given, replaces the column
+    /// bounds too (nonbasic columns at an upper bound move with it).
+    /// Returns `Ok(false)` (solver unchanged semantically, `x_B`
+    /// restored) when the basis is not feasible for `b_new` or the sign
+    /// pattern differs; the caller should then fall back to a fresh
+    /// phase 1.
+    pub fn rebase(&mut self, b_new: &[f64], upper: Option<&[f64]>) -> Result<bool> {
+        let Some(bf) = self.flipped_rhs(b_new, upper)? else {
+            return Ok(false);
+        };
+        let ub = upper.unwrap_or(&self.upper);
+        shifted_rhs(&self.at, &bf, ub, &self.at_upper, &mut self.rhs);
+        self.factor.ftran_into(&self.rhs, &mut self.w);
         // Feasible for the current basis? Artificial positions must stay
-        // at (numerical) zero, structural ones nonnegative.
+        // at (numerical) zero, structural ones within their bounds.
         for i in 0..self.m {
             let v = self.w[i];
-            if v < -self.feas_tol || (self.basis[i] >= self.n && v.abs() > self.feas_tol) {
+            let j = self.basis[i];
+            let bad = if j >= self.n {
+                v.abs() > self.feas_tol
+            } else {
+                v < -self.feas_tol || v > ub[j] + self.feas_tol
+            };
+            if bad {
                 return Ok(false);
             }
         }
         self.b = bf;
+        if let Some(u) = upper {
+            self.set_upper(u);
+        }
         for i in 0..self.m {
-            self.xb[i] = if self.basis[i] >= self.n {
+            let j = self.basis[i];
+            self.xb[i] = if j >= self.n {
                 0.0
             } else {
-                self.w[i].max(0.0)
+                self.w[i].max(0.0).min(self.upper[j])
             };
         }
         Ok(true)
     }
 
     /// [`RevisedSimplex::rebase`] with a **dual-style repair pass**: when
-    /// the carried basis is primal infeasible for `b_new`, run up to
-    /// `max_pivots` dual-simplex-style pivots (leaving row = worst
-    /// violation, entering column = the sign-compatible nonbasic column
-    /// with the largest pivot magnitude, deterministic tie-break by
-    /// index) to restore feasibility instead of immediately giving up.
-    /// Between consecutive intervals of a slowly drifting load series
-    /// the basis is usually a handful of pivots from feasibility, so
-    /// this replaces a full fresh phase 1 with `O(few)` pivots.
+    /// the carried basis is primal infeasible for `b_new` (and `upper`,
+    /// when given), run up to `max_pivots` dual-simplex-style pivots
+    /// (leaving row = worst violation — a basic below zero or above its
+    /// upper bound, or an artificial off zero; entering column = the
+    /// sign-compatible nonbasic column with the largest pivot magnitude,
+    /// deterministic tie-break by index) to restore feasibility instead
+    /// of immediately giving up. Between consecutive intervals of a
+    /// slowly drifting load series the basis is usually a handful of
+    /// pivots from feasibility, so this replaces a full fresh phase 1
+    /// with `O(few)` pivots.
     ///
     /// Returns `Ok(true)` when the basis was re-anchored (plain or
     /// repaired). Returns `Ok(false)` when the sign pattern differs or
-    /// the repair gave up — **the solver state is then stale and must be
-    /// discarded** (unlike [`RevisedSimplex::rebase`], a failed repair
-    /// has already moved the basis).
-    pub fn rebase_repair(&mut self, b_new: &[f64], max_pivots: usize) -> Result<bool> {
-        if self.rebase(b_new)? {
+    /// the repair gave up — **the solver is then infeasible for the new
+    /// system and must be re-anchored again or discarded** (unlike
+    /// [`RevisedSimplex::rebase`], a failed repair has already moved the
+    /// basis).
+    pub fn rebase_repair(
+        &mut self,
+        b_new: &[f64],
+        upper: Option<&[f64]>,
+        max_pivots: usize,
+    ) -> Result<bool> {
+        if self.rebase(b_new, upper)? {
             return Ok(true);
         }
         // Sign-pattern mismatch cannot be repaired: the stored columns
         // are row-flipped for the original signs.
-        let mut bf = Vec::with_capacity(self.m);
-        for (i, &v) in b_new.iter().enumerate() {
-            let f = self.flip[i] * v;
-            if f < 0.0 {
-                return Ok(false);
-            }
-            bf.push(f);
-        }
-        // Adopt the new right-hand side and the (infeasible) basic
-        // solution it implies; the loop below repairs it in place.
-        self.factor.ftran_into(&bf, &mut self.w);
+        let Some(bf) = self.flipped_rhs(b_new, upper)? else {
+            return Ok(false);
+        };
+        // Adopt the new right-hand side and bounds and the (infeasible)
+        // basic solution they imply; the loop below repairs it in place.
         self.b = bf;
+        if let Some(u) = upper {
+            self.set_upper(u);
+        }
+        shifted_rhs(
+            &self.at,
+            &self.b,
+            &self.upper,
+            &self.at_upper,
+            &mut self.rhs,
+        );
+        self.factor.ftran_into(&self.rhs, &mut self.w);
         self.xb.copy_from_slice(&self.w);
 
         let m = self.m;
         let n = self.n;
         for _ in 0..max_pivots {
-            // Leaving row: the worst violation. Structural basics must be
-            // ≥ 0; artificial basics must stay at (numerical) zero.
+            // Leaving row: the worst violation. Structural basics must
+            // lie in [0, u]; artificial basics must stay at (numerical)
+            // zero.
             let mut rout = usize::MAX;
             let mut worst = self.feas_tol;
             for i in 0..m {
                 let v = self.xb[i];
-                let viol = if self.basis[i] >= n { v.abs() } else { -v };
+                let j = self.basis[i];
+                let viol = if j >= n {
+                    v.abs()
+                } else {
+                    (-v).max(v - self.upper[j])
+                };
                 if viol > worst {
                     worst = viol;
                     rout = i;
@@ -310,12 +426,11 @@ impl RevisedSimplex {
             if rout == usize::MAX {
                 // Feasible: clamp residue exactly like a refactor would.
                 for i in 0..m {
-                    if self.basis[i] >= n || self.xb[i] < 0.0 {
-                        self.xb[i] = if self.basis[i] >= n {
-                            0.0
-                        } else {
-                            self.xb[i].max(0.0)
-                        };
+                    let j = self.basis[i];
+                    if j >= n || self.xb[i] < 0.0 {
+                        self.xb[i] = 0.0;
+                    } else if self.xb[i] > self.upper[j] {
+                        self.xb[i] = self.upper[j];
                     }
                 }
                 return Ok(true);
@@ -324,11 +439,15 @@ impl RevisedSimplex {
             self.cb.fill(0.0);
             self.cb[rout] = 1.0;
             self.factor.btran_into(&self.cb, &mut self.y);
-            // Entering column: sign-compatible pivot α_rj = ρ·A_j with
+            // Entering column: a sign-compatible pivot α_rj = ρ·A_j with
             // the largest magnitude (no objective is active here — any
             // sign-correct pivot restores this row, so pick the most
-            // stable one; ties break toward the lowest index).
-            let need_positive = self.basis[rout] >= n && self.xb[rout] > 0.0;
+            // stable one; ties break toward the lowest index). The row
+            // must fall when its basic is too high: a column at zero
+            // rises, so it needs α > 0; a column at its upper bound
+            // falls, so it needs α < 0.
+            let jr = self.basis[rout];
+            let too_high = self.xb[rout] > 0.0;
             let mut jin = usize::MAX;
             let mut best_mag = self.tol;
             for j in 0..n {
@@ -340,7 +459,7 @@ impl RevisedSimplex {
                 for (k, &r) in rows.iter().enumerate() {
                     alpha += self.y[r] * vals[k];
                 }
-                let ok = if need_positive {
+                let ok = if too_high != self.at_upper[j] {
                     alpha > 0.0
                 } else {
                     alpha < 0.0
@@ -358,26 +477,39 @@ impl RevisedSimplex {
             // update extends).
             self.ftran_entering(jin);
             let pivot = self.w[rout];
+            let from_upper = self.at_upper[jin];
             if pivot.abs() <= self.tol
-                || (need_positive && pivot < 0.0)
-                || (!need_positive && pivot > 0.0)
+                || (too_high != from_upper && pivot < 0.0)
+                || (too_high == from_upper && pivot > 0.0)
             {
                 return Ok(false);
             }
-            let theta = self.xb[rout] / pivot;
+            // Move the entering column by `delta` so that the leaving
+            // basic lands on the bound it violates.
+            let target = if jr < n && too_high {
+                self.upper[jr]
+            } else {
+                0.0
+            };
+            let delta = (self.xb[rout] - target) / pivot;
             for i in 0..m {
                 if i != rout {
-                    let v = self.xb[i] - theta * self.w[i];
+                    let v = self.xb[i] - delta * self.w[i];
                     self.xb[i] = if v < 0.0 && v > -self.tol { 0.0 } else { v };
                 }
             }
-            self.xb[rout] = theta;
-            let jout = self.basis[rout];
-            if jout < n {
-                self.in_basis[jout] = false;
+            self.xb[rout] = if from_upper {
+                self.upper[jin] + delta
+            } else {
+                delta
+            };
+            if jr < n {
+                self.in_basis[jr] = false;
+                self.at_upper[jr] = too_high;
             }
             self.basis[rout] = jin;
             self.in_basis[jin] = true;
+            self.at_upper[jin] = false;
             let needs_refactor = self.factor.should_refactor(rout, &self.w)
                 || self.updates_since_refactor >= DRIFT_REFACTOR_PIVOTS;
             if needs_refactor || self.factor.push_eta(rout, &self.w).is_err() {
@@ -405,6 +537,11 @@ impl RevisedSimplex {
         }
         let (objective, pivots) = self.optimize(&Phase::Two(c))?;
         let mut x = vec![0.0; self.n];
+        for (j, &up) in self.at_upper.iter().enumerate() {
+            if up {
+                x[j] = self.upper[j];
+            }
+        }
         for (i, &j) in self.basis.iter().enumerate() {
             if j < self.n {
                 x[j] = self.xb[i];
@@ -426,12 +563,13 @@ impl RevisedSimplex {
     }
 
     /// Primal simplex iterations for the given phase. Returns
-    /// `(objective, pivots)`.
+    /// `(objective, pivots)`; bound flips are not pivots.
     fn optimize(&mut self, phase: &Phase) -> Result<(f64, usize)> {
         let m = self.m;
         let n = self.n;
         let budget = PIVOT_BUDGET_FACTOR * (m + n).max(16);
         let mut pivots = 0usize;
+        let mut steps = 0usize;
         let mut degenerate_streak = 0usize;
 
         loop {
@@ -455,11 +593,18 @@ impl RevisedSimplex {
                 for i in 0..m {
                     obj += phase.cost(self.basis[i], n) * self.xb[i];
                 }
+                for j in 0..n {
+                    if self.at_upper[j] {
+                        obj += phase.cost(j, n) * self.upper[j];
+                    }
+                }
                 return Ok((obj, pivots));
             };
 
-            // FTRAN image of the entering column (into `self.w`).
+            // FTRAN image of the entering column (into `self.w`). A
+            // column at its upper bound enters by decreasing.
             self.ftran_entering(jin);
+            let from_upper = self.at_upper[jin];
 
             // Ratio test. In phase 2, zero-level artificials must never
             // rise again: any artificial row crossed by the entering
@@ -475,52 +620,94 @@ impl RevisedSimplex {
                 }
             }
             let forced_artificial = leave.is_some();
-            if leave.is_none() {
-                let mut best_ratio = f64::INFINITY;
+            let mut best_ratio = f64::INFINITY;
+            let mut leaves_at_upper = false;
+            if !forced_artificial {
                 for i in 0..m {
-                    let wi = self.w[i];
-                    if wi > self.tol {
-                        let ratio = self.xb[i] / wi;
-                        let better = ratio < best_ratio - self.tol
-                            || (ratio < best_ratio + self.tol
-                                && leave.is_some_and(|l| self.basis[i] < self.basis[l]));
-                        if better {
-                            best_ratio = ratio;
-                            leave = Some(i);
+                    // Rate at which basic i falls per unit step.
+                    let wi = if from_upper { -self.w[i] } else { self.w[i] };
+                    let (ratio, to_upper) = if wi > self.tol {
+                        (self.xb[i] / wi, false)
+                    } else if wi < -self.tol {
+                        let j = self.basis[i];
+                        if j >= n || self.upper[j] == f64::INFINITY {
+                            continue;
                         }
+                        (((self.upper[j] - self.xb[i]) / -wi).max(0.0), true)
+                    } else {
+                        continue;
+                    };
+                    let better = ratio < best_ratio - self.tol
+                        || (ratio < best_ratio + self.tol
+                            && leave.is_some_and(|l| self.basis[i] < self.basis[l]));
+                    if better {
+                        best_ratio = ratio;
+                        leave = Some(i);
+                        leaves_at_upper = to_upper;
                     }
                 }
             }
+
+            // The entering column's own range ends the step first: flip
+            // it to its other bound, with no basis change.
+            let range = self.upper[jin];
+            if !forced_artificial && range.is_finite() && range <= best_ratio {
+                let step = if from_upper { -range } else { range };
+                for i in 0..m {
+                    let v = self.xb[i] - step * self.w[i];
+                    self.xb[i] = if v < 0.0 && v > -self.tol { 0.0 } else { v };
+                }
+                self.at_upper[jin] = !from_upper;
+                self.flips += 1;
+                if range <= self.tol {
+                    degenerate_streak += 1;
+                } else {
+                    degenerate_streak = 0;
+                }
+                steps += 1;
+                if steps > budget {
+                    return Err(OptError::DidNotConverge {
+                        iterations: steps,
+                        measure: degenerate_streak as f64,
+                    });
+                }
+                continue;
+            }
+
             let Some(rout) = leave else {
                 return Err(OptError::Unbounded);
             };
-            let theta = if forced_artificial {
-                0.0
-            } else {
-                self.xb[rout] / self.w[rout]
-            };
+            let theta = if forced_artificial { 0.0 } else { best_ratio };
             if theta <= self.tol {
                 degenerate_streak += 1;
             } else {
                 degenerate_streak = 0;
             }
 
-            // Update the basic solution: x_B ← x_B − θ·w, entering = θ.
+            // Update the basic solution: x_B ← x_B − θ·w (signed by the
+            // entering direction), entering = its value after the step.
             if theta != 0.0 {
+                let step = if from_upper { -theta } else { theta };
                 for i in 0..m {
                     if i != rout {
-                        let v = self.xb[i] - theta * self.w[i];
+                        let v = self.xb[i] - step * self.w[i];
                         self.xb[i] = if v < 0.0 && v > -self.tol { 0.0 } else { v };
                     }
                 }
             }
-            self.xb[rout] = theta;
+            self.xb[rout] = if from_upper {
+                self.upper[jin] - theta
+            } else {
+                theta
+            };
             let jout = self.basis[rout];
             if jout < n {
                 self.in_basis[jout] = false;
+                self.at_upper[jout] = leaves_at_upper;
             }
             self.basis[rout] = jin;
             self.in_basis[jin] = true;
+            self.at_upper[jin] = false;
 
             // Factorization update: eta push, or refactor on a long
             // chain / unstable eta pivot / accumulated drift.
@@ -533,9 +720,10 @@ impl RevisedSimplex {
             }
 
             pivots += 1;
-            if pivots > budget {
+            steps += 1;
+            if steps > budget {
                 return Err(OptError::DidNotConverge {
-                    iterations: pivots,
+                    iterations: steps,
                     measure: degenerate_streak as f64,
                 });
             }
@@ -554,7 +742,10 @@ impl RevisedSimplex {
         self.w = w;
     }
 
-    /// Reduced cost of structural column `j` under the current prices.
+    /// Reduced cost of structural column `j` under the current prices,
+    /// signed so that a negative value means the column improves the
+    /// objective from the bound it sits at (a column at its upper bound
+    /// improves by decreasing).
     #[inline]
     fn reduced_cost(&self, j: usize, phase: &Phase) -> f64 {
         let (rows, vals) = self.at.row(j);
@@ -562,7 +753,11 @@ impl RevisedSimplex {
         for (k, &r) in rows.iter().enumerate() {
             d -= self.y[r] * vals[k];
         }
-        d
+        if self.at_upper[j] {
+            -d
+        } else {
+            d
+        }
     }
 
     /// Dantzig pricing over a rotating window (partial pricing): scan
@@ -609,10 +804,11 @@ impl RevisedSimplex {
     }
 
     /// Rebuild the sparse LU from the current basis columns and restore
-    /// `x_B = B⁻¹·b` from scratch (drift correction). `pin_artificials`
-    /// must be true only once phase 1 is complete: basic artificials are
-    /// then mathematically zero and get clamped there, while during
-    /// phase 1 they carry the genuine (positive) infeasibility.
+    /// `x_B = B⁻¹·(b − Σ uⱼ·Aⱼ)` from scratch (drift correction).
+    /// `pin_artificials` must be true only once phase 1 is complete:
+    /// basic artificials are then mathematically zero and get clamped
+    /// there, while during phase 1 they carry the genuine (positive)
+    /// infeasibility.
     fn refactor(&mut self, pin_artificials: bool) -> Result<()> {
         self.col_ptr.clear();
         self.col_ent.clear();
@@ -632,18 +828,47 @@ impl RevisedSimplex {
             .map_err(OptError::Linalg)?;
         self.updates_since_refactor = 0;
         self.refactors += 1;
+        shifted_rhs(
+            &self.at,
+            &self.b,
+            &self.upper,
+            &self.at_upper,
+            &mut self.rhs,
+        );
         let mut xb = std::mem::take(&mut self.xb);
-        self.factor.ftran_into(&self.b, &mut xb);
+        self.factor.ftran_into(&self.rhs, &mut xb);
         for (i, v) in xb.iter_mut().enumerate() {
-            // Tiny numerical negatives are clamped; artificials are
-            // pinned at zero only in phase 2 (see the doc above).
-            if (pin_artificials && self.basis[i] >= self.n) || (*v < 0.0 && *v > -self.feas_tol) {
+            // Tiny numerical negatives (and overshoots of an upper
+            // bound) are clamped; artificials are pinned at zero only in
+            // phase 2 (see the doc above).
+            let j = self.basis[i];
+            if (pin_artificials && j >= self.n) || (*v < 0.0 && *v > -self.feas_tol) {
                 *v = 0.0;
+            } else if j < self.n && *v > self.upper[j] && *v < self.upper[j] + self.feas_tol {
+                *v = self.upper[j];
             }
         }
         self.xb = xb;
         Ok(())
     }
+}
+
+/// Check a bound vector: one entry per column, each `≥ 0` (`+∞` allowed).
+fn check_upper(upper: &[f64], n: usize) -> Result<()> {
+    if upper.len() != n {
+        return Err(OptError::Invalid(format!(
+            "revised simplex: {} upper bounds for {} variables",
+            upper.len(),
+            n
+        )));
+    }
+    if let Some(j) = upper.iter().position(|u| !(*u >= 0.0)) {
+        return Err(OptError::Invalid(format!(
+            "revised simplex: upper bound {} of column {j} is not >= 0",
+            upper[j]
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -670,7 +895,7 @@ mod tests {
     fn simple_bounded_lp() {
         let a = csr(&[vec![1.0, 1.0, 1.0]]);
         let b = vec![4.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         let sol = s.maximize(&[1.0, 1.0, 0.0]).unwrap();
         assert!((sol.objective - 4.0).abs() < 1e-9);
         assert!(feasible(&a, &b, &sol.x, 1e-9));
@@ -685,7 +910,7 @@ mod tests {
             vec![3.0, 2.0, 0.0, 0.0, 1.0],
         ]);
         let b = vec![4.0, 12.0, 18.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         let sol = s.maximize(&[3.0, 5.0, 0.0, 0.0, 0.0]).unwrap();
         assert!((sol.objective - 36.0).abs() < 1e-8, "obj {}", sol.objective);
         assert!((sol.x[0] - 2.0).abs() < 1e-8);
@@ -696,18 +921,18 @@ mod tests {
     fn detects_infeasible_and_unbounded() {
         let a = csr(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         assert!(matches!(
-            RevisedSimplex::new_sparse(&a, &[1.0, 2.0]),
+            RevisedSimplex::new_sparse(&a, &[1.0, 2.0], None),
             Err(OptError::Infeasible { .. })
         ));
         let a = csr(&[vec![1.0, -1.0]]);
-        let mut s = RevisedSimplex::new_sparse(&a, &[0.0]).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &[0.0], None).unwrap();
         assert!(matches!(s.maximize(&[1.0, 0.0]), Err(OptError::Unbounded)));
     }
 
     #[test]
     fn negative_rhs_rows_are_flipped() {
         let a = csr(&[vec![-1.0, -1.0]]);
-        let mut s = RevisedSimplex::new_sparse(&a, &[-4.0]).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &[-4.0], None).unwrap();
         let sol = s.maximize(&[1.0, 0.0]).unwrap();
         assert!((sol.objective - 4.0).abs() < 1e-9);
     }
@@ -718,7 +943,7 @@ mod tests {
         // basic at zero; objectives must still be exact.
         let a = csr(&[vec![1.0, 1.0], vec![2.0, 2.0]]);
         let b = vec![3.0, 6.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         let hi = s.maximize(&[1.0, 0.0]).unwrap();
         assert!((hi.objective - 3.0).abs() < 1e-9);
         let lo = s.minimize(&[1.0, 0.0]).unwrap();
@@ -740,7 +965,7 @@ mod tests {
             b: b.clone(),
         };
         let mut dense = SimplexSolver::new(&lp).unwrap();
-        let mut revised = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut revised = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         for p in 0..4 {
             let mut c = vec![0.0; 4];
             c[p] = 1.0;
@@ -773,7 +998,7 @@ mod tests {
             vec![1.0, 1.0, 0.0, 0.0],
         ]);
         let b = vec![0.0, 0.0, 2.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         let sol = s.maximize(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         assert!(sol.objective <= 1.0 + 1e-8);
         assert!(feasible(&a, &b, &sol.x, 1e-8));
@@ -792,7 +1017,7 @@ mod tests {
         ]);
         let b = vec![0.0, 0.0, 1.0];
         let c = vec![-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         let sol = s.minimize(&c).unwrap();
         assert!(
             (sol.objective + 0.05).abs() < 1e-9,
@@ -819,7 +1044,7 @@ mod tests {
             b: b.clone(),
         };
         let mut dense = SimplexSolver::new(&lp).unwrap();
-        let mut revised = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut revised = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         for round in 0..20 {
             for p in 0..6 {
                 let mut c = vec![0.0; 6];
@@ -845,13 +1070,13 @@ mod tests {
             vec![1.0, 0.0, 1.0, 0.0],
         ]);
         let b1 = vec![5.0, 7.0, 6.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &b1).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &b1, None).unwrap();
         let _ = s.maximize(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         // Nearby RHS: same basis stays feasible.
         let b2 = vec![5.5, 7.5, 6.2];
-        if s.rebase(&b2).unwrap() {
+        if s.rebase(&b2, None).unwrap() {
             let sol = s.maximize(&[1.0, 0.0, 0.0, 0.0]).unwrap();
-            let mut fresh = RevisedSimplex::new_sparse(&a, &b2).unwrap();
+            let mut fresh = RevisedSimplex::new_sparse(&a, &b2, None).unwrap();
             let expect = fresh.maximize(&[1.0, 0.0, 0.0, 0.0]).unwrap();
             assert!(
                 (sol.objective - expect.objective).abs() < 1e-9,
@@ -863,8 +1088,8 @@ mod tests {
             panic!("nearby RHS should keep the basis feasible");
         }
         // Wrong length is an error; sign flip is a clean rejection.
-        assert!(s.rebase(&[1.0]).is_err());
-        assert!(!s.rebase(&[-1.0, 7.0, 6.0]).unwrap());
+        assert!(s.rebase(&[1.0], None).is_err());
+        assert!(!s.rebase(&[-1.0, 7.0, 6.0], None).unwrap());
     }
 
     #[test]
@@ -879,25 +1104,25 @@ mod tests {
             vec![1.0, 0.0, 1.0, 0.0],
         ]);
         let b1 = vec![5.0, 7.0, 6.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &b1).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &b1, None).unwrap();
         // Drive the basis to a vertex: maximize x0.
         let _ = s.maximize(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         // A RHS the optimal vertex is infeasible for (x0 = 5 > b3').
         let b2 = vec![5.0, 7.0, 3.0];
         let mut plain = s.clone();
-        if !plain.rebase(&b2).unwrap() {
+        if !plain.rebase(&b2, None).unwrap() {
             // The interesting path: repair must succeed where plain
             // rebase failed.
-            assert!(s.rebase_repair(&b2, 64).unwrap(), "repair succeeds");
+            assert!(s.rebase_repair(&b2, None, 64).unwrap(), "repair succeeds");
         } else {
             // Basis happened to survive; repair must agree.
-            assert!(s.rebase_repair(&b2, 64).unwrap());
+            assert!(s.rebase_repair(&b2, None, 64).unwrap());
         }
         for p in 0..4 {
             let mut c = vec![0.0; 4];
             c[p] = 1.0;
             let warm_hi = s.maximize(&c).unwrap();
-            let mut fresh = RevisedSimplex::new_sparse(&a, &b2).unwrap();
+            let mut fresh = RevisedSimplex::new_sparse(&a, &b2, None).unwrap();
             let cold_hi = fresh.maximize(&c).unwrap();
             assert!(
                 (warm_hi.objective - cold_hi.objective).abs() < 1e-9,
@@ -921,7 +1146,7 @@ mod tests {
             vec![0.0, 0.0, 0.0, 1.0, 1.0],
         ]);
         let base_b = [6.0, 9.0, 5.0, 4.0];
-        let mut s = RevisedSimplex::new_sparse(&a, &base_b).unwrap();
+        let mut s = RevisedSimplex::new_sparse(&a, &base_b, None).unwrap();
         let _ = s.maximize(&[1.0, 0.0, 0.0, 1.0, 0.0]).unwrap();
         for step in 1..12 {
             let drift = |i: usize| 1.0 + 0.35 * (((step * 7 + i * 3) % 11) as f64 / 11.0 - 0.5);
@@ -930,17 +1155,17 @@ mod tests {
                 .enumerate()
                 .map(|(i, &v)| v * drift(i))
                 .collect();
-            let solver = if s.rebase_repair(&b, 128).unwrap() {
+            let solver = if s.rebase_repair(&b, None, 128).unwrap() {
                 &mut s
             } else {
-                s = RevisedSimplex::new_sparse(&a, &b).unwrap();
+                s = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
                 &mut s
             };
             for p in 0..5 {
                 let mut c = vec![0.0; 5];
                 c[p] = 1.0;
                 let warm = solver.maximize(&c).unwrap();
-                let mut fresh = RevisedSimplex::new_sparse(&a, &b).unwrap();
+                let mut fresh = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
                 let cold = fresh.maximize(&c).unwrap();
                 assert!(
                     (warm.objective - cold.objective).abs() < 1e-8,
@@ -955,11 +1180,11 @@ mod tests {
     #[test]
     fn rebase_repair_rejects_sign_flips_and_bad_lengths() {
         let a = csr(&[vec![1.0, 1.0]]);
-        let mut s = RevisedSimplex::new_sparse(&a, &[1.0]).unwrap();
-        assert!(s.rebase_repair(&[1.0, 2.0], 16).is_err());
-        assert!(!s.rebase_repair(&[-1.0], 16).unwrap());
+        let mut s = RevisedSimplex::new_sparse(&a, &[1.0], None).unwrap();
+        assert!(s.rebase_repair(&[1.0, 2.0], None, 16).is_err());
+        assert!(!s.rebase_repair(&[-1.0], None, 16).unwrap());
         // Same-sign rebase still works after the rejected attempts.
-        assert!(s.rebase_repair(&[2.0], 16).unwrap());
+        assert!(s.rebase_repair(&[2.0], None, 16).unwrap());
         let sol = s.maximize(&[1.0, 0.0]).unwrap();
         assert!((sol.objective - 2.0).abs() < 1e-9);
     }
@@ -967,9 +1192,9 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let a = csr(&[vec![1.0, 1.0]]);
-        assert!(RevisedSimplex::new_sparse(&a, &[1.0, 2.0]).is_err());
-        assert!(RevisedSimplex::new_sparse(&Csr::zeros(0, 2), &[]).is_err());
-        let mut s = RevisedSimplex::new_sparse(&a, &[1.0]).unwrap();
+        assert!(RevisedSimplex::new_sparse(&a, &[1.0, 2.0], None).is_err());
+        assert!(RevisedSimplex::new_sparse(&Csr::zeros(0, 2), &[], None).is_err());
+        let mut s = RevisedSimplex::new_sparse(&a, &[1.0], None).unwrap();
         assert!(s.minimize(&[1.0]).is_err());
         assert_eq!(s.n_vars(), 2);
     }
@@ -982,12 +1207,105 @@ mod tests {
             vec![1.0, 0.0, 1.0, 0.0],
         ]);
         let b = vec![5.0, 7.0, 6.0];
-        let base = RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let base = RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         let mut fork1 = base.clone();
         let mut fork2 = base.clone();
         let s1 = fork1.maximize(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         let _ = fork2.minimize(&[0.0, 1.0, 0.0, 0.0]).unwrap();
         let s1_again = fork2.maximize(&[1.0, 0.0, 0.0, 0.0]).unwrap();
         assert!((s1.objective - s1_again.objective).abs() < 1e-9);
+    }
+
+    #[test]
+    fn upper_bounds_flip_instead_of_pivoting() {
+        // max x0 + x1 s.t. x0 + x1 + s = 10, x0 ≤ 3, x1 ≤ 4: both
+        // columns run into their own bounds, so the optimum (7) is
+        // reached by bound flips alone, with the slack basic at 3.
+        let a = csr(&[vec![1.0, 1.0, 1.0]]);
+        let up = [3.0, 4.0, f64::INFINITY];
+        let mut s = RevisedSimplex::new_sparse(&a, &[10.0], Some(&up)).unwrap();
+        let sol = s.maximize(&[1.0, 1.0, 0.0]).unwrap();
+        assert!((sol.objective - 7.0).abs() < 1e-12, "{}", sol.objective);
+        assert_eq!(sol.x, vec![3.0, 4.0, 3.0]);
+        assert_eq!(s.bound_flips(), 2);
+        // Back down: the columns leave their upper bounds again.
+        let lo = s.minimize(&[1.0, 1.0, 0.0]).unwrap();
+        assert!(lo.objective.abs() < 1e-12);
+        assert!(feasible(&a, &[10.0], &lo.x, 1e-12));
+    }
+
+    #[test]
+    fn upper_bounds_can_make_a_system_infeasible() {
+        let a = csr(&[vec![1.0, 1.0]]);
+        assert!(RevisedSimplex::new_sparse(&a, &[10.0], None).is_ok());
+        assert!(matches!(
+            RevisedSimplex::new_sparse(&a, &[10.0], Some(&[3.0, 4.0])),
+            Err(OptError::Infeasible { .. })
+        ));
+        // A bounded basic caps an otherwise unbounded ray.
+        let a = csr(&[vec![1.0, -1.0]]);
+        let mut s = RevisedSimplex::new_sparse(&a, &[0.0], Some(&[f64::INFINITY, 5.0])).unwrap();
+        let sol = s.maximize(&[1.0, 0.0]).unwrap();
+        assert!((sol.objective - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bad_upper_bounds_are_rejected() {
+        let a = csr(&[vec![1.0, 1.0]]);
+        for up in [vec![1.0], vec![1.0, -1.0], vec![f64::NAN, 1.0]] {
+            assert!(matches!(
+                RevisedSimplex::new_sparse(&a, &[1.0], Some(&up)),
+                Err(OptError::Invalid(_))
+            ));
+        }
+        let mut s = RevisedSimplex::new_sparse(&a, &[1.0], Some(&[2.0, 2.0])).unwrap();
+        assert!(s.rebase(&[1.0], Some(&[2.0])).is_err());
+        assert!(s.rebase_repair(&[1.0], Some(&[-2.0, 2.0]), 8).is_err());
+    }
+
+    #[test]
+    fn rebase_moves_bounds_and_repair_restores_them() {
+        // The WCB band in miniature: A·s + v = t + σ with 0 ≤ v ≤ 2σ.
+        // Moving to a narrower band changes the right-hand side and the
+        // bounds; the repaired basis must give a fresh solve's optima.
+        let a = csr(&[
+            vec![1.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+            vec![0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
+            vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0],
+        ]);
+        let t = [4.0, 6.0, 5.0];
+        let band = |sigma: f64| {
+            let b: Vec<f64> = t.iter().map(|v| v + sigma).collect();
+            let mut up = vec![f64::INFINITY; 3];
+            up.extend([2.0 * sigma; 3]);
+            (b, up)
+        };
+        let (b0, u0) = band(2.0);
+        let mut s = RevisedSimplex::new_sparse(&a, &b0, Some(&u0)).unwrap();
+        let _ = s.maximize(&[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
+        for sigma in [1.0, 0.25, 3.0, 0.5] {
+            let (b, up) = band(sigma);
+            assert!(s.rebase_repair(&b, Some(&up), 64).unwrap(), "sigma {sigma}");
+            for p in 0..3 {
+                let mut c = vec![0.0; 6];
+                c[p] = 1.0;
+                let mut fresh = RevisedSimplex::new_sparse(&a, &b, Some(&up)).unwrap();
+                for maximize in [true, false] {
+                    let (w, f) = if maximize {
+                        (s.maximize(&c).unwrap(), fresh.maximize(&c).unwrap())
+                    } else {
+                        (s.minimize(&c).unwrap(), fresh.minimize(&c).unwrap())
+                    };
+                    assert!(
+                        (w.objective - f.objective).abs() < 1e-9,
+                        "sigma {sigma} p={p} max={maximize}: {} vs {}",
+                        w.objective,
+                        f.objective
+                    );
+                    assert!(feasible(&a, &b, &w.x, 1e-9));
+                    assert!(w.x.iter().zip(&up).all(|(x, u)| *x <= u + 1e-9));
+                }
+            }
+        }
     }
 }

@@ -260,7 +260,7 @@ proptest! {
         let csr = Csr::from_dense(&a, 0.0);
         let scale = b.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
         let dense = tm_opt::simplex::SimplexSolver::new_sparse(&csr, &b);
-        let revised = tm_opt::revised::RevisedSimplex::new_sparse(&csr, &b);
+        let revised = tm_opt::revised::RevisedSimplex::new_sparse(&csr, &b, None);
         match (dense, revised) {
             (Ok(mut ds), Ok(mut rs)) => {
                 for maximize in [false, true] {
@@ -285,6 +285,89 @@ proptest! {
             }
             (Err(_), Err(_)) => {}
             (d, r) => prop_assert!(false, "phase 1 disagrees: {:?} vs {:?}", d.is_ok(), r.is_ok()),
+        }
+    }
+
+    #[test]
+    fn bounded_revised_simplex_matches_tableau_with_bound_rows(
+        a in mat_strategy(3, 6, -2.0, 2.0),
+        s0 in proptest::collection::vec(0.0f64..3.0, 6),
+        b_free in proptest::collection::vec(-4.0f64..4.0, 3),
+        ub in proptest::collection::vec(0.25f64..3.0, 6),
+        bounded_bits in 0u64..64,
+        feasible_by_construction in 0u8..2,
+        c in proptest::collection::vec(-2.0f64..2.0, 6),
+    ) {
+        // The same LP twice: `0 ≤ x ≤ u` as implicit bounds on the
+        // bounded-variable revised simplex, and as explicit rows
+        // `x_j + s_j = u_j` on the dense tableau. Half the cases are
+        // feasible by construction (a point inside the bounds), the rest
+        // have a free right-hand side and may be infeasible.
+        let n = 6usize;
+        let upper: Vec<f64> = (0..n)
+            .map(|j| if bounded_bits & (1 << j) != 0 { ub[j] } else { f64::INFINITY })
+            .collect();
+        let b = if feasible_by_construction == 1 {
+            let x0: Vec<f64> = s0.iter().zip(&upper).map(|(&v, &u)| v.min(u)).collect();
+            a.matvec(&x0)
+        } else {
+            b_free.clone()
+        };
+        let bounded: Vec<usize> = (0..n).filter(|&j| upper[j].is_finite()).collect();
+        let rows = 3 + bounded.len();
+        let cols = n + bounded.len();
+        let mut dense_a = Mat::zeros(rows, cols);
+        let mut dense_b = b.clone();
+        for i in 0..3 {
+            for j in 0..n {
+                dense_a.set(i, j, a.get(i, j));
+            }
+        }
+        for (k, &j) in bounded.iter().enumerate() {
+            dense_a.set(3 + k, j, 1.0);
+            dense_a.set(3 + k, n + k, 1.0);
+            dense_b.push(upper[j]);
+        }
+        let mut dense_c = c.clone();
+        dense_c.resize(cols, 0.0);
+        let scale = dense_b.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
+        let csr = Csr::from_dense(&a, 0.0);
+        let dense = tm_opt::simplex::SimplexSolver::new(&StandardLp { a: dense_a, b: dense_b });
+        let revised = tm_opt::revised::RevisedSimplex::new_sparse(&csr, &b, Some(&upper));
+        match (dense, revised) {
+            (Ok(mut ds), Ok(mut rs)) => {
+                for maximize in [false, true] {
+                    let d = if maximize { ds.maximize(&dense_c) } else { ds.minimize(&dense_c) };
+                    let r = if maximize { rs.maximize(&c) } else { rs.minimize(&c) };
+                    match (d, r) {
+                        (Ok(d), Ok(r)) => {
+                            prop_assert!(
+                                (d.objective - r.objective).abs() <= 1e-9 * scale,
+                                "max={maximize}: tableau {} vs bounded {}",
+                                d.objective,
+                                r.objective
+                            );
+                            for j in 0..n {
+                                prop_assert!(r.x[j] >= -1e-9 && r.x[j] <= upper[j] + 1e-9 * scale);
+                            }
+                        }
+                        (Err(tm_opt::OptError::Unbounded), Err(tm_opt::OptError::Unbounded)) => {}
+                        (d, r) => prop_assert!(
+                            false,
+                            "solvers disagree (max={maximize}): tableau {:?} bounded {:?}",
+                            d.map(|v| v.objective),
+                            r.map(|v| v.objective)
+                        ),
+                    }
+                }
+            }
+            (Err(tm_opt::OptError::Infeasible { .. }), Err(tm_opt::OptError::Infeasible { .. })) => {}
+            (d, r) => prop_assert!(
+                false,
+                "phase 1 disagrees: tableau {:?} bounded {:?}",
+                d.map(|_| ()),
+                r.map(|_| ())
+            ),
         }
     }
 
@@ -326,7 +409,7 @@ proptest! {
         let scale = b.iter().fold(1.0f64, |acc, &v| acc.max(v.abs()));
 
         let mut dense = tm_opt::simplex::SimplexSolver::new_sparse(&a, &b).unwrap();
-        let mut revised = tm_opt::revised::RevisedSimplex::new_sparse(&a, &b).unwrap();
+        let mut revised = tm_opt::revised::RevisedSimplex::new_sparse(&a, &b, None).unwrap();
         let mut c = vec![0.0; n];
         c[objective_pair] = 1.0;
         let hi_d = dense.maximize(&c).unwrap();
