@@ -11,13 +11,15 @@
 //! *exactly* by the dual-form active-set Tikhonov NNLS, which stays
 //! stable for the large λ where the paper finds the best MREs.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::Workspace;
 use tm_opt::nnls;
 use tm_opt::nnls::RidgeKernel;
 
+use crate::checkpoint::{expect_kind, payload};
 use crate::gravity::GravityModel;
 use crate::problem::{Estimate, Estimator};
+use crate::stream::{Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -46,24 +48,6 @@ impl BayesianEstimator {
     /// The regularization parameter.
     pub fn lambda(&self) -> f64 {
         self.lambda
-    }
-
-    /// [`Estimator::estimate_system`] with a warm-start handle carried
-    /// across the intervals of a streaming sweep: the factorized
-    /// dual-form kernel `A_F·A_Fᵀ + μI` of the previous interval's
-    /// active set is cached ([`RidgeKernel`]); when the set has not
-    /// moved — the common case between consecutive intervals — one
-    /// cached-Cholesky solve plus a KKT check replaces the whole
-    /// active-set loop. The objective is strictly convex, so warm and
-    /// cold solutions agree up to solver tolerance. A default handle
-    /// starts exactly like the cold path (and installs the kernel).
-    pub fn estimate_system_warm(
-        &self,
-        sys: &MeasurementSystem<'_>,
-        ws: &mut Workspace,
-        warm: &mut BayesWarmStart,
-    ) -> Result<Estimate> {
-        self.solve(sys, ws, Some(warm))
     }
 
     /// The solve, with normalization temporaries drawn from (and
@@ -128,9 +112,9 @@ impl BayesianEstimator {
 }
 
 /// Warm-start state carried across the intervals of a streaming sweep —
-/// see [`BayesianEstimator::estimate_system_warm`].
+/// see `BayesCarry`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BayesWarmStart {
+pub(crate) struct BayesWarmStart {
     /// Cached factorized active-set kernel.
     kernel: Option<RidgeKernel>,
 }
@@ -142,6 +126,46 @@ impl Estimator for BayesianEstimator {
 
     fn name(&self) -> String {
         format!("bayes(lambda={:.0e})", self.lambda)
+    }
+}
+
+/// Bayes in a warm stream: the factorized dual-form kernel
+/// `A_F·A_Fᵀ + μI` of the previous tick's active set is carried
+/// ([`RidgeKernel`]); when the set has not moved — the common case
+/// between consecutive intervals — one cached-Cholesky solve plus a KKT
+/// check replaces the whole active-set loop. The objective is strictly
+/// convex, so warm and cold solutions agree up to solver tolerance; the
+/// first tick starts exactly like the cold path (and installs the
+/// kernel).
+pub(crate) struct BayesCarry {
+    pub(crate) est: BayesianEstimator,
+    pub(crate) warm: BayesWarmStart,
+}
+
+impl WarmMethod for BayesCarry {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        Some(
+            tick.snapshot_system()
+                .and_then(|(sys, ws)| self.est.solve(sys, ws, Some(&mut self.warm))),
+        )
+    }
+
+    fn snapshot(&self) -> Option<&dyn Estimator> {
+        Some(&self.est)
+    }
+
+    fn reset(&mut self) {
+        self.warm = BayesWarmStart::default();
+    }
+
+    fn checkpoint(&self) -> Value {
+        payload("bayes", &[("warm", &self.warm)])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "bayes")?;
+        self.warm = Deserialize::from_value(v.field("warm")?)?;
+        Ok(())
     }
 }
 

@@ -17,14 +17,17 @@
 //! Each stage decreases the objective; the iteration stops when the
 //! relative change stalls.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::vector;
 use tm_opt::nnls::{self, SsnOptions, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
+use crate::checkpoint::{expect_kind, payload};
+use crate::covariance::RollingMoments;
 use crate::error::EstimationError;
 use crate::problem::{Estimate, EstimationProblem, Estimator};
+use crate::stream::{Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -455,15 +458,6 @@ pub struct CaoWarmStart {
     last_convergence: Option<Convergence>,
 }
 
-impl CaoWarmStart {
-    /// Convergence status of the most recent warm solve (`None` before
-    /// the first solve, or while the Gauss–Newton tracker is gated and
-    /// the tick ran on the SPG stages).
-    pub fn last_convergence(&self) -> Option<Convergence> {
-        self.last_convergence
-    }
-}
-
 impl Estimator for CaoEstimator {
     fn estimate_system(
         &self,
@@ -485,6 +479,49 @@ pub struct CaoEstimate {
     pub estimate: Estimate,
     /// Fitted scaling constant φ (normalized units).
     pub phi: f64,
+}
+
+/// Cao in a warm stream: rolling second moments of the window plus the
+/// previous rates carried from tick to tick.
+pub(crate) struct CaoCarry {
+    pub(crate) est: CaoEstimator,
+    pub(crate) warm: CaoWarmStart,
+    pub(crate) rolling: RollingMoments,
+}
+
+impl WarmMethod for CaoCarry {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        self.rolling
+            .push(tick.t.to_vec(), tick.current.ingress.iter().sum());
+        if self.rolling.len() < 2 {
+            return None;
+        }
+        Some(self.rolling.moments().and_then(|m| {
+            let mean_ingress = self.rolling.mean_ingress();
+            self.est
+                .estimate_from_moments(tick.anchor, &m, mean_ingress, Some(&mut self.warm))
+                .map(|e| e.estimate)
+        }))
+    }
+
+    fn convergence(&self) -> Option<Convergence> {
+        self.warm.last_convergence
+    }
+
+    fn reset(&mut self) {
+        self.warm = CaoWarmStart::default();
+    }
+
+    fn checkpoint(&self) -> Value {
+        payload("cao", &[("warm", &self.warm), ("rolling", &self.rolling)])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "cao")?;
+        self.warm = Deserialize::from_value(v.field("warm")?)?;
+        self.rolling = Deserialize::from_value(v.field("rolling")?)?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

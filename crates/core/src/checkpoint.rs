@@ -41,22 +41,28 @@
 //! [`StreamEngine::restore`](crate::StreamEngine::restore) validates
 //! that the receiving engine was built with a matching method roster
 //! and mode, and rejects mismatches instead of guessing.
+//!
+//! # Method payloads
+//!
+//! Each method writes and reads its own payload, in its own module,
+//! through the stream engine's crate-private `WarmMethod` trait:
+//! `{"kind": "plain"}` for a method with nothing to carry (and every
+//! method in cold mode), `{"kind", "warm"}` for entropy, Bayes and
+//! Kruithof-full, `{"kind", "warm", "rolling"}` for Vardi and Cao,
+//! `{"kind", "rolling"}` for fanout and `{"kind": "wcb"}` for WCB. A
+//! restore decodes every payload into a freshly built method state
+//! before it installs any, so a malformed or mismatched payload fails
+//! the restore and leaves the engine as it was.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use tm_traffic::IntervalLoads;
 
-use crate::bayes::BayesWarmStart;
-use crate::cao::CaoWarmStart;
-use crate::entropy::EntropyWarmStart;
-use crate::kruithof::KruithofWarmStart;
 use crate::problem::Estimate;
-use crate::stream::{FanoutRolling, RollingMoments};
-use crate::vardi::VardiWarmStart;
 
 /// Format version stamped into every checkpoint; bumped on any change
 /// to the serialized layout so a stale checkpoint is rejected loudly
 /// instead of deserialized wrong.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Frozen mutable state of a [`StreamEngine`](crate::StreamEngine) — see the
 /// [module docs](self) for the exactness contract.
@@ -68,8 +74,6 @@ pub struct EngineCheckpoint {
     pub warm: bool,
     /// Ticks consumed before the checkpoint was taken.
     pub ticks: usize,
-    /// Active imputation horizon (validated on restore).
-    pub impute_horizon: usize,
     /// The engine's interval history window (oldest first).
     pub history: Vec<IntervalLoads>,
     /// Last clean value per extended row `[links | ingress | egress]`.
@@ -88,94 +92,27 @@ pub struct EngineCheckpoint {
 pub struct MethodCkpt {
     /// Method label (must match the receiving engine's roster).
     pub label: String,
-    /// The carried state itself.
-    pub state: MethodStateCkpt,
+    /// The method's own payload: a `{"kind": …}` map, plus `"warm"`
+    /// (the warm start) and `"rolling"` (the data window) for the
+    /// methods that carry them. The method writes and reads it; the
+    /// engine only moves it.
+    pub state: Value,
 }
 
-/// Checkpoint form of one method's streaming state. Mirrors the
-/// engine's internal per-method state enum minus the estimator objects
-/// (rebuilt from the method spec) and the WCB simplex basis (see the
-/// [module docs](self)).
-#[derive(Debug, Clone)]
-pub enum MethodStateCkpt {
-    /// Cold-path method: nothing carried.
-    Plain,
-    /// Entropy warm start (previous solution + spectral step).
-    Entropy(Option<EntropyWarmStart>),
-    /// Bayes factorized active-set kernel.
-    Bayes(Box<BayesWarmStart>),
-    /// Kruithof GIS multipliers.
-    Kruithof(Option<KruithofWarmStart>),
-    /// Vardi warm start + rolling second-moment window.
-    Vardi(Box<VardiWarmStart>, RollingMoments),
-    /// Cao warm start + rolling second-moment window.
-    Cao(Box<CaoWarmStart>, RollingMoments),
-    /// Fanout rolling window aggregates.
-    Fanout(FanoutRolling),
-    /// WCB: the carried basis is not serialized; restore re-derives it
-    /// with a fresh phase 1 on the next tick.
-    Wcb,
+/// A method payload: `{"kind": kind}` followed by `fields` in order.
+pub(crate) fn payload(kind: &str, fields: &[(&str, &dyn Serialize)]) -> Value {
+    let mut map = vec![("kind".to_string(), kind.to_value())];
+    map.extend(fields.iter().map(|(k, v)| (k.to_string(), v.to_value())));
+    Value::Map(map)
 }
 
-impl MethodStateCkpt {
-    fn kind(&self) -> &'static str {
-        match self {
-            MethodStateCkpt::Plain => "plain",
-            MethodStateCkpt::Entropy(..) => "entropy",
-            MethodStateCkpt::Bayes(..) => "bayes",
-            MethodStateCkpt::Kruithof(..) => "kruithof",
-            MethodStateCkpt::Vardi(..) => "vardi",
-            MethodStateCkpt::Cao(..) => "cao",
-            MethodStateCkpt::Fanout(..) => "fanout",
-            MethodStateCkpt::Wcb => "wcb",
-        }
-    }
-}
-
-impl Serialize for MethodStateCkpt {
-    fn to_value(&self) -> Value {
-        let mut map = vec![("kind".to_string(), self.kind().to_value())];
-        match self {
-            MethodStateCkpt::Plain | MethodStateCkpt::Wcb => {}
-            MethodStateCkpt::Entropy(warm) => map.push(("warm".to_string(), warm.to_value())),
-            MethodStateCkpt::Bayes(warm) => map.push(("warm".to_string(), warm.to_value())),
-            MethodStateCkpt::Kruithof(warm) => map.push(("warm".to_string(), warm.to_value())),
-            MethodStateCkpt::Vardi(warm, rolling) => {
-                map.push(("warm".to_string(), warm.to_value()));
-                map.push(("rolling".to_string(), rolling.to_value()));
-            }
-            MethodStateCkpt::Cao(warm, rolling) => {
-                map.push(("warm".to_string(), warm.to_value()));
-                map.push(("rolling".to_string(), rolling.to_value()));
-            }
-            MethodStateCkpt::Fanout(rolling) => {
-                map.push(("rolling".to_string(), rolling.to_value()))
-            }
-        }
-        Value::Map(map)
-    }
-}
-
-impl Deserialize for MethodStateCkpt {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let kind = String::from_value(v.field("kind")?)?;
-        Ok(match kind.as_str() {
-            "plain" => MethodStateCkpt::Plain,
-            "wcb" => MethodStateCkpt::Wcb,
-            "entropy" => MethodStateCkpt::Entropy(Deserialize::from_value(v.field("warm")?)?),
-            "bayes" => MethodStateCkpt::Bayes(Box::new(Deserialize::from_value(v.field("warm")?)?)),
-            "kruithof" => MethodStateCkpt::Kruithof(Deserialize::from_value(v.field("warm")?)?),
-            "vardi" => MethodStateCkpt::Vardi(
-                Box::new(Deserialize::from_value(v.field("warm")?)?),
-                Deserialize::from_value(v.field("rolling")?)?,
-            ),
-            "cao" => MethodStateCkpt::Cao(
-                Box::new(Deserialize::from_value(v.field("warm")?)?),
-                Deserialize::from_value(v.field("rolling")?)?,
-            ),
-            "fanout" => MethodStateCkpt::Fanout(Deserialize::from_value(v.field("rolling")?)?),
-            other => return Err(DeError(format!("unknown method state kind `{other}`"))),
-        })
+/// Check that a method payload is of `kind`.
+pub(crate) fn expect_kind(v: &Value, kind: &str) -> Result<(), DeError> {
+    match String::from_value(v.field("kind")?)? {
+        got if got == kind => Ok(()),
+        got => Err(DeError(format!(
+            "checkpoint kind `{got}` does not match the engine's `{kind}`"
+        ))),
     }
 }
 

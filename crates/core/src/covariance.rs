@@ -7,9 +7,13 @@
 //! link pairs `(i ≤ j)` and entries `M[(i,j), p] = a_ip·a_jp`, so that
 //! `Cov{t}_ij = (M·λ)_(i,j)` for Poisson demands.
 
+use std::collections::VecDeque;
+
+use serde::{Deserialize, Serialize};
 use tm_linalg::{stats, Csr};
 
 use crate::error::EstimationError;
+use crate::stream::ROLLING_REFRESH_TICKS;
 use crate::Result;
 
 /// Sample moments of a measurement-vector time series.
@@ -71,6 +75,137 @@ impl SecondMomentSystem {
         let cov = stats::covariance_matrix(series).map_err(EstimationError::Linalg)?;
         let cov_vech = self.rows.iter().map(|&(i, j)| cov.get(i, j)).collect();
         Ok(SampleMoments { mean, cov_vech })
+    }
+}
+
+/// Rolling sample moments of the stacked measurement vectors over a
+/// `K`-interval window, restricted to the second-moment system's
+/// `(i ≤ j)` covariance rows. Maintains `Σ tᵢ` and `Σ tᵢ·tⱼ`
+/// incrementally (`O(rows)` per tick) and reproduces
+/// [`SecondMomentSystem::sample_moments`]'s `1/K` covariance
+/// convention; the buffers are re-aggregated exactly every
+/// 128 ticks (`ROLLING_REFRESH_TICKS`) to bound floating-point drift.
+///
+/// The checkpoint form round-trips everything, including the running
+/// `Σt` / `Σtᵢtⱼ` accumulators and the `pushes` counter — the
+/// accumulators carry add/subtract rounding history that a
+/// re-aggregation would not reproduce, and the counter pins the exact
+/// refresh cadence. A restored window therefore continues
+/// bit-identically to an uninterrupted one.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RollingMoments {
+    window: usize,
+    rows: Vec<(usize, usize)>,
+    buf: VecDeque<Vec<f64>>,
+    sum: Vec<f64>,
+    prod: Vec<f64>,
+    /// Per-interval total ingress traffic, parallel to `buf` (feeds the
+    /// Vardi/Cao normalization constant).
+    ingress: VecDeque<f64>,
+    ingress_sum: f64,
+    pushes: usize,
+}
+
+impl RollingMoments {
+    /// Rolling moments aligned with `sys`'s covariance rows, over
+    /// measurement vectors of length `dim`, with window length
+    /// `window`.
+    pub fn new(sys: &SecondMomentSystem, dim: usize, window: usize) -> Self {
+        RollingMoments {
+            window: window.max(2),
+            rows: sys.rows.clone(),
+            buf: VecDeque::with_capacity(window),
+            sum: vec![0.0; dim],
+            prod: vec![0.0; sys.rows.len()],
+            ingress: VecDeque::with_capacity(window),
+            ingress_sum: 0.0,
+            pushes: 0,
+        }
+    }
+
+    /// Intervals currently in the window.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True when no intervals have been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Push the stacked measurement vector of a new interval (plus its
+    /// total ingress traffic), evicting the oldest interval once the
+    /// window is full.
+    pub fn push(&mut self, t: Vec<f64>, ingress_total: f64) {
+        assert_eq!(t.len(), self.sum.len(), "measurement vector length");
+        if self.buf.len() == self.window {
+            let old = self.buf.pop_front().expect("window full");
+            self.ingress_sum -= self.ingress.pop_front().expect("window full");
+            for (s, &v) in self.sum.iter_mut().zip(&old) {
+                *s -= v;
+            }
+            for (r, &(i, j)) in self.rows.iter().enumerate() {
+                self.prod[r] -= old[i] * old[j];
+            }
+        }
+        self.ingress.push_back(ingress_total);
+        self.ingress_sum += ingress_total;
+        for (s, &v) in self.sum.iter_mut().zip(&t) {
+            *s += v;
+        }
+        for (r, &(i, j)) in self.rows.iter().enumerate() {
+            self.prod[r] += t[i] * t[j];
+        }
+        self.buf.push_back(t);
+        self.pushes += 1;
+        if self.pushes.is_multiple_of(ROLLING_REFRESH_TICKS) {
+            self.refresh();
+        }
+    }
+
+    /// Exact re-aggregation from the buffered window (drift reset).
+    fn refresh(&mut self) {
+        self.sum.fill(0.0);
+        self.prod.fill(0.0);
+        for t in &self.buf {
+            for (s, &v) in self.sum.iter_mut().zip(t) {
+                *s += v;
+            }
+            for (r, &(i, j)) in self.rows.iter().enumerate() {
+                self.prod[r] += t[i] * t[j];
+            }
+        }
+        self.ingress_sum = self.ingress.iter().sum();
+    }
+
+    /// Sample moments of the current window (mean + vech covariance in
+    /// the `1/K` convention). Needs at least two intervals.
+    pub fn moments(&self) -> Result<SampleMoments> {
+        let k = self.buf.len();
+        if k < 2 {
+            return Err(EstimationError::InvalidProblem(
+                "need at least 2 intervals for a covariance".into(),
+            ));
+        }
+        let kf = k as f64;
+        let mean: Vec<f64> = self.sum.iter().map(|&v| v / kf).collect();
+        let cov_vech: Vec<f64> = self
+            .rows
+            .iter()
+            .zip(&self.prod)
+            .map(|(&(i, j), &p)| p / kf - mean[i] * mean[j])
+            .collect();
+        Ok(SampleMoments { mean, cov_vech })
+    }
+
+    /// Mean per-interval total ingress traffic over the window (the
+    /// normalization constant the Vardi/Cao solves expect); `0.0` when
+    /// the window is empty.
+    pub fn mean_ingress(&self) -> f64 {
+        if self.buf.is_empty() {
+            return 0.0;
+        }
+        self.ingress_sum / self.buf.len() as f64
     }
 }
 

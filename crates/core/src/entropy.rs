@@ -10,14 +10,16 @@
 //! projected gradient in traffic-normalized units; the log-gradient of
 //! the KL term keeps iterates strictly positive given a small floor.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::Workspace;
 use tm_opt::newton::{self, NewtonOptions};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
+use crate::checkpoint::{expect_kind, payload};
 use crate::gravity::GravityModel;
 use crate::problem::{Estimate, Estimator};
+use crate::stream::{Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -51,25 +53,6 @@ impl EntropyEstimator {
     /// The regularization parameter.
     pub fn lambda(&self) -> f64 {
         self.lambda
-    }
-
-    /// [`Estimator::estimate_system`] with a warm-start handle carried
-    /// across the intervals of a streaming sweep. At moderate scale
-    /// the solve switches to a projected Newton on the dense Hessian
-    /// (from the first call on — the handle's presence selects the
-    /// streaming path); past the dense gate the dual-kernel Newton
-    /// runs on cold and warm paths alike, with SPG as the fallback.
-    /// Because the objective is strictly convex, the minimizer does not
-    /// depend on the solver or starting point — warm results agree with
-    /// the cold path up to solver tolerance (below the dense gate the
-    /// cold path stays SPG, bit-identical to a plain `estimate_system`).
-    pub fn estimate_system_warm(
-        &self,
-        sys: &MeasurementSystem<'_>,
-        ws: &mut Workspace,
-        warm: &mut Option<EntropyWarmStart>,
-    ) -> Result<Estimate> {
-        self.solve(sys, ws, Some(warm))
     }
 
     /// The solve, with every vector-sized temporary drawn from (and
@@ -303,9 +286,9 @@ const NEWTON_MAX_PAIRS: usize = 256;
 const NEWTON_DUAL_MAX_PAIRS: usize = 2048;
 
 /// Warm-start state carried across the intervals of a streaming sweep —
-/// see [`EntropyEstimator::estimate_system_warm`].
+/// see `EntropyCarry`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EntropyWarmStart {
+pub(crate) struct EntropyWarmStart {
     /// Previous interval's demand estimate (raw Mbps units).
     demands: Vec<f64>,
     /// Final spectral step of the previous SPG run (0 after a Newton
@@ -317,16 +300,6 @@ pub struct EntropyWarmStart {
     last_convergence: Option<Convergence>,
 }
 
-impl EntropyWarmStart {
-    /// Convergence status of the most recent warm solve (`None` before
-    /// the first solve). A budget-capped report means the carried
-    /// solution is the solver's best iterate, not an optimum — the
-    /// streaming engine quarantines the handle on it.
-    pub fn last_convergence(&self) -> Option<Convergence> {
-        self.last_convergence
-    }
-}
-
 impl Estimator for EntropyEstimator {
     fn estimate_system(&self, sys: &MeasurementSystem<'_>, ws: &mut Workspace) -> Result<Estimate> {
         self.solve(sys, ws, None)
@@ -334,6 +307,50 @@ impl Estimator for EntropyEstimator {
 
     fn name(&self) -> String {
         format!("entropy(lambda={:.0e})", self.lambda)
+    }
+}
+
+/// Entropy in a warm stream: the previous solution and spectral step
+/// carried from tick to tick. At moderate scale the warm solve switches
+/// to a projected Newton on the dense Hessian (from the first tick on);
+/// past the dense gate the dual-kernel Newton runs on cold and warm
+/// paths alike, with SPG as the fallback. The objective is strictly
+/// convex, so the minimizer does not depend on the solver or starting
+/// point — warm results agree with the cold path up to solver
+/// tolerance.
+pub(crate) struct EntropyCarry {
+    pub(crate) est: EntropyEstimator,
+    pub(crate) warm: Option<EntropyWarmStart>,
+}
+
+impl WarmMethod for EntropyCarry {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        Some(
+            tick.snapshot_system()
+                .and_then(|(sys, ws)| self.est.solve(sys, ws, Some(&mut self.warm))),
+        )
+    }
+
+    fn snapshot(&self) -> Option<&dyn Estimator> {
+        Some(&self.est)
+    }
+
+    fn convergence(&self) -> Option<Convergence> {
+        self.warm.as_ref()?.last_convergence
+    }
+
+    fn reset(&mut self) {
+        self.warm = None;
+    }
+
+    fn checkpoint(&self) -> Value {
+        payload("entropy", &[("warm", &self.warm)])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "entropy")?;
+        self.warm = Deserialize::from_value(v.field("warm")?)?;
+        Ok(())
     }
 }
 

@@ -23,12 +23,17 @@
 //! unidentified directions default to gravity instead of noise. Set
 //! `prior_weight` to ~0 to recover the paper's exact formulation.
 
-use serde::{Deserialize, Serialize};
-use tm_linalg::Workspace;
-use tm_opt::qp::{self, SumConstraints};
+use std::collections::VecDeque;
 
+use serde::{DeError, Deserialize, Serialize, Value};
+use tm_linalg::{Csr, Workspace};
+use tm_opt::qp::{self, SumConstraints};
+use tm_traffic::IntervalLoads;
+
+use crate::checkpoint::{expect_kind, payload};
 use crate::error::EstimationError;
 use crate::problem::{Estimate, EstimationProblem, Estimator};
+use crate::stream::{Tick, WarmMethod, ROLLING_REFRESH_TICKS};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -350,6 +355,126 @@ pub struct FanoutEstimate {
     pub fanouts: Vec<f64>,
     /// Implied mean-demand estimate over the window.
     pub estimate: Estimate,
+}
+
+/// Rolling fanout-window aggregates: a [`FanoutWindowStats`] maintained
+/// by add/subtract updates over a bounded window, with periodic exact
+/// re-aggregation.
+#[derive(Debug, Clone)]
+pub struct FanoutRolling {
+    window: usize,
+    /// Source node per OD pair.
+    src_of: Vec<usize>,
+    /// Current aggregates (readable by
+    /// [`FanoutEstimator::estimate_from_stats`]).
+    pub stats: FanoutWindowStats,
+    /// Buffered per-interval contributions `(te, tx, u)`.
+    buf: VecDeque<(Vec<f64>, Vec<f64>, Vec<f64>)>,
+    pushes: usize,
+}
+
+impl FanoutRolling {
+    /// Empty rolling window of length `window` over `problem`'s nodes
+    /// and OD pairs.
+    pub fn new(window: usize, problem: &EstimationProblem) -> Self {
+        let pairs = problem.pairs();
+        FanoutRolling {
+            window: window.max(1),
+            src_of: (0..pairs.count()).map(|p| pairs.pair(p).0 .0).collect(),
+            stats: FanoutWindowStats::empty(problem.n_nodes(), pairs.count()),
+            buf: VecDeque::with_capacity(window),
+            pushes: 0,
+        }
+    }
+
+    /// Push one interval — its loads and its stacked measurement vector
+    /// `t` over the measurement matrix `a` — evicting the oldest
+    /// interval once the window is full.
+    pub fn push(&mut self, loads: &IntervalLoads, a: &Csr, t: &[f64]) {
+        let u = a.tr_matvec(t);
+        if self.buf.len() == self.window {
+            let (te, tx, old_u) = self.buf.pop_front().expect("window full");
+            self.stats.remove_interval(&te, &tx, &old_u, &self.src_of);
+        }
+        self.stats
+            .add_interval(&loads.ingress, &loads.egress, &u, &self.src_of);
+        self.buf
+            .push_back((loads.ingress.clone(), loads.egress.clone(), u));
+        self.pushes += 1;
+        if self.pushes.is_multiple_of(ROLLING_REFRESH_TICKS) {
+            self.refresh();
+        }
+    }
+
+    /// Exact re-aggregation from the buffered window (drift reset).
+    fn refresh(&mut self) {
+        let n = self.stats.te_sum.len();
+        let p = self.stats.g_terms.len();
+        self.stats = FanoutWindowStats::empty(n, p);
+        for (te, tx, u) in &self.buf {
+            self.stats.add_interval(te, tx, u, &self.src_of);
+        }
+    }
+
+    /// Intervals currently in the window.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True when no intervals have been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+}
+
+/// Checkpoint form of [`FanoutRolling`], with the contract of
+/// `RollingMoments`: aggregates and the refresh counter round-trip
+/// exactly, so a restored window continues bit-identically. The source
+/// map is a function of the routing pattern and stays with the
+/// receiving window.
+impl Serialize for FanoutRolling {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("window".to_string(), self.window.to_value()),
+            ("stats".to_string(), self.stats.to_value()),
+            ("buf".to_string(), self.buf.to_value()),
+            ("pushes".to_string(), self.pushes.to_value()),
+        ])
+    }
+}
+
+/// Fanout in a warm stream: the rolling window aggregates carried from
+/// tick to tick.
+pub(crate) struct FanoutCarry {
+    pub(crate) est: FanoutEstimator,
+    pub(crate) rolling: FanoutRolling,
+}
+
+impl WarmMethod for FanoutCarry {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        self.rolling
+            .push(tick.current, tick.anchor.matrix(), tick.t);
+        Some(
+            self.est
+                .estimate_from_stats(tick.anchor, &self.rolling.stats, tick.ws)
+                .map(|r| r.estimate),
+        )
+    }
+
+    fn checkpoint(&self) -> Value {
+        payload("fanout", &[("rolling", &self.rolling)])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "fanout")?;
+        let v = v.field("rolling")?;
+        let r = &mut self.rolling;
+        r.window = Deserialize::from_value(v.field("window")?)?;
+        r.stats = Deserialize::from_value(v.field("stats")?)?;
+        r.buf = Deserialize::from_value(v.field("buf")?)?;
+        r.pushes = Deserialize::from_value(v.field("pushes")?)?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -11,12 +11,14 @@
 //!   the complete measurement system `A·s = t`, i.e. the exact-constraint
 //!   (`σ² → ∞`) limit of the entropy estimator of Eq. (6).
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::Mat;
 use tm_opt::ipf::{self, IpfOptions};
 
+use crate::checkpoint::{expect_kind, payload};
 use crate::gravity::GravityModel;
 use crate::problem::{Estimate, Estimator};
+use crate::stream::{Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -221,6 +223,40 @@ impl Estimator for KruithofEstimator {
             Mode::Marginals => "kruithof-marginals".into(),
             Mode::Full => "kruithof-full".into(),
         }
+    }
+}
+
+/// Kruithof-full in a warm stream: the previous GIS multipliers carried
+/// from tick to tick.
+pub(crate) struct KruithofCarry {
+    pub(crate) est: KruithofEstimator,
+    pub(crate) warm: Option<KruithofWarmStart>,
+}
+
+impl WarmMethod for KruithofCarry {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        Some(
+            tick.snapshot_system()
+                .and_then(|(sys, ws)| self.est.estimate_system_warm(sys, ws, &mut self.warm)),
+        )
+    }
+
+    fn snapshot(&self) -> Option<&dyn Estimator> {
+        Some(&self.est)
+    }
+
+    fn reset(&mut self) {
+        self.warm = None;
+    }
+
+    fn checkpoint(&self) -> Value {
+        payload("kruithof", &[("warm", &self.warm)])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "kruithof")?;
+        self.warm = Deserialize::from_value(v.field("warm")?)?;
+        Ok(())
     }
 }
 

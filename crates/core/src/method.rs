@@ -28,15 +28,18 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use tm_opt::ipf::IpfOptions;
 use tm_opt::spg::SpgOptions;
 
-use crate::bayes::BayesianEstimator;
-use crate::cao::CaoEstimator;
-use crate::entropy::EntropyEstimator;
-use crate::fanout::FanoutEstimator;
+use crate::bayes::{BayesCarry, BayesianEstimator};
+use crate::cao::{CaoCarry, CaoEstimator};
+use crate::covariance::RollingMoments;
+use crate::entropy::{EntropyCarry, EntropyEstimator};
+use crate::fanout::{FanoutCarry, FanoutEstimator, FanoutRolling};
 use crate::gravity::GravityModel;
-use crate::kruithof::KruithofEstimator;
+use crate::kruithof::{KruithofCarry, KruithofEstimator};
 use crate::problem::Estimator;
-use crate::vardi::VardiEstimator;
-use crate::wcb::WcbEstimator;
+use crate::stream::{Plain, StreamMode, WarmMethod};
+use crate::system::MeasurementSystem;
+use crate::vardi::{VardiCarry, VardiEstimator};
+use crate::wcb::{WcbCarry, WcbEstimator};
 
 /// Parameters of one estimation method — the registry's data model.
 /// Every variant has a canonical string form (see the [module
@@ -416,28 +419,6 @@ impl Deserialize for MethodConfig {
     }
 }
 
-/// Concretely typed estimator constructions (crate-internal): the
-/// streaming engine matches on these to hang per-method warm-start
-/// state off the concrete types.
-pub(crate) enum TypedEstimator {
-    /// Gravity model (simple or generalized).
-    Gravity(GravityModel),
-    /// Kruithof estimator (marginals or full mode).
-    Kruithof(KruithofEstimator),
-    /// Entropy estimator.
-    Entropy(EntropyEstimator),
-    /// Bayesian estimator.
-    Bayes(BayesianEstimator),
-    /// Vardi estimator.
-    Vardi(VardiEstimator),
-    /// Cao estimator.
-    Cao(CaoEstimator),
-    /// Fanout estimator.
-    Fanout(FanoutEstimator),
-    /// WCB midpoint estimator.
-    Wcb(WcbEstimator),
-}
-
 /// A named, buildable method selection: thin handle over a
 /// [`MethodConfig`] that knows how to construct the estimator, what
 /// window length (if any) the harness must supply, and the display
@@ -462,76 +443,101 @@ impl Method {
     /// `Send + Sync`, so one built method can be shared across worker
     /// threads.
     pub fn build(&self) -> Box<dyn Estimator + Send + Sync> {
-        match self.build_typed() {
-            TypedEstimator::Gravity(e) => Box::new(e),
-            TypedEstimator::Kruithof(e) => Box::new(e),
-            TypedEstimator::Entropy(e) => Box::new(e),
-            TypedEstimator::Bayes(e) => Box::new(e),
-            TypedEstimator::Vardi(e) => Box::new(e),
-            TypedEstimator::Cao(e) => Box::new(e),
-            TypedEstimator::Fanout(e) => Box::new(e),
-            TypedEstimator::Wcb(e) => Box::new(e),
-        }
-    }
-
-    /// Construct the *concretely typed* estimator this method
-    /// describes — the streaming engine needs the concrete types to
-    /// reach their warm-start/incremental entry points, which the boxed
-    /// [`Estimator`] object erases. [`Method::build`] delegates here,
-    /// so the two can never drift.
-    pub(crate) fn build_typed(&self) -> TypedEstimator {
         match &self.config {
-            MethodConfig::Gravity { generalized: false } => {
-                TypedEstimator::Gravity(GravityModel::simple())
-            }
-            MethodConfig::Gravity { generalized: true } => {
-                TypedEstimator::Gravity(GravityModel::generalized())
-            }
+            MethodConfig::Gravity { generalized: false } => Box::new(GravityModel::simple()),
+            MethodConfig::Gravity { generalized: true } => Box::new(GravityModel::generalized()),
             MethodConfig::KruithofMarginals { tol, max_iter } => {
-                TypedEstimator::Kruithof(KruithofEstimator::marginals().with_options(IpfOptions {
-                    max_iter: *max_iter,
-                    tol: *tol,
-                    ..Default::default()
-                }))
+                Box::new(kruithof(KruithofEstimator::marginals(), *tol, *max_iter))
             }
             MethodConfig::KruithofFull { tol, max_iter } => {
-                TypedEstimator::Kruithof(KruithofEstimator::full().with_options(IpfOptions {
-                    max_iter: *max_iter,
-                    tol: *tol,
-                    ..Default::default()
-                }))
+                Box::new(kruithof(KruithofEstimator::full(), *tol, *max_iter))
             }
-            MethodConfig::Entropy { lambda } => {
-                TypedEstimator::Entropy(EntropyEstimator::new(*lambda))
-            }
-            MethodConfig::Bayes { lambda } => {
-                TypedEstimator::Bayes(BayesianEstimator::new(*lambda))
-            }
+            MethodConfig::Entropy { lambda } => Box::new(EntropyEstimator::new(*lambda)),
+            MethodConfig::Bayes { lambda } => Box::new(BayesianEstimator::new(*lambda)),
             MethodConfig::Vardi {
                 moment_weight,
                 max_iter,
                 ..
-            } => TypedEstimator::Vardi(VardiEstimator::new(*moment_weight).with_options(
-                SpgOptions {
-                    max_iter: *max_iter,
-                    tol: 1e-8,
-                    ..Default::default()
-                },
-            )),
+            } => Box::new(vardi(*moment_weight, *max_iter)),
             MethodConfig::Cao {
                 c,
                 moment_weight,
                 outer_iters,
                 ..
-            } => {
-                let mut est = CaoEstimator::new(*c, *moment_weight);
-                est.outer_iters = *outer_iters;
-                TypedEstimator::Cao(est)
-            }
+            } => Box::new(cao(*c, *moment_weight, *outer_iters)),
             MethodConfig::Fanout { prior_weight, .. } => {
-                TypedEstimator::Fanout(FanoutEstimator::new().with_prior_weight(*prior_weight))
+                Box::new(FanoutEstimator::new().with_prior_weight(*prior_weight))
             }
-            MethodConfig::Wcb => TypedEstimator::Wcb(WcbEstimator::new()),
+            MethodConfig::Wcb => Box::new(WcbEstimator::new()),
+        }
+    }
+
+    /// The streaming state of this method over `system`: the method's
+    /// own carry in warm mode, the plain boxed estimator in cold mode
+    /// and for the methods with nothing to carry (gravity,
+    /// Kruithof-marginals).
+    pub(crate) fn stream_state(
+        &self,
+        system: &MeasurementSystem<'_>,
+        mode: StreamMode,
+    ) -> Box<dyn WarmMethod> {
+        if mode == StreamMode::Cold {
+            return Box::new(Plain::new(self));
+        }
+        let moments =
+            |window: usize| RollingMoments::new(system.second_moments(), system.n_rows(), window);
+        match &self.config {
+            MethodConfig::Entropy { lambda } => Box::new(EntropyCarry {
+                est: EntropyEstimator::new(*lambda),
+                warm: None,
+            }),
+            MethodConfig::Bayes { lambda } => Box::new(BayesCarry {
+                est: BayesianEstimator::new(*lambda),
+                warm: Default::default(),
+            }),
+            MethodConfig::KruithofFull { tol, max_iter } => Box::new(KruithofCarry {
+                est: kruithof(KruithofEstimator::full(), *tol, *max_iter),
+                warm: None,
+            }),
+            MethodConfig::Vardi {
+                moment_weight,
+                max_iter,
+                window,
+            } => Box::new(VardiCarry {
+                est: vardi(*moment_weight, *max_iter),
+                warm: Default::default(),
+                rolling: moments(*window),
+            }),
+            MethodConfig::Cao {
+                c,
+                moment_weight,
+                outer_iters,
+                window,
+            } => Box::new(CaoCarry {
+                est: cao(*c, *moment_weight, *outer_iters),
+                warm: Default::default(),
+                rolling: moments(*window),
+            }),
+            MethodConfig::Fanout {
+                prior_weight,
+                window,
+            } => Box::new(FanoutCarry {
+                est: FanoutEstimator::new().with_prior_weight(*prior_weight),
+                rolling: FanoutRolling::new(*window, system.problem()),
+            }),
+            MethodConfig::Wcb => Box::<WcbCarry>::default(),
+            MethodConfig::Gravity { .. } | MethodConfig::KruithofMarginals { .. } => {
+                Box::new(Plain::new(self))
+            }
+        }
+    }
+
+    /// Minimum history length before the method can produce output
+    /// (Vardi/Cao need two intervals for a covariance).
+    pub(crate) fn min_window(&self) -> usize {
+        match &self.config {
+            MethodConfig::Vardi { .. } | MethodConfig::Cao { .. } => 2,
+            _ => 1,
         }
     }
 
@@ -588,6 +594,31 @@ impl Method {
         .map(|s| s.parse().expect("default specs are valid"))
         .collect()
     }
+}
+
+/// A Kruithof estimator (`marginals` or `full`) with a spec's options.
+fn kruithof(est: KruithofEstimator, tol: f64, max_iter: usize) -> KruithofEstimator {
+    est.with_options(IpfOptions {
+        max_iter,
+        tol,
+        ..Default::default()
+    })
+}
+
+/// The Vardi estimator of a spec.
+fn vardi(moment_weight: f64, max_iter: usize) -> VardiEstimator {
+    VardiEstimator::new(moment_weight).with_options(SpgOptions {
+        max_iter,
+        tol: 1e-8,
+        ..Default::default()
+    })
+}
+
+/// The Cao estimator of a spec.
+fn cao(c: f64, moment_weight: f64, outer_iters: usize) -> CaoEstimator {
+    let mut est = CaoEstimator::new(c, moment_weight);
+    est.outer_iters = outer_iters;
+    est
 }
 
 impl FromStr for Method {

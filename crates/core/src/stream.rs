@@ -10,23 +10,39 @@
 //! matrix-derived caches — stacked matrix, Gram, transpose, second
 //! moments — are derived once for the whole day), and, in
 //! [`StreamMode::Warm`], carries per-method incremental state across
-//! ticks:
+//! ticks. Each method's carry lives in the method's own module, next to
+//! its estimator, behind one crate-private `WarmMethod` trait:
 //!
-//! * **rolling fanout windows** — [`FanoutWindowStats`] updated in
+//! * **rolling fanout windows** — `fanout::FanoutRolling` keeps a
+//!   [`FanoutWindowStats`](crate::fanout::FanoutWindowStats) updated in
 //!   `O(N² + nnz)` per tick (add the entering interval, subtract the
 //!   leaving one) instead of re-aggregated per window;
-//! * **running second-moment accumulators** — [`RollingMoments`] keeps
-//!   `Σt` and the `Σ tᵢtⱼ` products of the Vardi/Cao covariance rows,
-//!   so the sample moments of a `K`-interval window cost `O(rows)` per
-//!   tick instead of `O(K·rows)`;
+//! * **running second-moment accumulators** —
+//!   `covariance::RollingMoments` keeps `Σt` and the `Σ tᵢtⱼ` products
+//!   of the Vardi/Cao covariance rows, so the sample moments of a
+//!   `K`-interval window cost `O(rows)` per tick instead of `O(K·rows)`;
 //! * **previous-interval warm starts** — entropy, Bayes and
 //!   Kruithof-full re-solve from the last interval's solution
 //!   (spectral step, active set and GIS multipliers respectively);
-//! * **the WCB bases carried forward** — one revised-simplex basis is
-//!   re-anchored per tick via [`WcbSolver::rebase`] (with its
+//! * **the WCB bases carried forward** — `wcb::WcbCarry` re-anchors one
+//!   revised-simplex basis per tick via
+//!   [`WcbSolver::rebase`](crate::wcb::WcbSolver::rebase) (with its
 //!   dual-repair fallback) instead of a fresh phase 1 per interval;
 //!   ticks whose exact LP is infeasible carry a second, relaxed-form
 //!   basis with its slack rung the same way.
+//!
+//! A `WarmMethod` solves a clean or imputed tick, names the cold
+//! estimator a masked tick runs on the reduced row view (or holds),
+//! reports its solver's convergence, drops its carried solver state on
+//! quarantine, and writes and reads its own checkpoint payload. Methods
+//! with nothing to carry (gravity, Kruithof-marginals, and every method
+//! in cold mode) share one `Plain` implementation over the boxed
+//! registry estimator. The engine keeps only what all methods share:
+//! the degradation ladder, the interval history, and the per-tick
+//! snapshot and window systems, built lazily once per tick. A new
+//! method therefore plugs in through its own module (the estimator
+//! plus, if it carries state, its `WarmMethod`) and one arm of the
+//! [`Method`] builder; this module does not change.
 //!
 //! [`StreamMode::Cold`] runs every tick from scratch through
 //! [`MeasurementSystem::reanchor`] + [`Estimator::estimate_system`] —
@@ -43,30 +59,22 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::Workspace;
-use tm_opt::{Convergence, OptError};
+use tm_opt::Convergence;
 use tm_traffic::{EvalDataset, IntervalLoads};
 
-use crate::bayes::{BayesWarmStart, BayesianEstimator};
-use crate::cao::{CaoEstimator, CaoWarmStart};
-use crate::checkpoint::{EngineCheckpoint, MethodCkpt, MethodStateCkpt, CHECKPOINT_VERSION};
-use crate::covariance::{SampleMoments, SecondMomentSystem};
-use crate::entropy::{EntropyEstimator, EntropyWarmStart};
+use crate::checkpoint::{expect_kind, payload, EngineCheckpoint, MethodCkpt, CHECKPOINT_VERSION};
 use crate::error::EstimationError;
-use crate::fanout::{FanoutEstimator, FanoutWindowStats};
-use crate::kruithof::{KruithofEstimator, KruithofWarmStart};
 use crate::measure::{LoadQuality, QualityOptions};
-use crate::method::{Method, MethodConfig, TypedEstimator};
+use crate::method::Method;
 use crate::problem::{Estimate, EstimationProblem, Estimator, TimeSeriesData};
 use crate::system::MeasurementSystem;
-use crate::vardi::{VardiEstimator, VardiWarmStart};
-use crate::wcb::{RelaxedBand, WcbEstimator, WcbSolver};
 use crate::Result;
 
 /// Ticks between exact recomputations of the rolling aggregates from
 /// their window buffer (bounds floating-point drift of the
 /// add/subtract updates; the refresh is `O(K·size)`, amortized to
 /// noise).
-const ROLLING_REFRESH_TICKS: usize = 128;
+pub(crate) const ROLLING_REFRESH_TICKS: usize = 128;
 
 /// Ticks a missing/suspect row may be bridged from its last clean value
 /// before it is masked out of the system instead.
@@ -207,89 +215,72 @@ pub enum QuarantineReason {
 
 // Hand-written wire forms for the two data-carrying degradation enums
 // (the vendored derive covers only unit variants): tagged
-// `{"kind": ..}` objects, mirroring the checkpoint module's idiom.
+// `{"kind": ..}` objects, the checkpoint payload idiom.
 impl Serialize for DegradationAction {
     fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        Value::Map(match self {
-            DegradationAction::CleanSolve => vec![kind("clean_solve")],
-            DegradationAction::ImputedSolve => vec![kind("imputed_solve")],
-            DegradationAction::MaskedSolve => vec![kind("masked_solve")],
-            DegradationAction::WarmHeld => vec![kind("warm_held")],
-            DegradationAction::FallbackLastGood => vec![kind("fallback_last_good")],
-            DegradationAction::PanicCaught { message } => vec![
-                kind("panic_caught"),
-                ("message".to_string(), message.to_value()),
-            ],
-        })
+        match self {
+            DegradationAction::CleanSolve => payload("clean_solve", &[]),
+            DegradationAction::ImputedSolve => payload("imputed_solve", &[]),
+            DegradationAction::MaskedSolve => payload("masked_solve", &[]),
+            DegradationAction::WarmHeld => payload("warm_held", &[]),
+            DegradationAction::FallbackLastGood => payload("fallback_last_good", &[]),
+            DegradationAction::PanicCaught { message } => {
+                payload("panic_caught", &[("message", message)])
+            }
+        }
     }
 }
 
 impl Deserialize for DegradationAction {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        match v.field("kind")? {
-            Value::Str(k) => match k.as_str() {
-                "clean_solve" => Ok(DegradationAction::CleanSolve),
-                "imputed_solve" => Ok(DegradationAction::ImputedSolve),
-                "masked_solve" => Ok(DegradationAction::MaskedSolve),
-                "warm_held" => Ok(DegradationAction::WarmHeld),
-                "fallback_last_good" => Ok(DegradationAction::FallbackLastGood),
-                "panic_caught" => Ok(DegradationAction::PanicCaught {
-                    message: String::from_value(v.field("message")?)?,
-                }),
-                other => Err(DeError(format!("unknown DegradationAction kind `{other}`"))),
-            },
-            other => Err(DeError(format!(
-                "DegradationAction kind must be a string: {other:?}"
-            ))),
+        match String::from_value(v.field("kind")?)?.as_str() {
+            "clean_solve" => Ok(DegradationAction::CleanSolve),
+            "imputed_solve" => Ok(DegradationAction::ImputedSolve),
+            "masked_solve" => Ok(DegradationAction::MaskedSolve),
+            "warm_held" => Ok(DegradationAction::WarmHeld),
+            "fallback_last_good" => Ok(DegradationAction::FallbackLastGood),
+            "panic_caught" => Ok(DegradationAction::PanicCaught {
+                message: String::from_value(v.field("message")?)?,
+            }),
+            other => Err(DeError(format!("unknown DegradationAction kind `{other}`"))),
         }
     }
 }
 
 impl Serialize for QuarantineReason {
     fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        Value::Map(match self {
-            QuarantineReason::NonFinite => vec![kind("non_finite")],
+        match self {
+            QuarantineReason::NonFinite => payload("non_finite", &[]),
             QuarantineReason::BudgetCapped {
                 achieved_tol,
                 iters,
-            } => vec![
-                kind("budget_capped"),
-                ("achieved_tol".to_string(), achieved_tol.to_value()),
-                ("iters".to_string(), iters.to_value()),
-            ],
-            QuarantineReason::SolverError { message } => vec![
-                kind("solver_error"),
-                ("message".to_string(), message.to_value()),
-            ],
-            QuarantineReason::Diverged { factor } => {
-                vec![kind("diverged"), ("factor".to_string(), factor.to_value())]
+            } => payload(
+                "budget_capped",
+                &[("achieved_tol", achieved_tol), ("iters", iters)],
+            ),
+            QuarantineReason::SolverError { message } => {
+                payload("solver_error", &[("message", message)])
             }
-        })
+            QuarantineReason::Diverged { factor } => payload("diverged", &[("factor", factor)]),
+        }
     }
 }
 
 impl Deserialize for QuarantineReason {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        match v.field("kind")? {
-            Value::Str(k) => match k.as_str() {
-                "non_finite" => Ok(QuarantineReason::NonFinite),
-                "budget_capped" => Ok(QuarantineReason::BudgetCapped {
-                    achieved_tol: f64::from_value(v.field("achieved_tol")?)?,
-                    iters: usize::from_value(v.field("iters")?)?,
-                }),
-                "solver_error" => Ok(QuarantineReason::SolverError {
-                    message: String::from_value(v.field("message")?)?,
-                }),
-                "diverged" => Ok(QuarantineReason::Diverged {
-                    factor: f64::from_value(v.field("factor")?)?,
-                }),
-                other => Err(DeError(format!("unknown QuarantineReason kind `{other}`"))),
-            },
-            other => Err(DeError(format!(
-                "QuarantineReason kind must be a string: {other:?}"
-            ))),
+        match String::from_value(v.field("kind")?)?.as_str() {
+            "non_finite" => Ok(QuarantineReason::NonFinite),
+            "budget_capped" => Ok(QuarantineReason::BudgetCapped {
+                achieved_tol: f64::from_value(v.field("achieved_tol")?)?,
+                iters: usize::from_value(v.field("iters")?)?,
+            }),
+            "solver_error" => Ok(QuarantineReason::SolverError {
+                message: String::from_value(v.field("message")?)?,
+            }),
+            "diverged" => Ok(QuarantineReason::Diverged {
+                factor: f64::from_value(v.field("factor")?)?,
+            }),
+            other => Err(DeError(format!("unknown QuarantineReason kind `{other}`"))),
         }
     }
 }
@@ -307,71 +298,185 @@ pub fn dataset_stream(
         .map(|(_, loads)| loads))
 }
 
-/// Per-method streaming state.
-enum MethodState {
-    /// Cold path (or a method with nothing to carry): a boxed registry
-    /// estimator run through `estimate_system` every tick.
-    Plain(Box<dyn Estimator + Send + Sync>),
-    /// Entropy with the previous solution + spectral step carried.
-    Entropy(EntropyEstimator, Option<EntropyWarmStart>),
-    /// Bayes with the previous interval's factorized active-set kernel
-    /// carried.
-    Bayes(BayesianEstimator, Box<BayesWarmStart>),
-    /// Kruithof-full with the previous GIS multipliers carried.
-    Kruithof(KruithofEstimator, Option<KruithofWarmStart>),
-    /// Vardi on rolling second moments + previous-solution warm start.
-    Vardi(VardiEstimator, Box<VardiWarmStart>, RollingMoments),
-    /// Cao on rolling second moments + previous-solution warm start.
-    Cao(CaoEstimator, CaoWarmStart, RollingMoments),
-    /// Fanout on rolling window aggregates.
-    Fanout(FanoutEstimator, FanoutRolling),
-    /// WCB midpoint with the revised-simplex bases carried forward.
-    Wcb(WcbCarry),
+/// One method's streaming state: the estimator plus whatever it carries
+/// across ticks. Each estimator module implements it next to its
+/// estimator; [`Method`] builds the boxed state from its config.
+pub(crate) trait WarmMethod: Send + Sync {
+    /// Solve a clean or imputed tick. A window method pushes the tick
+    /// into its rolling window and returns `None` until the window is
+    /// long enough to estimate from.
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>>;
+
+    /// The cold estimator a masked tick runs on the reduced row view
+    /// ([`MeasurementSystem::masked_view`]); `None`, the default for
+    /// window methods (a masked tick never enters a window), holds the
+    /// method on its last good estimate. The carried state is sized for
+    /// the full row set and is left untouched either way.
+    fn snapshot(&self) -> Option<&dyn Estimator> {
+        None
+    }
+
+    /// The convergence report of the warm solver that produced the last
+    /// estimate, where one is tracked.
+    fn convergence(&self) -> Option<Convergence> {
+        None
+    }
+
+    /// Quarantine: drop the carried solver state (warm starts, simplex
+    /// bases) so the next tick restarts from cold. Rolling data windows
+    /// are kept — they hold measured inputs, not solver iterates.
+    fn reset(&mut self) {}
+
+    /// The carried state as a `{"kind": …}` checkpoint payload (see
+    /// [`crate::checkpoint`]).
+    fn checkpoint(&self) -> Value;
+
+    /// Install a payload written by [`WarmMethod::checkpoint`] into this
+    /// freshly built state.
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError>;
+
+    /// The WCB carry, for the tests that inspect its bases.
+    #[cfg(test)]
+    fn wcb(&self) -> Option<&crate::wcb::WcbCarry> {
+        None
+    }
 }
 
-/// WCB's carried LP state.
-#[derive(Default)]
-struct WcbCarry {
-    /// The exact-form basis, re-anchored on every tick it stays
-    /// feasible for.
-    exact: Option<WcbSolver>,
-    /// The relaxed-equality basis of the last tick whose exact form was
-    /// infeasible, at its ladder rung (see [`WcbSolver::slack_rel`]).
-    elastic: Option<WcbSolver>,
-    /// The band form of the anchor's matrix, built on the first
-    /// infeasible tick. It depends on the matrix alone, so resets keep
-    /// it.
-    band: Option<RelaxedBand>,
+/// One tick's inputs, shared by every method's [`WarmMethod::solve`].
+/// The snapshot and window systems are re-anchored lazily, at most once
+/// per tick (and window length), and serve every method that asks.
+pub(crate) struct Tick<'a> {
+    /// The day's shared system: the routing pattern and matrix caches.
+    pub(crate) anchor: &'a MeasurementSystem<'static>,
+    /// The most recent clean or bridged intervals, this one at the back.
+    pub(crate) history: &'a VecDeque<IntervalLoads>,
+    /// This tick's repaired loads.
+    pub(crate) current: &'a IntervalLoads,
+    /// This tick's stacked measurement vector.
+    pub(crate) t: &'a [f64],
+    /// The engine's workspace pool.
+    pub(crate) ws: &'a mut Workspace,
+    snapshot: Option<MeasurementSystem<'static>>,
+    windows: Vec<(usize, MeasurementSystem<'static>)>,
 }
 
-impl WcbCarry {
-    /// Drop both carried bases: the next tick starts from fresh phase 1s.
-    fn reset(&mut self) {
-        self.exact = None;
-        self.elastic = None;
+impl Tick<'_> {
+    /// The tick's snapshot system, with the workspace.
+    pub(crate) fn snapshot_system(
+        &mut self,
+    ) -> Result<(&MeasurementSystem<'static>, &mut Workspace)> {
+        if self.snapshot.is_none() {
+            self.snapshot = Some(self.anchor.reanchor(self.problem(self.current)?)?);
+        }
+        Ok((self.snapshot.as_ref().expect("built above"), &mut *self.ws))
+    }
+
+    /// The system over the trailing `len` intervals of the history,
+    /// with the workspace.
+    pub(crate) fn window_system(
+        &mut self,
+        len: usize,
+    ) -> Result<(&MeasurementSystem<'static>, &mut Workspace)> {
+        if !self.windows.iter().any(|(l, _)| *l == len) {
+            let window = self.history.range(self.history.len() - len..);
+            let ts = TimeSeriesData {
+                link_loads: window.clone().map(|l| l.link_loads.clone()).collect(),
+                ingress: window.clone().map(|l| l.ingress.clone()).collect(),
+                egress: window.map(|l| l.egress.clone()).collect(),
+            };
+            let current = self.history.back().expect("nonempty history");
+            let problem = self.problem(current)?.with_time_series(ts)?;
+            self.windows.push((len, self.anchor.reanchor(problem)?));
+        }
+        let sys = self
+            .windows
+            .iter()
+            .find(|(l, _)| *l == len)
+            .map(|(_, sys)| sys)
+            .expect("built above");
+        Ok((sys, &mut *self.ws))
+    }
+
+    /// The snapshot problem of `loads`: the anchor's routing pattern,
+    /// peering roles and edge flag with the tick's load values — exactly
+    /// what `DatasetExt::snapshot_problem` builds (minus the ground
+    /// truth no estimator reads).
+    fn problem(&self, loads: &IntervalLoads) -> Result<EstimationProblem> {
+        let p = self.anchor.problem();
+        Ok(EstimationProblem::new(
+            p.routing().clone(),
+            loads.link_loads.clone(),
+            loads.ingress.clone(),
+            loads.egress.clone(),
+        )?
+        .with_peering(p.peering().to_vec())?
+        .with_edge_measurements(p.uses_edge_measurements()))
+    }
+
+    /// One cold estimate by `est` on the masked row view of the
+    /// snapshot system.
+    fn masked_solve(&mut self, est: &dyn Estimator, usable: &[usize]) -> Result<Estimate> {
+        let (sys, ws) = self.snapshot_system()?;
+        est.estimate_system(&sys.masked_view(usable)?, ws)
+    }
+}
+
+/// The state of a method with nothing to carry — gravity,
+/// Kruithof-marginals, and every method in cold mode: the boxed
+/// registry estimator, run from scratch on the snapshot system or, for
+/// a time-series method, on the trailing window.
+pub(crate) struct Plain {
+    est: Box<dyn Estimator + Send + Sync>,
+    /// Window length of a time-series method (`None` for a snapshot
+    /// method).
+    window: Option<usize>,
+    /// History length before the method can produce output.
+    min_window: usize,
+}
+
+impl Plain {
+    /// The plain state of `method`.
+    pub(crate) fn new(method: &Method) -> Self {
+        Plain {
+            est: method.build(),
+            window: method.window(),
+            min_window: method.min_window(),
+        }
+    }
+}
+
+impl WarmMethod for Plain {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        let sys = match self.window {
+            None => tick.snapshot_system(),
+            Some(_) if tick.history.len() < self.min_window => return None,
+            Some(w) => tick.window_system(w.min(tick.history.len())),
+        };
+        Some(sys.and_then(|(sys, ws)| self.est.estimate_system(sys, ws)))
+    }
+
+    fn snapshot(&self) -> Option<&dyn Estimator> {
+        self.window
+            .is_none()
+            .then(|| self.est.as_ref() as &dyn Estimator)
+    }
+
+    fn checkpoint(&self) -> Value {
+        payload("plain", &[])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "plain")
     }
 }
 
 /// One method registered with the engine.
 struct MethodSlot {
     label: String,
-    window: Option<usize>,
-    /// Minimum history length before the method can produce output
-    /// (Vardi/Cao need two intervals for a covariance).
-    min_window: usize,
-    /// The registry spec, kept so a quarantined (or panicked) state can
-    /// be rebuilt from cold.
+    /// The registry spec: a restore or a caught panic rebuilds the
+    /// state from it.
     method: Method,
-    state: MethodState,
-}
-
-/// Minimum history length before `m` can produce output (Vardi/Cao
-/// need two intervals for a covariance).
-fn min_window(m: &Method) -> usize {
-    match m.config() {
-        MethodConfig::Vardi { .. } | MethodConfig::Cao { .. } => 2,
-        _ => 1,
-    }
+    state: Box<dyn WarmMethod>,
 }
 
 /// The streaming interval engine — see the [module docs](self).
@@ -382,15 +487,8 @@ pub struct StreamEngine {
     /// The most recent `max_window` intervals (newest at the back).
     history: VecDeque<IntervalLoads>,
     max_window: usize,
-    /// Source node per OD pair (fanout aggregation).
-    src_of: Vec<usize>,
     ws: Workspace,
     ticks: usize,
-    /// Input classification options driving the degradation ladder.
-    quality: QualityOptions,
-    /// Max consecutive ticks a row may be bridged from its last clean
-    /// value before it is masked instead.
-    impute_horizon: usize,
     /// Last clean value per extended row [links | ingress | egress].
     last_clean: Vec<Option<f64>>,
     /// Consecutive unusable ticks per extended row.
@@ -398,6 +496,14 @@ pub struct StreamEngine {
     /// Most recent successful estimate per method (the fallback rung).
     last_good: Vec<Option<Estimate>>,
 }
+
+// The engine is `Send + Sync`, so callers may move it to a worker
+// thread or share it behind an `Arc`; this fails to build if a field
+// loses either.
+const _: () = {
+    fn assert_send_sync<T: Send + Sync>() {}
+    let _ = assert_send_sync::<StreamEngine>;
+};
 
 impl StreamEngine {
     /// Build an engine anchored on `anchor` — the problem supplies the
@@ -411,31 +517,24 @@ impl StreamEngine {
             ));
         }
         for m in methods {
-            let min = min_window(m);
-            if let Some(w) = m.window() {
-                if w < min {
-                    return Err(EstimationError::InvalidProblem(format!(
-                        "stream engine: `{}` needs a window of at least {min} intervals (got {w})",
-                        m.label()
-                    )));
-                }
+            if let Some(w) = m.window().filter(|&w| w < m.min_window()) {
+                return Err(EstimationError::InvalidProblem(format!(
+                    "stream engine: `{}` needs a window of at least {} intervals (got {w})",
+                    m.label(),
+                    m.min_window()
+                )));
             }
         }
         let system = MeasurementSystem::new(anchor);
-        let pairs = system.problem().pairs();
-        let src_of: Vec<usize> = (0..pairs.count()).map(|p| pairs.pair(p).0 .0).collect();
         let slots: Vec<MethodSlot> = methods
             .iter()
             .map(|m| MethodSlot {
                 label: m.label(),
-                window: m.window(),
-                min_window: min_window(m),
                 method: m.clone(),
-                state: build_state(&system, m, mode),
+                state: m.stream_state(&system, mode),
             })
             .collect();
-        let max_window = slots.iter().filter_map(|s| s.window).max().unwrap_or(1);
-        let n_methods = slots.len();
+        let max_window = methods.iter().filter_map(Method::window).max().unwrap_or(1);
         let ext_rows = system.problem().n_links() + 2 * system.problem().n_nodes();
         Ok(StreamEngine {
             anchor: system,
@@ -443,14 +542,11 @@ impl StreamEngine {
             methods: slots,
             history: VecDeque::with_capacity(max_window),
             max_window,
-            src_of,
             ws: Workspace::new(),
             ticks: 0,
-            quality: QualityOptions::default(),
-            impute_horizon: DEFAULT_IMPUTE_HORIZON,
             last_clean: vec![None; ext_rows],
             gap: vec![0; ext_rows],
-            last_good: vec![None; n_methods],
+            last_good: vec![None; methods.len()],
         })
     }
 
@@ -484,14 +580,6 @@ impl StreamEngine {
         &self.anchor
     }
 
-    /// Set how many consecutive ticks a missing/suspect row may be
-    /// bridged from its last clean value before it is masked out of the
-    /// system instead (default 3).
-    pub fn with_impute_horizon(mut self, ticks: usize) -> Self {
-        self.impute_horizon = ticks;
-        self
-    }
-
     /// Consume one interval and estimate every registered method.
     ///
     /// Engine-level failures (dimension mismatches, a routing change)
@@ -522,12 +610,11 @@ impl StreamEngine {
         }
         let use_edge = anchor_p.uses_edge_measurements();
         let n_links = anchor_p.n_links();
-        let n_nodes = anchor_p.n_nodes();
         let q = LoadQuality::assess(
             &loads.link_loads,
             &loads.ingress,
             &loads.egress,
-            &self.quality,
+            &QualityOptions::default(),
         );
 
         // Repair pass over the extended row space
@@ -540,58 +627,36 @@ impl StreamEngine {
         let mut repaired = loads;
         let mut imputed_ext: Vec<usize> = Vec::new();
         let mut masked_ext: Vec<usize> = Vec::new();
-        {
-            let horizon = self.impute_horizon;
-            let last_clean = &mut self.last_clean;
-            let gap = &mut self.gap;
-            let mut repair = |ext: usize, value: &mut f64, usable: bool| {
-                if usable {
-                    last_clean[ext] = Some(*value);
-                    gap[ext] = 0;
-                } else {
-                    gap[ext] += 1;
-                    match last_clean[ext] {
-                        Some(held) if gap[ext] <= horizon => {
-                            *value = held;
-                            imputed_ext.push(ext);
-                        }
-                        held => {
-                            *value = held.unwrap_or(0.0);
-                            masked_ext.push(ext);
-                        }
-                    }
+        let rows = (repaired.link_loads.iter_mut().zip(&q.links))
+            .chain(repaired.ingress.iter_mut().zip(&q.ingress))
+            .chain(repaired.egress.iter_mut().zip(&q.egress));
+        for (ext, (value, quality)) in rows.enumerate() {
+            if quality.is_usable() {
+                self.last_clean[ext] = Some(*value);
+                self.gap[ext] = 0;
+                continue;
+            }
+            self.gap[ext] += 1;
+            match self.last_clean[ext] {
+                Some(held) if self.gap[ext] <= DEFAULT_IMPUTE_HORIZON => {
+                    *value = held;
+                    imputed_ext.push(ext);
                 }
-            };
-            for i in 0..n_links {
-                repair(i, &mut repaired.link_loads[i], q.links[i].is_usable());
-            }
-            for i in 0..n_nodes {
-                repair(
-                    n_links + i,
-                    &mut repaired.ingress[i],
-                    q.ingress[i].is_usable(),
-                );
-            }
-            for i in 0..n_nodes {
-                repair(
-                    n_links + n_nodes + i,
-                    &mut repaired.egress[i],
-                    q.egress[i].is_usable(),
-                );
+                held => {
+                    *value = held.unwrap_or(0.0);
+                    masked_ext.push(ext);
+                }
             }
         }
 
         // Extended index == stacked row index when edge rows are
         // stacked; otherwise only link rows are in the system.
-        let to_stacked = |ext: usize| {
-            if ext < n_links || use_edge {
-                Some(ext)
-            } else {
-                None
-            }
-        };
+        let to_stacked = |ext: usize| (ext < n_links || use_edge).then_some(ext);
         let masked_rows: Vec<usize> = masked_ext.iter().copied().filter_map(to_stacked).collect();
         let imputed_rows: Vec<usize> = imputed_ext.iter().copied().filter_map(to_stacked).collect();
+        // On a clean tick the ladder never engages; a masked tick (rows
+        // past the imputation horizon) solves snapshot methods on the
+        // reduced row view and holds window methods.
         let degraded_input = !(masked_ext.is_empty() && imputed_ext.is_empty());
         let masked_tick = !masked_rows.is_empty();
 
@@ -610,13 +675,11 @@ impl StreamEngine {
 
         // Divergence reference: total repaired ingress (≈ total
         // demand), falling back to the stacked total.
-        let total_ref = {
-            let ing: f64 = repaired.ingress.iter().sum();
-            if ing > 0.0 {
-                ing
-            } else {
-                t_stacked.iter().sum::<f64>()
-            }
+        let ingress: f64 = repaired.ingress.iter().sum();
+        let total_ref = if ingress > 0.0 {
+            ingress
+        } else {
+            t_stacked.iter().sum()
         };
 
         // History and rolling windows ingest only clean or fully
@@ -628,16 +691,6 @@ impl StreamEngine {
                 self.history.pop_front();
             }
         }
-        let needs_u = !masked_tick
-            && self
-                .methods
-                .iter()
-                .any(|m| matches!(m.state, MethodState::Fanout(..)));
-        let u = if needs_u {
-            Some(self.anchor.matrix().tr_matvec(&t_stacked))
-        } else {
-            None
-        };
 
         let interval = self.ticks;
         self.ticks += 1;
@@ -647,22 +700,19 @@ impl StreamEngine {
             anchor,
             methods,
             history,
-            src_of,
             ws,
             last_good,
             ..
         } = self;
-        let ctx = if masked_tick {
-            TickCtx::Masked {
-                usable: &usable_rows,
-            }
-        } else if degraded_input {
-            TickCtx::Imputed
-        } else {
-            TickCtx::Clean
+        let mut tick = Tick {
+            anchor,
+            history,
+            current: &repaired,
+            t: &t_stacked,
+            ws,
+            snapshot: None,
+            windows: Vec::new(),
         };
-        let mut snap_sys: Option<MeasurementSystem<'static>> = None;
-        let mut win_sys: Vec<(usize, MeasurementSystem<'static>)> = Vec::new();
 
         let mut estimates = Vec::with_capacity(methods.len());
         let mut solve_ns = Vec::with_capacity(methods.len());
@@ -670,19 +720,19 @@ impl StreamEngine {
         for (i, slot) in methods.iter_mut().enumerate() {
             let started = std::time::Instant::now();
             let solved = catch_unwind(AssertUnwindSafe(|| {
-                solve_slot(
-                    slot,
-                    anchor,
-                    history,
-                    &repaired,
-                    &t_stacked,
-                    u.as_deref(),
-                    src_of,
-                    ws,
-                    &mut snap_sys,
-                    &mut win_sys,
-                    &ctx,
-                )
+                if masked_tick {
+                    return match slot.state.snapshot() {
+                        Some(est) => (
+                            Some(tick.masked_solve(est, &usable_rows)),
+                            Some(DegradationAction::MaskedSolve),
+                        ),
+                        None => (None, Some(DegradationAction::WarmHeld)),
+                    };
+                }
+                let out = slot.state.solve(&mut tick);
+                let action =
+                    (degraded_input && out.is_some()).then_some(DegradationAction::ImputedSolve);
+                (out, action)
             }));
             solve_ns.push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
             let (mut out, mut action) = match solved {
@@ -690,7 +740,7 @@ impl StreamEngine {
                 Err(payload) => {
                     // A panic may have torn the carried state mid-update:
                     // rebuild the whole slot (windows included) from cold.
-                    slot.state = build_state(anchor, &slot.method, mode);
+                    slot.state = slot.method.stream_state(tick.anchor, mode);
                     (
                         None,
                         Some(DegradationAction::PanicCaught {
@@ -707,44 +757,16 @@ impl StreamEngine {
             // is the method's plain solve, bit for bit, so suspect
             // outcomes are only intercepted once the inputs themselves
             // were suspect.
-            let conv = slot_convergence(&slot.state);
             let panicked = matches!(action, Some(DegradationAction::PanicCaught { .. }));
-            let mut quarantine: Option<QuarantineReason> = None;
-            if !panicked && !matches!(ctx, TickCtx::Clean) {
-                match &out {
-                    Some(Err(e)) => {
-                        quarantine = Some(QuarantineReason::SolverError {
-                            message: e.to_string(),
-                        });
-                    }
-                    Some(Ok(est)) => {
-                        if !est.demands.iter().all(|v| v.is_finite()) {
-                            quarantine = Some(QuarantineReason::NonFinite);
-                        } else if total_ref > 0.0 {
-                            let factor = est.demands.iter().sum::<f64>() / total_ref.max(1.0);
-                            if factor > DIVERGENCE_FACTOR {
-                                quarantine = Some(QuarantineReason::Diverged { factor });
-                            }
-                        }
-                        if quarantine.is_none() {
-                            if let Some(c) = conv {
-                                if !c.converged {
-                                    quarantine = Some(QuarantineReason::BudgetCapped {
-                                        achieved_tol: c.achieved_tol,
-                                        iters: c.iters,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    None => {}
-                }
-            }
+            let quarantine = if degraded_input && !panicked {
+                quarantine_reason(&out, slot.state.convergence(), total_ref)
+            } else {
+                None
+            };
             if let Some(reason) = &quarantine {
-                // Self-healing: drop the suspect carried solver state
-                // (rolling data windows are kept — they hold inputs,
-                // not iterates) so the next tick restarts from cold.
-                quarantine_state(&mut slot.state);
+                // Self-healing: drop the suspect carried solver state so
+                // the next tick restarts from cold.
+                slot.state.reset();
                 // A budget-capped solve still yields the best iterate
                 // found — keep it. The other reasons invalidate the
                 // estimate itself: substitute the last good one.
@@ -822,47 +844,33 @@ impl StreamEngine {
     /// method's carried warm state — into an [`EngineCheckpoint`]. See
     /// [`crate::checkpoint`] for the exactness contract.
     pub fn checkpoint(&self) -> EngineCheckpoint {
-        let methods = self
-            .methods
-            .iter()
-            .map(|slot| MethodCkpt {
-                label: slot.label.clone(),
-                state: match &slot.state {
-                    MethodState::Plain(_) => MethodStateCkpt::Plain,
-                    MethodState::Entropy(_, warm) => MethodStateCkpt::Entropy(warm.clone()),
-                    MethodState::Bayes(_, warm) => MethodStateCkpt::Bayes(warm.clone()),
-                    MethodState::Kruithof(_, warm) => MethodStateCkpt::Kruithof(warm.clone()),
-                    MethodState::Vardi(_, warm, rolling) => {
-                        MethodStateCkpt::Vardi(warm.clone(), rolling.clone())
-                    }
-                    MethodState::Cao(_, warm, rolling) => {
-                        MethodStateCkpt::Cao(Box::new(warm.clone()), rolling.clone())
-                    }
-                    MethodState::Fanout(_, rolling) => MethodStateCkpt::Fanout(rolling.clone()),
-                    MethodState::Wcb(_) => MethodStateCkpt::Wcb,
-                },
-            })
-            .collect();
         EngineCheckpoint {
             version: CHECKPOINT_VERSION,
             warm: self.mode == StreamMode::Warm,
             ticks: self.ticks,
-            impute_horizon: self.impute_horizon,
             history: self.history.iter().cloned().collect(),
             last_clean: self.last_clean.clone(),
             gap: self.gap.clone(),
             last_good: self.last_good.clone(),
-            methods,
+            methods: self
+                .methods
+                .iter()
+                .map(|slot| MethodCkpt {
+                    label: slot.label.clone(),
+                    state: slot.state.checkpoint(),
+                })
+                .collect(),
         }
     }
 
     /// Install a checkpoint taken from an identically configured
-    /// engine (same problem, method roster, mode and imputation
-    /// horizon), replacing this engine's mutable state. Estimator
-    /// objects and matrix caches are untouched — they are pure
-    /// functions of the configuration. Returns an error (leaving the
-    /// engine unchanged, except possibly already-validated fields) on
-    /// any roster/mode/dimension mismatch.
+    /// engine (same problem, method roster and mode), replacing this
+    /// engine's mutable state. Estimator configurations and matrix
+    /// caches are untouched — they are pure functions of the
+    /// configuration. Every method payload is decoded into a freshly
+    /// built state before anything is installed, so on any
+    /// roster/mode/dimension mismatch or malformed payload the error
+    /// leaves the engine exactly as it was.
     pub fn restore(&mut self, ckpt: &EngineCheckpoint) -> Result<()> {
         let invalid = |msg: String| EstimationError::InvalidProblem(format!("restore: {msg}"));
         if ckpt.version != CHECKPOINT_VERSION {
@@ -878,43 +886,12 @@ impl StreamEngine {
                 self.mode == StreamMode::Warm
             )));
         }
-        if ckpt.impute_horizon != self.impute_horizon {
-            return Err(invalid(format!(
-                "checkpoint impute horizon {} vs engine {}",
-                ckpt.impute_horizon, self.impute_horizon
-            )));
-        }
         if ckpt.methods.len() != self.methods.len() {
             return Err(invalid(format!(
                 "checkpoint has {} methods, engine has {}",
                 ckpt.methods.len(),
                 self.methods.len()
             )));
-        }
-        for (slot, m) in self.methods.iter().zip(&ckpt.methods) {
-            if slot.label != m.label {
-                return Err(invalid(format!(
-                    "method label `{}` vs checkpoint `{}`",
-                    slot.label, m.label
-                )));
-            }
-            let compatible = matches!(
-                (&slot.state, &m.state),
-                (MethodState::Plain(_), MethodStateCkpt::Plain)
-                    | (MethodState::Entropy(..), MethodStateCkpt::Entropy(_))
-                    | (MethodState::Bayes(..), MethodStateCkpt::Bayes(_))
-                    | (MethodState::Kruithof(..), MethodStateCkpt::Kruithof(_))
-                    | (MethodState::Vardi(..), MethodStateCkpt::Vardi(..))
-                    | (MethodState::Cao(..), MethodStateCkpt::Cao(..))
-                    | (MethodState::Fanout(..), MethodStateCkpt::Fanout(_))
-                    | (MethodState::Wcb(_), MethodStateCkpt::Wcb)
-            );
-            if !compatible {
-                return Err(invalid(format!(
-                    "method `{}`: checkpoint kind does not match engine state",
-                    slot.label
-                )));
-            }
         }
         let ext_rows = self.last_clean.len();
         if ckpt.last_clean.len() != ext_rows || ckpt.gap.len() != ext_rows {
@@ -938,422 +915,62 @@ impl StreamEngine {
                 self.max_window
             )));
         }
+        let mut states = Vec::with_capacity(self.methods.len());
+        for (slot, m) in self.methods.iter().zip(&ckpt.methods) {
+            if slot.label != m.label {
+                return Err(invalid(format!(
+                    "method label `{}` vs checkpoint `{}`",
+                    slot.label, m.label
+                )));
+            }
+            let mut state = slot.method.stream_state(&self.anchor, self.mode);
+            state
+                .restore(&m.state)
+                .map_err(|e| invalid(format!("method `{}`: {e}", slot.label)))?;
+            states.push(state);
+        }
+        for (slot, state) in self.methods.iter_mut().zip(states) {
+            slot.state = state;
+        }
         self.ticks = ckpt.ticks;
         self.history = ckpt.history.iter().cloned().collect();
         self.last_clean = ckpt.last_clean.clone();
         self.gap = ckpt.gap.clone();
         self.last_good = ckpt.last_good.clone();
-        for (slot, m) in self.methods.iter_mut().zip(&ckpt.methods) {
-            match (&mut slot.state, &m.state) {
-                (MethodState::Plain(_), MethodStateCkpt::Plain) => {}
-                (MethodState::Entropy(_, warm), MethodStateCkpt::Entropy(w)) => {
-                    *warm = w.clone();
-                }
-                (MethodState::Bayes(_, warm), MethodStateCkpt::Bayes(w)) => *warm = w.clone(),
-                (MethodState::Kruithof(_, warm), MethodStateCkpt::Kruithof(w)) => {
-                    *warm = w.clone();
-                }
-                (MethodState::Vardi(_, warm, rolling), MethodStateCkpt::Vardi(w, r)) => {
-                    *warm = w.clone();
-                    *rolling = r.clone();
-                }
-                (MethodState::Cao(_, warm, rolling), MethodStateCkpt::Cao(w, r)) => {
-                    *warm = (**w).clone();
-                    *rolling = r.clone();
-                }
-                (MethodState::Fanout(_, rolling), MethodStateCkpt::Fanout(r)) => {
-                    *rolling = r.clone();
-                }
-                (MethodState::Wcb(carry), MethodStateCkpt::Wcb) => {
-                    // The bases are not checkpointed: the next tick runs
-                    // a fresh phase 1 (see `crate::checkpoint`).
-                    carry.reset();
-                }
-                _ => unreachable!("validated above"),
-            }
-        }
         Ok(())
     }
 }
 
-/// Build the streaming state for one method. Cold mode — and methods
-/// with nothing to carry — use the plain registry estimator.
-fn build_state(system: &MeasurementSystem<'_>, method: &Method, mode: StreamMode) -> MethodState {
-    if mode == StreamMode::Cold {
-        return MethodState::Plain(method.build());
-    }
-    let n_rows = system.n_rows();
-    match method.config() {
-        MethodConfig::Entropy { .. } => {
-            let est = match method.build_typed() {
-                TypedEstimator::Entropy(e) => e,
-                _ => unreachable!("entropy config builds an entropy estimator"),
-            };
-            MethodState::Entropy(est, None)
+/// Why a method's outcome on a degraded tick quarantines its carried
+/// state, if it does: a solver error, a non-finite estimate, a demand
+/// total past `DIVERGENCE_FACTOR` times the tick's total traffic
+/// `total_ref`, or a warm solve that hit its budget (`conv`).
+fn quarantine_reason(
+    out: &Option<Result<Estimate>>,
+    conv: Option<Convergence>,
+    total_ref: f64,
+) -> Option<QuarantineReason> {
+    let est = match out {
+        Some(Ok(est)) => est,
+        Some(Err(e)) => {
+            return Some(QuarantineReason::SolverError {
+                message: e.to_string(),
+            })
         }
-        MethodConfig::Bayes { .. } => {
-            let est = match method.build_typed() {
-                TypedEstimator::Bayes(e) => e,
-                _ => unreachable!("bayes config builds a bayes estimator"),
-            };
-            MethodState::Bayes(est, Box::default())
-        }
-        MethodConfig::KruithofFull { .. } => {
-            let est = match method.build_typed() {
-                TypedEstimator::Kruithof(e) => e,
-                _ => unreachable!("kruithof-full config builds a kruithof estimator"),
-            };
-            MethodState::Kruithof(est, None)
-        }
-        MethodConfig::Vardi { window, .. } => {
-            let est = match method.build_typed() {
-                TypedEstimator::Vardi(e) => e,
-                _ => unreachable!("vardi config builds a vardi estimator"),
-            };
-            let rolling = RollingMoments::new(system.second_moments(), n_rows, *window);
-            MethodState::Vardi(est, Box::default(), rolling)
-        }
-        MethodConfig::Cao { window, .. } => {
-            let est = match method.build_typed() {
-                TypedEstimator::Cao(e) => e,
-                _ => unreachable!("cao config builds a cao estimator"),
-            };
-            let rolling = RollingMoments::new(system.second_moments(), n_rows, *window);
-            MethodState::Cao(est, CaoWarmStart::default(), rolling)
-        }
-        MethodConfig::Fanout { window, .. } => {
-            let est = match method.build_typed() {
-                TypedEstimator::Fanout(e) => e,
-                _ => unreachable!("fanout config builds a fanout estimator"),
-            };
-            let problem = system.problem();
-            let rolling =
-                FanoutRolling::new((*window).max(1), problem.n_nodes(), problem.n_pairs());
-            MethodState::Fanout(est, rolling)
-        }
-        MethodConfig::Wcb => MethodState::Wcb(WcbCarry::default()),
-        // Gravity and Kruithof-marginals are closed-form / microsecond
-        // solves with nothing to carry.
-        _ => MethodState::Plain(method.build()),
-    }
-}
-
-/// The per-tick snapshot problem: the anchor's routing pattern, peering
-/// roles and edge flag with the tick's load values — exactly what
-/// `DatasetExt::snapshot_problem` builds (minus the ground truth no
-/// estimator reads).
-fn tick_problem(
-    anchor: &MeasurementSystem<'_>,
-    loads: &IntervalLoads,
-) -> Result<EstimationProblem> {
-    let p = anchor.problem();
-    Ok(EstimationProblem::new(
-        p.routing().clone(),
-        loads.link_loads.clone(),
-        loads.ingress.clone(),
-        loads.egress.clone(),
-    )?
-    .with_peering(p.peering().to_vec())?
-    .with_edge_measurements(p.uses_edge_measurements()))
-}
-
-/// Lazily build (once per tick) the re-anchored snapshot system.
-fn tick_snapshot_system<'c>(
-    anchor: &MeasurementSystem<'static>,
-    loads: &IntervalLoads,
-    cache: &'c mut Option<MeasurementSystem<'static>>,
-) -> Result<&'c MeasurementSystem<'static>> {
-    if cache.is_none() {
-        let sys = anchor.reanchor(tick_problem(anchor, loads)?)?;
-        *cache = Some(sys);
-    }
-    Ok(cache.as_ref().expect("installed above"))
-}
-
-/// Lazily build (once per tick and window length) the re-anchored
-/// window system over the trailing `len` intervals of the history.
-fn tick_window_system<'c>(
-    anchor: &MeasurementSystem<'static>,
-    history: &VecDeque<IntervalLoads>,
-    len: usize,
-    cache: &'c mut Vec<(usize, MeasurementSystem<'static>)>,
-) -> Result<&'c MeasurementSystem<'static>> {
-    if !cache.iter().any(|(l, _)| *l == len) {
-        let skip = history.len() - len;
-        let mut ts = TimeSeriesData {
-            link_loads: Vec::with_capacity(len),
-            ingress: Vec::with_capacity(len),
-            egress: Vec::with_capacity(len),
-        };
-        for loads in history.iter().skip(skip) {
-            ts.link_loads.push(loads.link_loads.clone());
-            ts.ingress.push(loads.ingress.clone());
-            ts.egress.push(loads.egress.clone());
-        }
-        let current = history.back().expect("nonempty history");
-        let problem = tick_problem(anchor, current)?.with_time_series(ts)?;
-        cache.push((len, anchor.reanchor(problem)?));
-    }
-    Ok(cache
-        .iter()
-        .find(|(l, _)| *l == len)
-        .map(|(_, sys)| sys)
-        .expect("installed above"))
-}
-
-/// One warm WCB tick: re-anchor the carried basis (plain rebase, then
-/// the dual-repair pass inside [`WcbSolver::rebase`]), falling back to
-/// a fresh phase 1 on the shared matrix only when repair fails, then
-/// sweep the bound LPs and return the midpoint prior. When the exact
-/// form is infeasible, the relaxed form is solved on the lowest
-/// feasible slack rung, starting from the carried elastic basis
-/// ([`WcbSolver::relaxed`]).
-fn tick_wcb(
-    anchor: &MeasurementSystem<'static>,
-    t: &[f64],
-    carry: &mut WcbCarry,
-    ws: &mut Workspace,
-) -> Result<Estimate> {
-    let solver = &mut carry.exact;
-    // A failed (or erroring) rebase leaves the carried solver with a
-    // partially pivoted basis — it must never survive into the next
-    // tick, so take it out of the slot and only reinstall on success.
-    let reused = match solver.take() {
-        Some(mut s) => match s.rebase(t) {
-            Ok(true) => {
-                *solver = Some(s);
-                true
-            }
-            Ok(false) => false,
-            // An infeasible repair only means the carried basis cannot
-            // be walked to the new vector — rebuild instead of failing
-            // the tick.
-            Err(EstimationError::Opt(OptError::Infeasible { .. })) => false,
-            Err(e) => return Err(e),
-        },
-        None => false,
+        None => return None,
     };
-    if !reused {
-        match WcbSolver::from_parts(anchor.matrix(), t) {
-            Ok(s) => *solver = Some(s),
-            // Exact equality has no non-negative solution: on imputed
-            // or corrupted ticks the bridged loads can be mutually
-            // inconsistent (ingress/egress sums no longer balance the
-            // interior). Solve the relaxed-equality band form instead
-            // (docs/ROBUSTNESS.md), from the elastic basis carried since
-            // the last such tick; the next tick retries the exact form
-            // first.
-            Err(EstimationError::Opt(OptError::Infeasible { .. })) => {
-                if carry.band.is_none() {
-                    carry.band = Some(RelaxedBand::new(anchor.matrix())?);
-                }
-                let band = carry.band.as_ref().expect("built above");
-                let elastic = WcbSolver::relaxed(band, t, carry.elastic.take())?;
-                let bounds = elastic.bounds(ws)?;
-                carry.elastic = Some(elastic);
-                return Ok(bounds.midpoint());
-            }
-            Err(e) => return Err(e),
-        }
+    if !est.demands.iter().all(|v| v.is_finite()) {
+        return Some(QuarantineReason::NonFinite);
     }
-    let bounds = solver.as_ref().expect("installed above").bounds(ws)?;
-    Ok(bounds.midpoint())
-}
-
-/// Input classification for one tick, steering the per-method solve.
-enum TickCtx<'a> {
-    /// All rows usable — every method's plain solve, untouched.
-    Clean,
-    /// Some rows bridged from their last clean value; the repaired
-    /// loads run through the same full-system solve as a clean tick.
-    Imputed,
-    /// Rows masked past the imputation horizon: snapshot methods solve
-    /// on the reduced view over `usable`, window methods hold.
-    Masked { usable: &'a [usize] },
-}
-
-/// Solve one method slot for the tick. Returns the method's output (as
-/// `push_interval` has always reported it) plus the degradation action
-/// taken, if any.
-#[allow(clippy::too_many_arguments)]
-fn solve_slot(
-    slot: &mut MethodSlot,
-    anchor: &MeasurementSystem<'static>,
-    history: &VecDeque<IntervalLoads>,
-    current: &IntervalLoads,
-    t_stacked: &[f64],
-    u: Option<&[f64]>,
-    src_of: &[usize],
-    ws: &mut Workspace,
-    snap_sys: &mut Option<MeasurementSystem<'static>>,
-    win_sys: &mut Vec<(usize, MeasurementSystem<'static>)>,
-    ctx: &TickCtx<'_>,
-) -> (Option<Result<Estimate>>, Option<DegradationAction>) {
-    if let TickCtx::Masked { usable } = ctx {
-        return solve_slot_masked(slot, anchor, current, usable, ws, snap_sys);
+    let factor = est.demands.iter().sum::<f64>() / total_ref.max(1.0);
+    if total_ref > 0.0 && factor > DIVERGENCE_FACTOR {
+        return Some(QuarantineReason::Diverged { factor });
     }
-    let win_len = slot.window.map(|w| w.min(history.len()));
-    let out: Option<Result<Estimate>> = match &mut slot.state {
-        MethodState::Plain(est) => match win_len {
-            None => Some(
-                tick_snapshot_system(anchor, current, snap_sys)
-                    .and_then(|sys| est.estimate_system(sys, ws)),
-            ),
-            Some(w) if history.len() < slot.min_window => {
-                let _ = w;
-                None
-            }
-            Some(w) => Some(
-                tick_window_system(anchor, history, w, win_sys)
-                    .and_then(|sys| est.estimate_system(sys, ws)),
-            ),
-        },
-        MethodState::Entropy(est, warm) => Some(
-            tick_snapshot_system(anchor, current, snap_sys)
-                .and_then(|sys| est.estimate_system_warm(sys, ws, warm)),
-        ),
-        MethodState::Bayes(est, warm) => Some(
-            tick_snapshot_system(anchor, current, snap_sys)
-                .and_then(|sys| est.estimate_system_warm(sys, ws, warm)),
-        ),
-        MethodState::Kruithof(est, warm) => Some(
-            tick_snapshot_system(anchor, current, snap_sys)
-                .and_then(|sys| est.estimate_system_warm(sys, ws, warm)),
-        ),
-        MethodState::Vardi(est, warm, rolling) => {
-            rolling.push(t_stacked.to_vec(), current.ingress.iter().sum());
-            if rolling.len() < 2 {
-                None
-            } else {
-                Some(rolling.moments().and_then(|m| {
-                    est.estimate_from_moments(anchor, &m, rolling.mean_ingress(), Some(warm))
-                }))
-            }
-        }
-        MethodState::Cao(est, warm, rolling) => {
-            rolling.push(t_stacked.to_vec(), current.ingress.iter().sum());
-            if rolling.len() < 2 {
-                None
-            } else {
-                Some(rolling.moments().and_then(|m| {
-                    est.estimate_from_moments(anchor, &m, rolling.mean_ingress(), Some(warm))
-                        .map(|e| e.estimate)
-                }))
-            }
-        }
-        MethodState::Fanout(est, rolling) => {
-            let u = u.expect("computed for fanout above");
-            rolling.push(current, u, src_of);
-            Some(
-                est.estimate_from_stats(anchor, &rolling.stats, ws)
-                    .map(|r| r.estimate),
-            )
-        }
-        MethodState::Wcb(carry) => Some(tick_wcb(anchor, t_stacked, carry, ws)),
-    };
-    let action = match ctx {
-        TickCtx::Imputed if out.is_some() => Some(DegradationAction::ImputedSolve),
-        _ => None,
-    };
-    (out, action)
-}
-
-/// Solve one method slot on a masked tick. Snapshot methods estimate on
-/// the reduced row view (cold — their warm state is sized for the full
-/// system and left untouched for the next clean tick); window methods
-/// hold their state since the tick never enters their windows.
-fn solve_slot_masked(
-    slot: &mut MethodSlot,
-    anchor: &MeasurementSystem<'static>,
-    current: &IntervalLoads,
-    usable: &[usize],
-    ws: &mut Workspace,
-    snap_sys: &mut Option<MeasurementSystem<'static>>,
-) -> (Option<Result<Estimate>>, Option<DegradationAction>) {
-    let held = (None, Some(DegradationAction::WarmHeld));
-    match &mut slot.state {
-        MethodState::Plain(est) => match slot.window {
-            None => (
-                Some(masked_solve(
-                    est.as_ref(),
-                    anchor,
-                    current,
-                    usable,
-                    ws,
-                    snap_sys,
-                )),
-                Some(DegradationAction::MaskedSolve),
-            ),
-            Some(_) => held,
-        },
-        MethodState::Entropy(est, _) => (
-            Some(masked_solve(est, anchor, current, usable, ws, snap_sys)),
-            Some(DegradationAction::MaskedSolve),
-        ),
-        MethodState::Bayes(est, _) => (
-            Some(masked_solve(est, anchor, current, usable, ws, snap_sys)),
-            Some(DegradationAction::MaskedSolve),
-        ),
-        MethodState::Kruithof(est, _) => (
-            Some(masked_solve(est, anchor, current, usable, ws, snap_sys)),
-            Some(DegradationAction::MaskedSolve),
-        ),
-        MethodState::Vardi(..) | MethodState::Cao(..) | MethodState::Fanout(..) => held,
-        // Cold bound sweep on the reduced system; the carried basis is
-        // sized for the full row set and stays untouched.
-        MethodState::Wcb(_) => (
-            Some(masked_solve(
-                &WcbEstimator::new(),
-                anchor,
-                current,
-                usable,
-                ws,
-                snap_sys,
-            )),
-            Some(DegradationAction::MaskedSolve),
-        ),
-    }
-}
-
-/// One cold estimate on the masked row view of the tick's snapshot
-/// system.
-fn masked_solve(
-    est: &dyn Estimator,
-    anchor: &MeasurementSystem<'static>,
-    current: &IntervalLoads,
-    usable: &[usize],
-    ws: &mut Workspace,
-    snap_sys: &mut Option<MeasurementSystem<'static>>,
-) -> Result<Estimate> {
-    let sys = tick_snapshot_system(anchor, current, snap_sys)?;
-    let view = sys.masked_view(usable)?;
-    est.estimate_system(&view, ws)
-}
-
-/// The convergence report of the warm engine that produced the slot's
-/// last estimate, where one is tracked.
-fn slot_convergence(state: &MethodState) -> Option<Convergence> {
-    match state {
-        MethodState::Entropy(_, Some(w)) => w.last_convergence(),
-        MethodState::Vardi(_, w, _) => w.last_convergence(),
-        MethodState::Cao(_, w, _) => w.last_convergence(),
-        _ => None,
-    }
-}
-
-/// Drop a slot's carried solver state (warm starts, simplex basis) so
-/// the next tick restarts from cold. Rolling data windows are kept —
-/// they hold measured inputs, not solver iterates.
-fn quarantine_state(state: &mut MethodState) {
-    match state {
-        MethodState::Entropy(_, warm) => *warm = None,
-        MethodState::Bayes(_, warm) => **warm = BayesWarmStart::default(),
-        MethodState::Kruithof(_, warm) => *warm = None,
-        MethodState::Vardi(_, warm, _) => **warm = VardiWarmStart::default(),
-        MethodState::Cao(_, warm, _) => *warm = CaoWarmStart::default(),
-        MethodState::Wcb(carry) => carry.reset(),
-        MethodState::Plain(_) | MethodState::Fanout(..) => {}
-    }
+    conv.filter(|c| !c.converged)
+        .map(|c| QuarantineReason::BudgetCapped {
+            achieved_tol: c.achieved_tol,
+            iters: c.iters,
+        })
 }
 
 /// Human-readable message from a caught panic payload.
@@ -1367,270 +984,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Rolling sample moments of the stacked measurement vectors over a
-/// `K`-interval window, restricted to the second-moment system's
-/// `(i ≤ j)` covariance rows. Maintains `Σ tᵢ` and `Σ tᵢ·tⱼ`
-/// incrementally (`O(rows)` per tick) and reproduces
-/// [`SecondMomentSystem::sample_moments`]'s `1/K` covariance
-/// convention; the buffers are re-aggregated exactly every
-/// 128 ticks (`ROLLING_REFRESH_TICKS`) to bound floating-point drift.
-#[derive(Debug, Clone)]
-pub struct RollingMoments {
-    window: usize,
-    rows: Vec<(usize, usize)>,
-    buf: VecDeque<Vec<f64>>,
-    sum: Vec<f64>,
-    prod: Vec<f64>,
-    /// Per-interval total ingress traffic, parallel to `buf` (feeds the
-    /// Vardi/Cao normalization constant).
-    ingress: VecDeque<f64>,
-    ingress_sum: f64,
-    pushes: usize,
-}
-
-impl RollingMoments {
-    /// Rolling moments aligned with `sys`'s covariance rows, over
-    /// measurement vectors of length `dim`, with window length
-    /// `window`.
-    pub fn new(sys: &SecondMomentSystem, dim: usize, window: usize) -> Self {
-        RollingMoments {
-            window: window.max(2),
-            rows: sys.rows.clone(),
-            buf: VecDeque::with_capacity(window),
-            sum: vec![0.0; dim],
-            prod: vec![0.0; sys.rows.len()],
-            ingress: VecDeque::with_capacity(window),
-            ingress_sum: 0.0,
-            pushes: 0,
-        }
-    }
-
-    /// Intervals currently in the window.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no intervals have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Push the stacked measurement vector of a new interval (plus its
-    /// total ingress traffic), evicting the oldest interval once the
-    /// window is full.
-    pub fn push(&mut self, t: Vec<f64>, ingress_total: f64) {
-        assert_eq!(t.len(), self.sum.len(), "measurement vector length");
-        if self.buf.len() == self.window {
-            let old = self.buf.pop_front().expect("window full");
-            self.ingress_sum -= self.ingress.pop_front().expect("window full");
-            for (s, &v) in self.sum.iter_mut().zip(&old) {
-                *s -= v;
-            }
-            for (r, &(i, j)) in self.rows.iter().enumerate() {
-                self.prod[r] -= old[i] * old[j];
-            }
-        }
-        self.ingress.push_back(ingress_total);
-        self.ingress_sum += ingress_total;
-        for (s, &v) in self.sum.iter_mut().zip(&t) {
-            *s += v;
-        }
-        for (r, &(i, j)) in self.rows.iter().enumerate() {
-            self.prod[r] += t[i] * t[j];
-        }
-        self.buf.push_back(t);
-        self.pushes += 1;
-        if self.pushes.is_multiple_of(ROLLING_REFRESH_TICKS) {
-            self.refresh();
-        }
-    }
-
-    /// Exact re-aggregation from the buffered window (drift reset).
-    fn refresh(&mut self) {
-        self.sum.fill(0.0);
-        self.prod.fill(0.0);
-        for t in &self.buf {
-            for (s, &v) in self.sum.iter_mut().zip(t) {
-                *s += v;
-            }
-            for (r, &(i, j)) in self.rows.iter().enumerate() {
-                self.prod[r] += t[i] * t[j];
-            }
-        }
-        self.ingress_sum = self.ingress.iter().sum();
-    }
-
-    /// Sample moments of the current window (mean + vech covariance in
-    /// the `1/K` convention). Needs at least two intervals.
-    pub fn moments(&self) -> Result<SampleMoments> {
-        let k = self.buf.len();
-        if k < 2 {
-            return Err(EstimationError::InvalidProblem(
-                "need at least 2 intervals for a covariance".into(),
-            ));
-        }
-        let kf = k as f64;
-        let mean: Vec<f64> = self.sum.iter().map(|&v| v / kf).collect();
-        let cov_vech: Vec<f64> = self
-            .rows
-            .iter()
-            .zip(&self.prod)
-            .map(|(&(i, j), &p)| p / kf - mean[i] * mean[j])
-            .collect();
-        Ok(SampleMoments { mean, cov_vech })
-    }
-
-    /// Mean per-interval total ingress traffic over the window (the
-    /// normalization constant the Vardi/Cao solves expect); `0.0` when
-    /// the window is empty.
-    pub fn mean_ingress(&self) -> f64 {
-        if self.buf.is_empty() {
-            return 0.0;
-        }
-        self.ingress_sum / self.buf.len() as f64
-    }
-}
-
-/// Checkpoint form of [`RollingMoments`]: everything round-trips,
-/// including the running `Σt` / `Σtᵢtⱼ` accumulators and the `pushes`
-/// counter — the accumulators carry add/subtract rounding history that
-/// a re-aggregation would not reproduce, and the counter pins the
-/// exact `ROLLING_REFRESH_TICKS` refresh cadence. A restored window
-/// therefore continues bit-identically to an uninterrupted one.
-impl serde::Serialize for RollingMoments {
-    fn to_value(&self) -> serde::Value {
-        let buf: Vec<Vec<f64>> = self.buf.iter().cloned().collect();
-        let ingress: Vec<f64> = self.ingress.iter().copied().collect();
-        serde::Value::Map(vec![
-            ("window".to_string(), self.window.to_value()),
-            ("rows".to_string(), self.rows.to_value()),
-            ("buf".to_string(), buf.to_value()),
-            ("sum".to_string(), self.sum.to_value()),
-            ("prod".to_string(), self.prod.to_value()),
-            ("ingress".to_string(), ingress.to_value()),
-            ("ingress_sum".to_string(), self.ingress_sum.to_value()),
-            ("pushes".to_string(), self.pushes.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for RollingMoments {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let buf: Vec<Vec<f64>> = serde::Deserialize::from_value(v.field("buf")?)?;
-        let ingress: Vec<f64> = serde::Deserialize::from_value(v.field("ingress")?)?;
-        Ok(RollingMoments {
-            window: serde::Deserialize::from_value(v.field("window")?)?,
-            rows: serde::Deserialize::from_value(v.field("rows")?)?,
-            buf: buf.into(),
-            sum: serde::Deserialize::from_value(v.field("sum")?)?,
-            prod: serde::Deserialize::from_value(v.field("prod")?)?,
-            ingress: ingress.into(),
-            ingress_sum: serde::Deserialize::from_value(v.field("ingress_sum")?)?,
-            pushes: serde::Deserialize::from_value(v.field("pushes")?)?,
-        })
-    }
-}
-
-/// Rolling fanout-window aggregates: a [`FanoutWindowStats`] maintained
-/// by add/subtract updates over a bounded window, with periodic exact
-/// re-aggregation.
-#[derive(Debug, Clone)]
-pub struct FanoutRolling {
-    window: usize,
-    /// Current aggregates (readable by
-    /// [`FanoutEstimator::estimate_from_stats`]).
-    pub stats: FanoutWindowStats,
-    /// Buffered per-interval contributions `(te, tx, u)`.
-    buf: VecDeque<(Vec<f64>, Vec<f64>, Vec<f64>)>,
-    pushes: usize,
-}
-
-impl FanoutRolling {
-    /// Empty rolling window of length `window` for `n` nodes /
-    /// `p_count` pairs.
-    pub fn new(window: usize, n: usize, p_count: usize) -> Self {
-        FanoutRolling {
-            window: window.max(1),
-            stats: FanoutWindowStats::empty(n, p_count),
-            buf: VecDeque::with_capacity(window),
-            pushes: 0,
-        }
-    }
-
-    /// Push one interval (its loads plus the transposed product
-    /// `u = Aᵀ·t` of its stacked measurement vector), evicting the
-    /// oldest interval once the window is full.
-    pub fn push(&mut self, loads: &IntervalLoads, u: &[f64], src_of: &[usize]) {
-        if self.buf.len() == self.window {
-            let (te, tx, old_u) = self.buf.pop_front().expect("window full");
-            self.stats.remove_interval(&te, &tx, &old_u, src_of);
-        }
-        self.stats
-            .add_interval(&loads.ingress, &loads.egress, u, src_of);
-        self.buf
-            .push_back((loads.ingress.clone(), loads.egress.clone(), u.to_vec()));
-        self.pushes += 1;
-        if self.pushes.is_multiple_of(ROLLING_REFRESH_TICKS) {
-            self.refresh(src_of);
-        }
-    }
-
-    /// Exact re-aggregation from the buffered window (drift reset).
-    fn refresh(&mut self, src_of: &[usize]) {
-        let n = self.stats.te_sum.len();
-        let p = self.stats.g_terms.len();
-        self.stats = FanoutWindowStats::empty(n, p);
-        for (te, tx, u) in &self.buf {
-            self.stats.add_interval(te, tx, u, src_of);
-        }
-    }
-
-    /// Intervals currently in the window.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no intervals have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-/// Checkpoint form of [`FanoutRolling`] — same contract as the
-/// [`RollingMoments`] impl: aggregates and the refresh counter
-/// round-trip exactly, so a restored window continues bit-identically.
-impl serde::Serialize for FanoutRolling {
-    fn to_value(&self) -> serde::Value {
-        let buf: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = self.buf.iter().cloned().collect();
-        serde::Value::Map(vec![
-            ("window".to_string(), self.window.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("buf".to_string(), buf.to_value()),
-            ("pushes".to_string(), self.pushes.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for FanoutRolling {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let buf: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> =
-            serde::Deserialize::from_value(v.field("buf")?)?;
-        Ok(FanoutRolling {
-            window: serde::Deserialize::from_value(v.field("window")?)?,
-            stats: serde::Deserialize::from_value(v.field("stats")?)?,
-            buf: buf.into(),
-            pushes: serde::Deserialize::from_value(v.field("pushes")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::covariance::RollingMoments;
+    use crate::fanout::{FanoutRolling, FanoutWindowStats};
     use crate::measure::LoadFaultPlan;
+    use crate::method::MethodConfig;
     use crate::metrics::{mean_relative_error, CoverageThreshold};
     use crate::problem::DatasetExt;
-    use crate::wcb::worst_case_bounds;
+    use crate::wcb::{worst_case_bounds, WcbEstimator, WcbSolver};
+    use tm_opt::OptError;
     use tm_traffic::DatasetSpec;
 
     fn tiny() -> EvalDataset {
@@ -1801,17 +1165,12 @@ mod tests {
     fn fanout_rolling_matches_cold_aggregation() {
         let d = tiny();
         let sys = MeasurementSystem::new(d.snapshot_problem(0));
-        let p_count = d.n_pairs();
-        let n = d.topology.n_nodes();
-        let pairs = d.routing.pairs();
-        let src_of: Vec<usize> = (0..p_count).map(|p| pairs.pair(p).0 .0).collect();
         let window = 4usize;
-        let mut rolling = FanoutRolling::new(window, n, p_count);
+        let mut rolling = FanoutRolling::new(window, sys.problem());
         for k in 0..10 {
             let loads = d.interval_loads(k).unwrap();
             let t = d.snapshot_problem(k).measurements();
-            let u = sys.matrix().tr_matvec(&t);
-            rolling.push(&loads, &u, &src_of);
+            rolling.push(&loads, sys.matrix(), &t);
             let lo = (k + 1).saturating_sub(window);
             let wsys = sys.reanchor(d.window_problem(lo..k + 1)).unwrap();
             let want = FanoutWindowStats::from_series(&wsys).unwrap();
@@ -1925,16 +1284,14 @@ mod tests {
     fn gap_past_the_horizon_masks_the_row() {
         let d = tiny();
         let ms = methods(&["gravity"]);
-        let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm)
-            .unwrap()
-            .with_impute_horizon(2);
+        let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).unwrap();
         engine.push_interval(d.interval_loads(0).unwrap()).unwrap();
-        for k in 1..=4 {
+        for k in 1..=DEFAULT_IMPUTE_HORIZON + 2 {
             let mut loads = d.interval_loads(k).unwrap();
             loads.link_loads[0] = f64::NAN;
             let tick = engine.push_interval(loads).unwrap();
             let deg = tick.degradation.expect("faulty tick must report");
-            if k <= 2 {
+            if k <= DEFAULT_IMPUTE_HORIZON {
                 assert_eq!(deg.imputed_rows, vec![0], "tick {k} inside horizon");
                 assert!(deg.masked_rows.is_empty());
             } else {
@@ -1954,13 +1311,10 @@ mod tests {
     fn masked_ticks_hold_window_methods_on_their_last_good_estimate() {
         let d = tiny();
         let ms = methods(&["vardi:w=0.01,window=5", "entropy:lambda=1e3"]);
-        // Horizon 0: any unusable row masks its tick immediately, so
-        // window methods hold rather than solve on bridged values.
-        let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm)
-            .unwrap()
-            .with_impute_horizon(0);
-        // A masked row from tick 0 (no clean history to bridge from):
-        // vardi's rolling window must not ingest the tick.
+        let mut engine = StreamEngine::for_dataset(&d, &ms, StreamMode::Warm).unwrap();
+        // A masked row from tick 0 (no clean history to bridge from, so
+        // it masks at once): vardi's rolling window must not ingest the
+        // tick.
         let mut loads = d.interval_loads(0).unwrap();
         loads.link_loads[1] = f64::NAN;
         let t0 = engine.push_interval(loads).unwrap();
@@ -1981,15 +1335,31 @@ mod tests {
         // Two clean ticks make vardi ready (its window saw only them).
         engine.push_interval(d.interval_loads(1).unwrap()).unwrap();
         let t2 = engine.push_interval(d.interval_loads(2).unwrap()).unwrap();
-        let good = t2.estimates[0]
+        let mut good = t2.estimates[0]
             .as_ref()
             .expect("two clean ticks in window")
             .as_ref()
             .unwrap()
             .clone();
-        // A later masked tick: vardi holds, standing on the last good
-        // estimate instead of going silent.
-        let mut loads = d.interval_loads(3).unwrap();
+        // A later gap in the same row is bridged up to the horizon, and
+        // vardi solves on the bridged values.
+        let masked_at = 3 + DEFAULT_IMPUTE_HORIZON;
+        for k in 3..masked_at {
+            let mut loads = d.interval_loads(k).unwrap();
+            loads.link_loads[1] = f64::NAN;
+            let tick = engine.push_interval(loads).unwrap();
+            let deg = tick.degradation.expect("imputed tick must report");
+            assert_eq!(deg.imputed_rows, vec![1], "tick {k} inside horizon");
+            good = tick.estimates[0]
+                .as_ref()
+                .unwrap()
+                .as_ref()
+                .unwrap()
+                .clone();
+        }
+        // Past the horizon the tick is masked: vardi holds, standing on
+        // the last good estimate instead of going silent.
+        let mut loads = d.interval_loads(masked_at).unwrap();
         loads.link_loads[1] = f64::NAN;
         let tm = engine.push_interval(loads).unwrap();
         let deg = tm.degradation.expect("masked tick must report");
@@ -2326,7 +1696,12 @@ mod tests {
     /// Whether the engine's first slot, a WCB slot, carries an elastic
     /// basis into its next tick.
     fn carries_elastic(engine: &StreamEngine) -> bool {
-        matches!(&engine.methods[0].state, MethodState::Wcb(c) if c.elastic.is_some())
+        wcb_carry(engine).elastic.is_some()
+    }
+
+    /// The carry of the engine's first slot, a WCB slot.
+    fn wcb_carry(engine: &StreamEngine) -> &crate::wcb::WcbCarry {
+        engine.methods[0].state.wcb().expect("the slot is wcb")
     }
 
     #[test]
@@ -2348,9 +1723,7 @@ mod tests {
             let mut loads = d.interval_loads(k).unwrap();
             plan.apply(k, &mut loads.link_loads);
             let tick = engine.push_interval(loads).unwrap();
-            let MethodState::Wcb(carry) = &engine.methods[0].state else {
-                unreachable!("the only slot is wcb")
-            };
+            let carry = wcb_carry(&engine);
             let masked = tick
                 .degradation
                 .as_ref()

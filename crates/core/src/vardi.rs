@@ -14,14 +14,17 @@
 //! `σ⁻² ∈ [0, 1]` expresses faith in the Poisson assumption (Table 1
 //! evaluates 0.01 and 1). The stacked system is sparse; SPG solves it.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::{vector, Csr};
 use tm_opt::nnls::{self, SsnOptions, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
+use crate::checkpoint::{expect_kind, payload};
+use crate::covariance::RollingMoments;
 use crate::error::EstimationError;
 use crate::problem::{Estimate, Estimator};
+use crate::stream::{Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -370,16 +373,6 @@ pub struct VardiWarmStart {
     last_convergence: Option<Convergence>,
 }
 
-impl VardiWarmStart {
-    /// Convergence status of the most recent warm solve (`None` before
-    /// the first solve). A budget-capped report means the carried
-    /// solution is the solver's best iterate, not an optimum — the
-    /// streaming engine quarantines the handle on it.
-    pub fn last_convergence(&self) -> Option<Convergence> {
-        self.last_convergence
-    }
-}
-
 impl Estimator for VardiEstimator {
     fn estimate_system(
         &self,
@@ -398,6 +391,48 @@ fn scale_csr(m: &Csr, factor: f64) -> Csr {
     let scale = vec![factor; m.cols()];
     // scale_cols multiplies columns; uniform factor = global scale.
     m.scale_cols(&scale).expect("dimensions match")
+}
+
+/// Vardi in a warm stream: rolling second moments of the window plus
+/// the previous solution carried from tick to tick.
+pub(crate) struct VardiCarry {
+    pub(crate) est: VardiEstimator,
+    pub(crate) warm: VardiWarmStart,
+    pub(crate) rolling: RollingMoments,
+}
+
+impl WarmMethod for VardiCarry {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        self.rolling
+            .push(tick.t.to_vec(), tick.current.ingress.iter().sum());
+        if self.rolling.len() < 2 {
+            return None;
+        }
+        Some(self.rolling.moments().and_then(|m| {
+            let mean_ingress = self.rolling.mean_ingress();
+            self.est
+                .estimate_from_moments(tick.anchor, &m, mean_ingress, Some(&mut self.warm))
+        }))
+    }
+
+    fn convergence(&self) -> Option<Convergence> {
+        self.warm.last_convergence
+    }
+
+    fn reset(&mut self) {
+        self.warm = VardiWarmStart::default();
+    }
+
+    fn checkpoint(&self) -> Value {
+        payload("vardi", &[("warm", &self.warm), ("rolling", &self.rolling)])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "vardi")?;
+        self.warm = Deserialize::from_value(v.field("warm")?)?;
+        self.rolling = Deserialize::from_value(v.field("rolling")?)?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -42,11 +42,15 @@
 //! The midpoint `(lower+upper)/2` turns out to be a strong prior for the
 //! regularized estimators (Fig. 9 / Fig. 15 / Table 2).
 
+use serde::{DeError, Value};
 use tm_linalg::{Csr, Workspace};
 use tm_opt::revised::RevisedSimplex;
 use tm_opt::OptError;
 
+use crate::checkpoint::{expect_kind, payload};
+use crate::error::EstimationError;
 use crate::problem::{Estimate, EstimationProblem, Estimator};
+use crate::stream::{Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -431,6 +435,109 @@ impl Estimator for WcbEstimator {
 
     fn name(&self) -> String {
         "wcb-midpoint".into()
+    }
+}
+
+/// WCB's carried LP state in a warm stream: the midpoint estimator with
+/// its revised-simplex bases carried from tick to tick.
+#[derive(Default)]
+pub(crate) struct WcbCarry {
+    /// The exact-form basis, re-anchored on every tick it stays
+    /// feasible for.
+    pub(crate) exact: Option<WcbSolver>,
+    /// The relaxed-equality basis of the last tick whose exact form was
+    /// infeasible, at its ladder rung (see [`WcbSolver::slack_rel`]).
+    pub(crate) elastic: Option<WcbSolver>,
+    /// The band form of the anchor's matrix, built on the first
+    /// infeasible tick. It depends on the matrix alone, so resets keep
+    /// it, and a restored carry rebuilds it when first needed.
+    band: Option<RelaxedBand>,
+}
+
+impl WcbCarry {
+    /// One warm tick: re-anchor the carried basis (plain rebase, then
+    /// the dual-repair pass inside [`WcbSolver::rebase`]), falling back
+    /// to a fresh phase 1 on the shared matrix only when repair fails,
+    /// then sweep the bound LPs and return the midpoint prior. When the
+    /// exact form is infeasible, the relaxed form is solved on the
+    /// lowest feasible slack rung, starting from the carried elastic
+    /// basis ([`WcbSolver::relaxed`]).
+    fn tick(&mut self, a: &Csr, t: &[f64], ws: &mut Workspace) -> Result<Estimate> {
+        // A failed (or erroring) rebase leaves the carried solver with a
+        // partially pivoted basis — it must never survive into the next
+        // tick, so take it out of the slot and only reinstall on success.
+        let reused = match self.exact.take() {
+            Some(mut s) => match s.rebase(t) {
+                Ok(true) => {
+                    self.exact = Some(s);
+                    true
+                }
+                Ok(false) => false,
+                // An infeasible repair only means the carried basis
+                // cannot be walked to the new vector — rebuild instead
+                // of failing the tick.
+                Err(EstimationError::Opt(OptError::Infeasible { .. })) => false,
+                Err(e) => return Err(e),
+            },
+            None => false,
+        };
+        if !reused {
+            match WcbSolver::from_parts(a, t) {
+                Ok(s) => self.exact = Some(s),
+                // Exact equality has no non-negative solution: on
+                // imputed or corrupted ticks the bridged loads can be
+                // mutually inconsistent (ingress/egress sums no longer
+                // balance the interior). Solve the relaxed-equality band
+                // form instead (docs/ROBUSTNESS.md), from the elastic
+                // basis carried since the last such tick; the next tick
+                // retries the exact form first.
+                Err(EstimationError::Opt(OptError::Infeasible { .. })) => {
+                    if self.band.is_none() {
+                        self.band = Some(RelaxedBand::new(a)?);
+                    }
+                    let band = self.band.as_ref().expect("built above");
+                    let elastic = WcbSolver::relaxed(band, t, self.elastic.take())?;
+                    let bounds = elastic.bounds(ws)?;
+                    self.elastic = Some(elastic);
+                    return Ok(bounds.midpoint());
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        let bounds = self.exact.as_ref().expect("installed above").bounds(ws)?;
+        Ok(bounds.midpoint())
+    }
+}
+
+impl WarmMethod for WcbCarry {
+    fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
+        Some(self.tick(tick.anchor.matrix(), tick.t, tick.ws))
+    }
+
+    /// A cold bound sweep on the reduced system; the carried bases are
+    /// sized for the full row set.
+    fn snapshot(&self) -> Option<&dyn Estimator> {
+        Some(&WcbEstimator)
+    }
+
+    fn reset(&mut self) {
+        self.exact = None;
+        self.elastic = None;
+    }
+
+    /// The bases are not checkpointed: the first tick after a restore
+    /// runs a fresh phase 1 (see [`crate::checkpoint`]).
+    fn checkpoint(&self) -> Value {
+        payload("wcb", &[])
+    }
+
+    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
+        expect_kind(v, "wcb")
+    }
+
+    #[cfg(test)]
+    fn wcb(&self) -> Option<&WcbCarry> {
+        Some(self)
     }
 }
 

@@ -198,3 +198,84 @@ fn cold_engine_checkpoints_history_and_counters() {
         }
     }
 }
+
+/// FNV-1a over `bytes`: a stable 64-bit digest for pinning output.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Length and FNV-1a digest of the per-method payloads of
+/// [`method_payloads_are_pinned`].
+const PINNED_LEN: usize = 28758;
+const PINNED_FNV: u64 = 4491213642455081248;
+
+#[test]
+fn method_payloads_are_pinned() {
+    // Every method writes its own checkpoint payload; their layout and
+    // bits after 8 warm ticks of this roster are pinned, so a change to
+    // any method's carry or its serialized form shows here.
+    let mut warm = engine();
+    for loads in dataset_stream(dataset(), 0..8).expect("range") {
+        warm.push_interval(loads).expect("tick");
+    }
+    let methods = serde_json::to_string(&warm.checkpoint().methods).expect("serializable");
+    assert_eq!(
+        (methods.len(), fnv1a(methods.as_bytes())),
+        (PINNED_LEN, PINNED_FNV),
+        "per-method checkpoint payloads changed"
+    );
+}
+
+#[test]
+fn a_failed_restore_leaves_the_engine_untouched() {
+    // One malformed method payload fails the whole restore, and the
+    // engine carries on exactly like a twin that never saw it.
+    let d = dataset();
+    let mut live = engine();
+    let mut twin = engine();
+    for loads in dataset_stream(d, 0..5).expect("range") {
+        live.push_interval(loads.clone()).expect("tick");
+        twin.push_interval(loads).expect("tick");
+    }
+    // A checkpoint from a different point of the day, with vardi's
+    // rolling push counter turned into a string.
+    let mut other = engine();
+    for loads in dataset_stream(d, 0..3).expect("range") {
+        other.push_interval(loads).expect("tick");
+    }
+    let json = other.checkpoint().to_json();
+    let vardi = json
+        .find("\"kind\":\"vardi\"")
+        .expect("vardi is in the roster");
+    let needle = "\"pushes\":3}";
+    let at = vardi + json[vardi..].find(needle).expect("vardi's rolling window");
+    let tampered = format!(
+        "{}\"pushes\":\"3\"}}{}",
+        &json[..at],
+        &json[at + needle.len()..]
+    );
+    assert!(
+        EngineCheckpoint::from_json(&tampered)
+            .and_then(|c| live.restore(&c))
+            .is_err(),
+        "a malformed payload must fail the restore"
+    );
+    assert_eq!(live.ticks(), twin.ticks());
+    for loads in dataset_stream(d, 5..9).expect("range") {
+        let a = live.push_interval(loads.clone()).expect("tick");
+        let b = twin.push_interval(loads).expect("tick");
+        for (m, (x, y)) in a.estimates.iter().zip(&b.estimates).enumerate() {
+            match (x, y) {
+                (None, None) => {}
+                (Some(Ok(x)), Some(Ok(y))) => {
+                    let bits =
+                        |e: &Estimate| e.demands.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(x), bits(y), "tick {} method {m}", a.interval);
+                }
+                _ => panic!("tick {} method {m}: outcome shape diverged", a.interval),
+            }
+        }
+    }
+}

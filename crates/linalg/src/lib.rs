@@ -14,7 +14,7 @@
 //! * [`Csr`] — a compressed-sparse-row matrix used for routing matrices
 //!   (0/1, very sparse) and Vardi second-moment systems, with the
 //!   sparse-first kernels ([`Csr::gram`], counting-sort construction,
-//!   O(nnz) transpose, fused weighted products, row/col scaling),
+//!   O(nnz) transpose, allocation-free products, row/col scaling),
 //! * [`LinOp`] — one product interface over `Mat` and `Csr`, for
 //!   checks that take either (the solvers call the concrete types),
 //! * [`sparse_lu`] — sparse LU factorization of simplex bases with
