@@ -12,10 +12,8 @@
 //! (and this simulation by default) use 64-bit counters (`ifHCInOctets`).
 //! Both modes are implemented; the 32-bit mode demonstrates the hazard.
 
-use serde::{Deserialize, Serialize};
-
 /// Counter word size exposed by the agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterMode {
     /// Classic 32-bit octet counters (wrap hazard at high rates).
     Counter32,
@@ -104,51 +102,6 @@ pub enum RateSample {
     WrapCorrected(f64),
     /// No plausible rate exists; the reading pair must be discarded.
     Suspect(SuspectReading),
-}
-
-impl Serialize for SuspectReading {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        match *self {
-            SuspectReading::CounterReset { previous, current } => Value::Map(vec![
-                ("kind".into(), Value::Str("counter-reset".into())),
-                ("previous".into(), Value::U64(previous)),
-                ("current".into(), Value::U64(current)),
-            ]),
-            SuspectReading::ImplausibleRate { rate_mbps } => Value::Map(vec![
-                ("kind".into(), Value::Str("implausible-rate".into())),
-                ("rate_mbps".into(), Value::F64(rate_mbps)),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for SuspectReading {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::{DeError, Value};
-        let kind = match v.field("kind")? {
-            Value::Str(s) => s.as_str(),
-            other => return Err(DeError(format!("bad `kind`: {other:?}"))),
-        };
-        let u64_field = |name: &str| -> Result<u64, DeError> {
-            match v.field(name)? {
-                Value::U64(x) => Ok(*x),
-                Value::I64(x) if *x >= 0 => Ok(*x as u64),
-                other => Err(DeError(format!("bad `{name}`: {other:?}"))),
-            }
-        };
-        match kind {
-            "counter-reset" => Ok(SuspectReading::CounterReset {
-                previous: u64_field("previous")?,
-                current: u64_field("current")?,
-            }),
-            "implausible-rate" => match v.field("rate_mbps")? {
-                Value::F64(x) => Ok(SuspectReading::ImplausibleRate { rate_mbps: *x }),
-                other => Err(DeError(format!("bad `rate_mbps`: {other:?}"))),
-            },
-            other => Err(DeError(format!("unknown suspect kind `{other}`"))),
-        }
-    }
 }
 
 impl RateSample {

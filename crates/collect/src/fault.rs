@@ -15,8 +15,6 @@
 //! across runs and thread schedules, and independent of the simulator's
 //! own jitter/loss RNG stream.
 
-use serde::{Deserialize, Serialize};
-
 use crate::counters::CounterMode;
 
 /// One class of injected measurement fault.
@@ -89,104 +87,8 @@ pub enum FaultSpec {
     },
 }
 
-impl Serialize for FaultSpec {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let tag = |name: &str| ("fault".to_string(), Value::Str(name.to_string()));
-        let u = |k: &str, v: usize| (k.to_string(), Value::U64(v as u64));
-        let f = |k: &str, v: f64| (k.to_string(), Value::F64(v));
-        match *self {
-            FaultSpec::MissingPolls { probability } => {
-                Value::Map(vec![tag("missing-polls"), f("probability", probability)])
-            }
-            FaultSpec::Outage { lsp, from, ticks } => Value::Map(vec![
-                tag("outage"),
-                u("lsp", lsp),
-                u("from", from),
-                u("ticks", ticks),
-            ]),
-            FaultSpec::StaleReadings { lsp, from, ticks } => Value::Map(vec![
-                tag("stale-readings"),
-                u("lsp", lsp),
-                u("from", from),
-                u("ticks", ticks),
-            ]),
-            FaultSpec::CounterWrap { lsp, at } => {
-                Value::Map(vec![tag("counter-wrap"), u("lsp", lsp), u("at", at)])
-            }
-            FaultSpec::CounterReset { lsp, at } => {
-                Value::Map(vec![tag("counter-reset"), u("lsp", lsp), u("at", at)])
-            }
-            FaultSpec::NoiseBurst {
-                from,
-                ticks,
-                relative_sigma,
-            } => Value::Map(vec![
-                tag("noise-burst"),
-                u("from", from),
-                u("ticks", ticks),
-                f("relative_sigma", relative_sigma),
-            ]),
-        }
-    }
-}
-
-impl Deserialize for FaultSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        use serde::{DeError, Value};
-        let name = match v.field("fault")? {
-            Value::Str(s) => s.as_str(),
-            other => return Err(DeError(format!("bad `fault` tag: {other:?}"))),
-        };
-        let uint = |key: &str| -> Result<usize, DeError> {
-            match v.field(key)? {
-                Value::U64(x) => Ok(*x as usize),
-                Value::I64(x) if *x >= 0 => Ok(*x as usize),
-                other => Err(DeError(format!("bad `{key}`: {other:?}"))),
-            }
-        };
-        let float = |key: &str| -> Result<f64, DeError> {
-            match v.field(key)? {
-                Value::F64(x) => Ok(*x),
-                Value::I64(x) => Ok(*x as f64),
-                Value::U64(x) => Ok(*x as f64),
-                other => Err(DeError(format!("bad `{key}`: {other:?}"))),
-            }
-        };
-        match name {
-            "missing-polls" => Ok(FaultSpec::MissingPolls {
-                probability: float("probability")?,
-            }),
-            "outage" => Ok(FaultSpec::Outage {
-                lsp: uint("lsp")?,
-                from: uint("from")?,
-                ticks: uint("ticks")?,
-            }),
-            "stale-readings" => Ok(FaultSpec::StaleReadings {
-                lsp: uint("lsp")?,
-                from: uint("from")?,
-                ticks: uint("ticks")?,
-            }),
-            "counter-wrap" => Ok(FaultSpec::CounterWrap {
-                lsp: uint("lsp")?,
-                at: uint("at")?,
-            }),
-            "counter-reset" => Ok(FaultSpec::CounterReset {
-                lsp: uint("lsp")?,
-                at: uint("at")?,
-            }),
-            "noise-burst" => Ok(FaultSpec::NoiseBurst {
-                from: uint("from")?,
-                ticks: uint("ticks")?,
-                relative_sigma: float("relative_sigma")?,
-            }),
-            other => Err(DeError(format!("unknown fault `{other}`"))),
-        }
-    }
-}
-
 /// A deterministic schedule of measurement faults.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the plan's own randomness (independent of the
     /// simulator seed, so the same fault schedule can replay over
@@ -554,21 +456,5 @@ mod tests {
         .validate()
         .is_ok());
         assert!(FaultPlan::none().validate().is_ok());
-    }
-
-    #[test]
-    fn plan_roundtrips_through_serde() {
-        let p = plan(vec![
-            FaultSpec::MissingPolls { probability: 0.05 },
-            FaultSpec::CounterWrap { lsp: 3, at: 7 },
-            FaultSpec::NoiseBurst {
-                from: 1,
-                ticks: 4,
-                relative_sigma: 0.1,
-            },
-        ]);
-        let json = serde_json::to_string(&p).expect("serialize");
-        let back: FaultPlan = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, p);
     }
 }

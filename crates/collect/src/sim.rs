@@ -19,8 +19,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{mpsc, Mutex};
 
-use serde::{Deserialize, Serialize};
-
 use crate::counters::{recover_rate, CounterMode, RateSample, DEFAULT_MAX_RATE_MBPS};
 use crate::error::CollectError;
 use crate::fault::{apply_fault_plan, FaultPlan};
@@ -78,7 +76,7 @@ impl Default for CollectionConfig {
 /// exceed `deadline_s` are not made and the poll counts as lost. The
 /// backoff delay shifts the reading's timestamp, so recovered rates are
 /// adjusted for the *actual* measurement interval exactly like jitter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts including the first (≥ 1).
     pub max_attempts: usize,
@@ -99,7 +97,7 @@ impl Default for RetryPolicy {
 }
 
 /// Provenance of one recovered rate cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellQuality {
     /// Forward counter delta between two adjacent boundary readings.
     Clean,

@@ -16,10 +16,9 @@ use tm_linalg::Workspace;
 use tm_opt::nnls;
 use tm_opt::nnls::RidgeKernel;
 
-use crate::checkpoint::{expect_kind, payload};
 use crate::gravity::GravityModel;
 use crate::problem::{Estimate, Estimator};
-use crate::stream::{Tick, WarmMethod};
+use crate::stream::{History, Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -159,11 +158,11 @@ impl WarmMethod for BayesCarry {
     }
 
     fn checkpoint(&self) -> Value {
-        payload("bayes", &[("warm", &self.warm)])
+        Value::tagged("bayes", &[("warm", &self.warm)])
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "bayes")?;
+    fn restore(&mut self, v: &Value, _: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("bayes")?;
         self.warm = Deserialize::from_value(v.field("warm")?)?;
         Ok(())
     }

@@ -23,11 +23,10 @@ use tm_opt::nnls::{self, SsnOptions, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
-use crate::checkpoint::{expect_kind, payload};
 use crate::covariance::RollingMoments;
 use crate::error::EstimationError;
 use crate::problem::{Estimate, EstimationProblem, Estimator};
-use crate::stream::{Tick, WarmMethod};
+use crate::stream::{History, Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -513,14 +512,19 @@ impl WarmMethod for CaoCarry {
     }
 
     fn checkpoint(&self) -> Value {
-        payload("cao", &[("warm", &self.warm), ("rolling", &self.rolling)])
+        Value::tagged(
+            "cao",
+            &[
+                ("warm", &self.warm),
+                ("rolling", &self.rolling.checkpoint()),
+            ],
+        )
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "cao")?;
+    fn restore(&mut self, v: &Value, history: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("cao")?;
         self.warm = Deserialize::from_value(v.field("warm")?)?;
-        self.rolling = Deserialize::from_value(v.field("rolling")?)?;
-        Ok(())
+        self.rolling.restore(v.field("rolling")?, history)
     }
 }
 

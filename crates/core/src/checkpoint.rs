@@ -13,17 +13,26 @@
 //!
 //! # Exactness contract
 //!
-//! A restored engine continues **bit-identically** to the engine it
-//! was checkpointed from, with one documented exception:
+//! A checkpoint holds state only. A restored engine continues
+//! **bit-identically** to the engine it was checkpointed from, with one
+//! documented exception, WCB (the last item):
 //!
 //! * Entropy, Bayes, Kruithof, Vardi, Cao, Fanout, gravity and the
-//!   plain registry methods round-trip exactly. Dense factors that
+//!   plain registry methods continue exactly. Dense factors that
 //!   accumulate rank-one up/downdate history (the Bayes
 //!   `RidgeKernel`, the Vardi/Cao dense SSN factor) are serialized
-//!   verbatim; caches that are pure functions of constant inputs
-//!   (the entropy Hessian base, the Vardi stacked system and Gram,
-//!   sparse SSN factors) either round-trip or are rebuilt
-//!   bit-identically.
+//!   verbatim. Caches that are pure functions of the routing matrix
+//!   and the method's config (the entropy Hessian base, the Vardi
+//!   stacked system and Gram, sparse SSN factors, the rolling
+//!   windows' covariance rows and source map) are not serialized: the
+//!   restored method rebuilds them bit-identically on first use.
+//! * The rolling windows of Vardi, Cao and fanout write their
+//!   accumulators, their length and their refresh counter, not their
+//!   buffered intervals. Those are the trailing entries of the
+//!   checkpoint's `history` — the same repaired loads, pushed on the
+//!   same ticks — and a restore rebuilds them from it, so no
+//!   interval's loads appear twice in a checkpoint. A window length
+//!   past the history or past the window fails the restore.
 //! * **WCB** does *not* carry its revised-simplex bases (the exact one
 //!   and the relaxed one of infeasible ticks) across a checkpoint: a
 //!   basis lives inside an LU factorization whose bits are
@@ -50,11 +59,12 @@
 //! method in cold mode), `{"kind", "warm"}` for entropy, Bayes and
 //! Kruithof-full, `{"kind", "warm", "rolling"}` for Vardi and Cao,
 //! `{"kind", "rolling"}` for fanout and `{"kind": "wcb"}` for WCB. A
+//! rolling payload ends with its `"pushes"` counter. A
 //! restore decodes every payload into a freshly built method state
 //! before it installs any, so a malformed or mismatched payload fails
 //! the restore and leaves the engine as it was.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use tm_traffic::IntervalLoads;
 
 use crate::problem::Estimate;
@@ -62,7 +72,7 @@ use crate::problem::Estimate;
 /// Format version stamped into every checkpoint; bumped on any change
 /// to the serialized layout so a stale checkpoint is rejected loudly
 /// instead of deserialized wrong.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Frozen mutable state of a [`StreamEngine`](crate::StreamEngine) — see the
 /// [module docs](self) for the exactness contract.
@@ -97,23 +107,6 @@ pub struct MethodCkpt {
     /// methods that carry them. The method writes and reads it; the
     /// engine only moves it.
     pub state: Value,
-}
-
-/// A method payload: `{"kind": kind}` followed by `fields` in order.
-pub(crate) fn payload(kind: &str, fields: &[(&str, &dyn Serialize)]) -> Value {
-    let mut map = vec![("kind".to_string(), kind.to_value())];
-    map.extend(fields.iter().map(|(k, v)| (k.to_string(), v.to_value())));
-    Value::Map(map)
-}
-
-/// Check that a method payload is of `kind`.
-pub(crate) fn expect_kind(v: &Value, kind: &str) -> Result<(), DeError> {
-    match String::from_value(v.field("kind")?)? {
-        got if got == kind => Ok(()),
-        got => Err(DeError(format!(
-            "checkpoint kind `{got}` does not match the engine's `{kind}`"
-        ))),
-    }
 }
 
 impl EngineCheckpoint {

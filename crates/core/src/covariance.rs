@@ -9,11 +9,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::{stats, Csr};
 
 use crate::error::EstimationError;
-use crate::stream::ROLLING_REFRESH_TICKS;
+use crate::stream::{History, ROLLING_REFRESH_TICKS};
 use crate::Result;
 
 /// Sample moments of a measurement-vector time series.
@@ -86,13 +86,14 @@ impl SecondMomentSystem {
 /// convention; the buffers are re-aggregated exactly every
 /// 128 ticks (`ROLLING_REFRESH_TICKS`) to bound floating-point drift.
 ///
-/// The checkpoint form round-trips everything, including the running
-/// `Σt` / `Σtᵢtⱼ` accumulators and the `pushes` counter — the
+/// The checkpoint form holds the running `Σt` / `Σtᵢtⱼ` / ingress
+/// accumulators, the window's length and the `pushes` counter — the
 /// accumulators carry add/subtract rounding history that a
 /// re-aggregation would not reproduce, and the counter pins the exact
-/// refresh cadence. A restored window therefore continues
-/// bit-identically to an uninterrupted one.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// refresh cadence. The buffered intervals are the trailing entries of
+/// the checkpoint's history and are rebuilt from it, bit for bit, so a
+/// restored window continues bit-identically to an uninterrupted one.
+#[derive(Debug, Clone)]
 pub struct RollingMoments {
     window: usize,
     rows: Vec<(usize, usize)>,
@@ -206,6 +207,48 @@ impl RollingMoments {
             return 0.0;
         }
         self.ingress_sum / self.buf.len() as f64
+    }
+
+    /// The checkpoint form (see the type docs); `"pushes"` is the last
+    /// key.
+    pub(crate) fn checkpoint(&self) -> Value {
+        Value::Map(vec![
+            ("sum".to_string(), self.sum.to_value()),
+            ("prod".to_string(), self.prod.to_value()),
+            ("ingress_sum".to_string(), self.ingress_sum.to_value()),
+            ("len".to_string(), self.buf.len().to_value()),
+            ("pushes".to_string(), self.pushes.to_value()),
+        ])
+    }
+
+    /// Install a [`RollingMoments::checkpoint`] form into this freshly
+    /// built window, rebuilding the buffered intervals from `history`.
+    pub(crate) fn restore(
+        &mut self,
+        v: &Value,
+        history: &History<'_>,
+    ) -> std::result::Result<(), DeError> {
+        let sum = Vec::<f64>::from_value(v.field("sum")?)?;
+        let prod = Vec::<f64>::from_value(v.field("prod")?)?;
+        if sum.len() != self.sum.len() || prod.len() != self.prod.len() {
+            return Err(DeError(format!(
+                "rolling sums sized {}/{} for {}/{}",
+                sum.len(),
+                prod.len(),
+                self.sum.len(),
+                self.prod.len()
+            )));
+        }
+        let len = usize::from_value(v.field("len")?)?;
+        for (loads, t) in history.window(len, self.window)? {
+            self.ingress.push_back(loads.ingress.iter().sum());
+            self.buf.push_back(t);
+        }
+        self.sum = sum;
+        self.prod = prod;
+        self.ingress_sum = f64::from_value(v.field("ingress_sum")?)?;
+        self.pushes = usize::from_value(v.field("pushes")?)?;
+        Ok(())
     }
 }
 

@@ -11,15 +11,14 @@
 //! the KL term keeps iterates strictly positive given a small floor.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use tm_linalg::Workspace;
+use tm_linalg::{Mat, Workspace};
 use tm_opt::newton::{self, NewtonOptions};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
-use crate::checkpoint::{expect_kind, payload};
 use crate::gravity::GravityModel;
 use crate::problem::{Estimate, Estimator};
-use crate::stream::{Tick, WarmMethod};
+use crate::stream::{History, Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -62,7 +61,7 @@ impl EntropyEstimator {
         &self,
         sys: &MeasurementSystem<'_>,
         ws: &mut Workspace,
-        warm: Option<&mut Option<EntropyWarmStart>>,
+        warm: Option<(&mut Option<EntropyWarmStart>, &mut Option<Mat>)>,
     ) -> Result<Estimate> {
         if !(self.lambda > 0.0) {
             return Err(crate::error::EstimationError::InvalidProblem(
@@ -100,7 +99,7 @@ impl EntropyEstimator {
 
         // Warm start: previous interval's solution (normalized to this
         // interval's traffic) and its final spectral step.
-        let mut warm = warm;
+        let (warm, h_slot) = warm.unzip();
         let mut opts = spg_options();
         let x0 = match warm.as_deref() {
             Some(Some(state)) if state.demands.len() == q.len() => {
@@ -144,28 +143,25 @@ impl EntropyEstimator {
         // Woodbury kernel `½I + A·D⁻¹·Aᵀ`, which is SPD for any row
         // count. Backbone systems are wide (rows < pairs), where that
         // kernel is also the small side. The dense warm path keeps its
-        // `2AᵀA` base in the warm handle; the *small-system* cold path
+        // `2AᵀA` base on the carry; the *small-system* cold path
         // stays SPG, bit-identical to `estimate_system`; the
         // large-system cold path (America scale) runs the dual Newton
         // with an SPG fallback on non-convergence.
         let mut x_solution: Option<Vec<f64>> = None;
         let mut final_step = 0.0;
         let mut conv: Option<Convergence> = None;
-        if let Some(state_slot) = warm.as_deref_mut() {
+        if let Some(h_slot) = h_slot {
             if q.len() <= NEWTON_MAX_PAIRS {
-                let h_base = match state_slot.as_mut().and_then(|s| s.h_base.take()) {
-                    Some(h) => h,
-                    None => {
-                        let mut h = sys.gram().to_dense();
-                        h.scale(2.0);
-                        h
-                    }
-                };
+                let h_base: &Mat = h_slot.get_or_insert_with(|| {
+                    let mut h = sys.gram().to_dense();
+                    h.scale(2.0);
+                    h
+                });
                 let lo = vec![FLOOR; q.len()];
                 let newton = newton::projected_newton(
                     &mut value_grad,
-                    |x: &[f64], h: &mut tm_linalg::Mat| {
-                        h.clone_from(&h_base);
+                    |x: &[f64], h: &mut Mat| {
+                        h.clone_from(h_base);
                         for (j, &xj) in x.iter().enumerate() {
                             h.add_to(j, j, inv_lambda / xj.max(FLOOR));
                         }
@@ -187,18 +183,6 @@ impl EntropyEstimator {
                 conv = Some(newton.convergence());
                 if newton.converged {
                     x_solution = Some(newton.x);
-                }
-                // Keep the dense base for the next tick either way.
-                match state_slot.as_mut() {
-                    Some(state) => state.h_base = Some(h_base),
-                    None => {
-                        *state_slot = Some(EntropyWarmStart {
-                            demands: Vec::new(),
-                            step: 0.0,
-                            h_base: Some(h_base),
-                            last_convergence: None,
-                        })
-                    }
                 }
             }
         }
@@ -245,11 +229,9 @@ impl EntropyEstimator {
             *d = if v <= 2.0 * FLOOR { 0.0 } else { v * stot };
         }
         if let Some(state_slot) = warm {
-            let h_base = state_slot.as_mut().and_then(|s| s.h_base.take());
             *state_slot = Some(EntropyWarmStart {
                 demands: demands.clone(),
                 step: final_step,
-                h_base,
                 last_convergence: conv,
             });
         }
@@ -294,8 +276,6 @@ pub(crate) struct EntropyWarmStart {
     /// Final spectral step of the previous SPG run (0 after a Newton
     /// tick; the SPG fallback then re-derives its first step).
     step: f64,
-    /// Dense `2AᵀA` Hessian base (constant across intervals).
-    h_base: Option<tm_linalg::Mat>,
     /// Convergence report of the engine that produced the last solve.
     last_convergence: Option<Convergence>,
 }
@@ -321,14 +301,18 @@ impl Estimator for EntropyEstimator {
 pub(crate) struct EntropyCarry {
     pub(crate) est: EntropyEstimator,
     pub(crate) warm: Option<EntropyWarmStart>,
+    /// The dense Newton path's `2AᵀA` Hessian base: a function of the
+    /// routing matrix alone, built on first use and kept across
+    /// quarantines; a checkpoint does not carry it.
+    pub(crate) h_base: Option<Mat>,
 }
 
 impl WarmMethod for EntropyCarry {
     fn solve(&mut self, tick: &mut Tick<'_>) -> Option<Result<Estimate>> {
-        Some(
-            tick.snapshot_system()
-                .and_then(|(sys, ws)| self.est.solve(sys, ws, Some(&mut self.warm))),
-        )
+        Some(tick.snapshot_system().and_then(|(sys, ws)| {
+            self.est
+                .solve(sys, ws, Some((&mut self.warm, &mut self.h_base)))
+        }))
     }
 
     fn snapshot(&self) -> Option<&dyn Estimator> {
@@ -344,11 +328,11 @@ impl WarmMethod for EntropyCarry {
     }
 
     fn checkpoint(&self) -> Value {
-        payload("entropy", &[("warm", &self.warm)])
+        Value::tagged("entropy", &[("warm", &self.warm)])
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "entropy")?;
+    fn restore(&mut self, v: &Value, _: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("entropy")?;
         self.warm = Deserialize::from_value(v.field("warm")?)?;
         Ok(())
     }

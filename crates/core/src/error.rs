@@ -75,44 +75,37 @@ impl From<tm_net::NetError> for EstimationError {
 // round-trip must be exact — see `wire_form_roundtrips_every_variant`.
 impl Serialize for EstimationError {
     fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        Value::Map(match self {
-            EstimationError::InvalidProblem(msg) => vec![
-                kind("invalid_problem"),
-                ("message".to_string(), msg.to_value()),
-            ],
-            EstimationError::MissingTimeSeries => vec![kind("missing_time_series")],
-            EstimationError::MissingTruth => vec![kind("missing_truth")],
-            EstimationError::Opt(e) => vec![kind("opt"), ("error".to_string(), e.to_value())],
-            EstimationError::Linalg(e) => vec![kind("linalg"), ("error".to_string(), e.to_value())],
-            EstimationError::Net(e) => vec![kind("net"), ("error".to_string(), e.to_value())],
-        })
+        match self {
+            EstimationError::InvalidProblem(msg) => {
+                Value::tagged("invalid_problem", &[("message", msg)])
+            }
+            EstimationError::MissingTimeSeries => Value::tagged("missing_time_series", &[]),
+            EstimationError::MissingTruth => Value::tagged("missing_truth", &[]),
+            EstimationError::Opt(e) => Value::tagged("opt", &[("error", e)]),
+            EstimationError::Linalg(e) => Value::tagged("linalg", &[("error", e)]),
+            EstimationError::Net(e) => Value::tagged("net", &[("error", e)]),
+        }
     }
 }
 
 impl Deserialize for EstimationError {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.field("kind")? {
-            Value::Str(k) => match k.as_str() {
-                "invalid_problem" => Ok(EstimationError::InvalidProblem(String::from_value(
-                    v.field("message")?,
-                )?)),
-                "missing_time_series" => Ok(EstimationError::MissingTimeSeries),
-                "missing_truth" => Ok(EstimationError::MissingTruth),
-                "opt" => Ok(EstimationError::Opt(tm_opt::OptError::from_value(
-                    v.field("error")?,
-                )?)),
-                "linalg" => Ok(EstimationError::Linalg(tm_linalg::LinalgError::from_value(
-                    v.field("error")?,
-                )?)),
-                "net" => Ok(EstimationError::Net(tm_net::NetError::from_value(
-                    v.field("error")?,
-                )?)),
-                other => Err(DeError(format!("unknown EstimationError kind `{other}`"))),
-            },
-            other => Err(DeError(format!(
-                "EstimationError kind must be a string: {other:?}"
-            ))),
+        match v.kind()? {
+            "invalid_problem" => Ok(EstimationError::InvalidProblem(String::from_value(
+                v.field("message")?,
+            )?)),
+            "missing_time_series" => Ok(EstimationError::MissingTimeSeries),
+            "missing_truth" => Ok(EstimationError::MissingTruth),
+            "opt" => Ok(EstimationError::Opt(tm_opt::OptError::from_value(
+                v.field("error")?,
+            )?)),
+            "linalg" => Ok(EstimationError::Linalg(tm_linalg::LinalgError::from_value(
+                v.field("error")?,
+            )?)),
+            "net" => Ok(EstimationError::Net(tm_net::NetError::from_value(
+                v.field("error")?,
+            )?)),
+            other => Err(DeError(format!("unknown EstimationError kind `{other}`"))),
         }
     }
 }

@@ -30,10 +30,9 @@ use tm_linalg::{Csr, Workspace};
 use tm_opt::qp::{self, SumConstraints};
 use tm_traffic::IntervalLoads;
 
-use crate::checkpoint::{expect_kind, payload};
 use crate::error::EstimationError;
 use crate::problem::{Estimate, EstimationProblem, Estimator};
-use crate::stream::{Tick, WarmMethod, ROLLING_REFRESH_TICKS};
+use crate::stream::{History, Tick, WarmMethod, ROLLING_REFRESH_TICKS};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -425,21 +424,46 @@ impl FanoutRolling {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-}
 
-/// Checkpoint form of [`FanoutRolling`], with the contract of
-/// `RollingMoments`: aggregates and the refresh counter round-trip
-/// exactly, so a restored window continues bit-identically. The source
-/// map is a function of the routing pattern and stays with the
-/// receiving window.
-impl Serialize for FanoutRolling {
-    fn to_value(&self) -> Value {
+    /// The checkpoint form, with the contract of `RollingMoments`: the
+    /// aggregates (their `k_len` is the window's length) and the refresh
+    /// counter, `"pushes"` last. The buffered intervals are rebuilt from
+    /// the checkpoint's history, and the source map stays with the
+    /// receiving window.
+    pub(crate) fn checkpoint(&self) -> Value {
         Value::Map(vec![
-            ("window".to_string(), self.window.to_value()),
             ("stats".to_string(), self.stats.to_value()),
-            ("buf".to_string(), self.buf.to_value()),
             ("pushes".to_string(), self.pushes.to_value()),
         ])
+    }
+
+    /// Install a [`FanoutRolling::checkpoint`] form into this freshly
+    /// built window, rebuilding the buffered `(te, tx, u)` from
+    /// `history`.
+    pub(crate) fn restore(
+        &mut self,
+        v: &Value,
+        history: &History<'_>,
+    ) -> std::result::Result<(), DeError> {
+        let stats = FanoutWindowStats::from_value(v.field("stats")?)?;
+        let (n, p) = (self.stats.te_sum.len(), self.stats.g_terms.len());
+        if stats.cross.len() != n * n
+            || stats.g_terms.len() != p
+            || stats.te_sum.len() != n
+            || stats.tx_sum.len() != n
+        {
+            return Err(DeError(format!(
+                "fanout aggregates not sized for {n} nodes and {p} pairs"
+            )));
+        }
+        let a = history.anchor.matrix();
+        for (loads, t) in history.window(stats.k_len, self.window)? {
+            self.buf
+                .push_back((loads.ingress.clone(), loads.egress.clone(), a.tr_matvec(&t)));
+        }
+        self.stats = stats;
+        self.pushes = usize::from_value(v.field("pushes")?)?;
+        Ok(())
     }
 }
 
@@ -462,18 +486,12 @@ impl WarmMethod for FanoutCarry {
     }
 
     fn checkpoint(&self) -> Value {
-        payload("fanout", &[("rolling", &self.rolling)])
+        Value::tagged("fanout", &[("rolling", &self.rolling.checkpoint())])
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "fanout")?;
-        let v = v.field("rolling")?;
-        let r = &mut self.rolling;
-        r.window = Deserialize::from_value(v.field("window")?)?;
-        r.stats = Deserialize::from_value(v.field("stats")?)?;
-        r.buf = Deserialize::from_value(v.field("buf")?)?;
-        r.pushes = Deserialize::from_value(v.field("pushes")?)?;
-        Ok(())
+    fn restore(&mut self, v: &Value, history: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("fanout")?;
+        self.rolling.restore(v.field("rolling")?, history)
     }
 }
 

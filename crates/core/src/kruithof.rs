@@ -15,10 +15,9 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::Mat;
 use tm_opt::ipf::{self, IpfOptions};
 
-use crate::checkpoint::{expect_kind, payload};
 use crate::gravity::GravityModel;
 use crate::problem::{Estimate, Estimator};
-use crate::stream::{Tick, WarmMethod};
+use crate::stream::{History, Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -250,11 +249,11 @@ impl WarmMethod for KruithofCarry {
     }
 
     fn checkpoint(&self) -> Value {
-        payload("kruithof", &[("warm", &self.warm)])
+        Value::tagged("kruithof", &[("warm", &self.warm)])
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "kruithof")?;
+    fn restore(&mut self, v: &Value, _: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("kruithof")?;
         self.warm = Deserialize::from_value(v.field("warm")?)?;
         Ok(())
     }

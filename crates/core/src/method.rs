@@ -490,6 +490,7 @@ impl Method {
             MethodConfig::Entropy { lambda } => Box::new(EntropyCarry {
                 est: EntropyEstimator::new(*lambda),
                 warm: None,
+                h_base: None,
             }),
             MethodConfig::Bayes { lambda } => Box::new(BayesCarry {
                 est: BayesianEstimator::new(*lambda),
@@ -506,6 +507,7 @@ impl Method {
             } => Box::new(VardiCarry {
                 est: vardi(*moment_weight, *max_iter),
                 warm: Default::default(),
+                cache: Default::default(),
                 rolling: moments(*window),
             }),
             MethodConfig::Cao {

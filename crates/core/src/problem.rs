@@ -16,7 +16,7 @@ use crate::error::EstimationError;
 use crate::Result;
 
 /// A window of per-interval measurements for time-series estimators.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeriesData {
     /// Interior link loads per interval (`K × L`).
     pub link_loads: Vec<Vec<f64>>,
@@ -40,7 +40,7 @@ impl TimeSeriesData {
 }
 
 /// One traffic-matrix estimation problem instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EstimationProblem {
     /// Interior routing matrix (`L × P`).
     routing: Csr,

@@ -62,7 +62,7 @@ use tm_linalg::Workspace;
 use tm_opt::Convergence;
 use tm_traffic::{EvalDataset, IntervalLoads};
 
-use crate::checkpoint::{expect_kind, payload, EngineCheckpoint, MethodCkpt, CHECKPOINT_VERSION};
+use crate::checkpoint::{EngineCheckpoint, MethodCkpt, CHECKPOINT_VERSION};
 use crate::error::EstimationError;
 use crate::measure::{LoadQuality, QualityOptions};
 use crate::method::Method;
@@ -86,7 +86,7 @@ const DEFAULT_IMPUTE_HORIZON: usize = 3;
 const DIVERGENCE_FACTOR: f64 = 10.0;
 
 /// Whether a [`StreamEngine`] carries per-method state across ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamMode {
     /// Every tick is estimated from scratch — bit-identical to
     /// estimating each interval's problem on its own.
@@ -215,17 +215,17 @@ pub enum QuarantineReason {
 
 // Hand-written wire forms for the two data-carrying degradation enums
 // (the vendored derive covers only unit variants): tagged
-// `{"kind": ..}` objects, the checkpoint payload idiom.
+// `{"kind": ..}` objects.
 impl Serialize for DegradationAction {
     fn to_value(&self) -> Value {
         match self {
-            DegradationAction::CleanSolve => payload("clean_solve", &[]),
-            DegradationAction::ImputedSolve => payload("imputed_solve", &[]),
-            DegradationAction::MaskedSolve => payload("masked_solve", &[]),
-            DegradationAction::WarmHeld => payload("warm_held", &[]),
-            DegradationAction::FallbackLastGood => payload("fallback_last_good", &[]),
+            DegradationAction::CleanSolve => Value::tagged("clean_solve", &[]),
+            DegradationAction::ImputedSolve => Value::tagged("imputed_solve", &[]),
+            DegradationAction::MaskedSolve => Value::tagged("masked_solve", &[]),
+            DegradationAction::WarmHeld => Value::tagged("warm_held", &[]),
+            DegradationAction::FallbackLastGood => Value::tagged("fallback_last_good", &[]),
             DegradationAction::PanicCaught { message } => {
-                payload("panic_caught", &[("message", message)])
+                Value::tagged("panic_caught", &[("message", message)])
             }
         }
     }
@@ -233,7 +233,7 @@ impl Serialize for DegradationAction {
 
 impl Deserialize for DegradationAction {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        match String::from_value(v.field("kind")?)?.as_str() {
+        match v.kind()? {
             "clean_solve" => Ok(DegradationAction::CleanSolve),
             "imputed_solve" => Ok(DegradationAction::ImputedSolve),
             "masked_solve" => Ok(DegradationAction::MaskedSolve),
@@ -250,25 +250,27 @@ impl Deserialize for DegradationAction {
 impl Serialize for QuarantineReason {
     fn to_value(&self) -> Value {
         match self {
-            QuarantineReason::NonFinite => payload("non_finite", &[]),
+            QuarantineReason::NonFinite => Value::tagged("non_finite", &[]),
             QuarantineReason::BudgetCapped {
                 achieved_tol,
                 iters,
-            } => payload(
+            } => Value::tagged(
                 "budget_capped",
                 &[("achieved_tol", achieved_tol), ("iters", iters)],
             ),
             QuarantineReason::SolverError { message } => {
-                payload("solver_error", &[("message", message)])
+                Value::tagged("solver_error", &[("message", message)])
             }
-            QuarantineReason::Diverged { factor } => payload("diverged", &[("factor", factor)]),
+            QuarantineReason::Diverged { factor } => {
+                Value::tagged("diverged", &[("factor", factor)])
+            }
         }
     }
 }
 
 impl Deserialize for QuarantineReason {
     fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        match String::from_value(v.field("kind")?)?.as_str() {
+        match v.kind()? {
             "non_finite" => Ok(QuarantineReason::NonFinite),
             "budget_capped" => Ok(QuarantineReason::BudgetCapped {
                 achieved_tol: f64::from_value(v.field("achieved_tol")?)?,
@@ -332,8 +334,9 @@ pub(crate) trait WarmMethod: Send + Sync {
     fn checkpoint(&self) -> Value;
 
     /// Install a payload written by [`WarmMethod::checkpoint`] into this
-    /// freshly built state.
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError>;
+    /// freshly built state. A window method rebuilds the intervals it
+    /// buffered from the checkpoint's `history`.
+    fn restore(&mut self, v: &Value, history: &History<'_>) -> std::result::Result<(), DeError>;
 
     /// The WCB carry, for the tests that inspect its bases.
     #[cfg(test)]
@@ -421,6 +424,54 @@ impl Tick<'_> {
     }
 }
 
+/// The interval history a restore hands each method: the intervals a
+/// window method buffered are the trailing entries of the engine's
+/// history — the same repaired loads, pushed on the same ticks — so a
+/// checkpoint stores them once, there.
+pub(crate) struct History<'a> {
+    /// The day's shared system.
+    pub(crate) anchor: &'a MeasurementSystem<'static>,
+    /// The checkpoint's intervals, oldest first.
+    intervals: &'a [IntervalLoads],
+}
+
+impl History<'_> {
+    /// The trailing `len` intervals with their stacked measurement
+    /// vectors, oldest first, for a window of length `window`; an error
+    /// when `len` exceeds the window or the history.
+    pub(crate) fn window(
+        &self,
+        len: usize,
+        window: usize,
+    ) -> std::result::Result<impl Iterator<Item = (&IntervalLoads, Vec<f64>)>, DeError> {
+        if len > window {
+            return Err(DeError(format!(
+                "window length {len} exceeds the window of {window}"
+            )));
+        }
+        let start = self.intervals.len().checked_sub(len).ok_or_else(|| {
+            DeError(format!(
+                "window length {len} exceeds the history of {}",
+                self.intervals.len()
+            ))
+        })?;
+        Ok(self.intervals[start..]
+            .iter()
+            .map(|loads| (loads, stacked(self.anchor, loads))))
+    }
+}
+
+/// The stacked measurement vector of `loads`: the link loads, then the
+/// ingress and egress totals when `anchor` stacks edge rows.
+fn stacked(anchor: &MeasurementSystem<'_>, loads: &IntervalLoads) -> Vec<f64> {
+    let mut t = loads.link_loads.clone();
+    if anchor.problem().uses_edge_measurements() {
+        t.extend_from_slice(&loads.ingress);
+        t.extend_from_slice(&loads.egress);
+    }
+    t
+}
+
 /// The state of a method with nothing to carry — gravity,
 /// Kruithof-marginals, and every method in cold mode: the boxed
 /// registry estimator, run from scratch on the snapshot system or, for
@@ -462,11 +513,11 @@ impl WarmMethod for Plain {
     }
 
     fn checkpoint(&self) -> Value {
-        payload("plain", &[])
+        Value::tagged("plain", &[])
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "plain")
+    fn restore(&mut self, v: &Value, _: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("plain")
     }
 }
 
@@ -660,11 +711,7 @@ impl StreamEngine {
         let degraded_input = !(masked_ext.is_empty() && imputed_ext.is_empty());
         let masked_tick = !masked_rows.is_empty();
 
-        let mut t_stacked = repaired.link_loads.clone();
-        if use_edge {
-            t_stacked.extend_from_slice(&repaired.ingress);
-            t_stacked.extend_from_slice(&repaired.egress);
-        }
+        let t_stacked = stacked(&self.anchor, &repaired);
         let usable_rows: Vec<usize> = if masked_tick {
             (0..t_stacked.len())
                 .filter(|r| masked_rows.binary_search(r).is_err())
@@ -915,6 +962,10 @@ impl StreamEngine {
                 self.max_window
             )));
         }
+        let history = History {
+            anchor: &self.anchor,
+            intervals: &ckpt.history,
+        };
         let mut states = Vec::with_capacity(self.methods.len());
         for (slot, m) in self.methods.iter().zip(&ckpt.methods) {
             if slot.label != m.label {
@@ -925,7 +976,7 @@ impl StreamEngine {
             }
             let mut state = slot.method.stream_state(&self.anchor, self.mode);
             state
-                .restore(&m.state)
+                .restore(&m.state, &history)
                 .map_err(|e| invalid(format!("method `{}`: {e}", slot.label)))?;
             states.push(state);
         }

@@ -20,11 +20,10 @@ use tm_opt::nnls::{self, SsnOptions, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
-use crate::checkpoint::{expect_kind, payload};
 use crate::covariance::RollingMoments;
 use crate::error::EstimationError;
 use crate::problem::{Estimate, Estimator};
-use crate::stream::{Tick, WarmMethod};
+use crate::stream::{History, Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -89,31 +88,36 @@ impl VardiEstimator {
             .map(|v| v.iter().sum::<f64>())
             .sum::<f64>()
             / k as f64;
-        self.estimate_from_moments(msys, &moments, mean_ingress, None)
+        self.estimate_from_moments(msys, &moments, mean_ingress)
     }
 
     /// Estimate mean rates λ directly from precomputed window moments —
-    /// the incremental entry point a streaming engine feeds from its
-    /// rolling accumulators (no per-tick series assembly or
-    /// re-computation of the sample covariance).
+    /// the cold path of [`VardiEstimator::estimate_prepared`], without
+    /// the per-call series assembly and sample covariance.
     ///
     /// * `moments` must be aligned with the prepared system's
     ///   [`SecondMomentSystem`](crate::covariance::SecondMomentSystem).
     /// * `mean_ingress` is the mean per-interval total ingress traffic
     ///   over the window (pass `0.0` to fall back to the mean link
     ///   loads for normalization).
-    /// * `warm` (optional) carries the previous interval's solution and
-    ///   spectral step; the stacked `[A; √w·M]` system — constant
-    ///   across intervals — is cached inside it.
-    ///
-    /// With `warm = None` this is exactly the cold path of
-    /// [`VardiEstimator::estimate_prepared`].
     pub fn estimate_from_moments(
         &self,
         msys: &MeasurementSystem<'_>,
         moments: &crate::covariance::SampleMoments,
         mean_ingress: f64,
-        warm: Option<&mut VardiWarmStart>,
+    ) -> Result<Estimate> {
+        self.solve(msys, moments, mean_ingress, None)
+    }
+
+    /// The moment solve; `warm` carries the previous interval's
+    /// solution and spectral step, and caches the stacked `[A; √w·M]`
+    /// system and its Gram — both constant across intervals.
+    fn solve(
+        &self,
+        msys: &MeasurementSystem<'_>,
+        moments: &crate::covariance::SampleMoments,
+        mean_ingress: f64,
+        warm: Option<(&mut VardiWarmStart, &mut VardiCache)>,
     ) -> Result<Estimate> {
         if self.moment_weight < 0.0 {
             return Err(EstimationError::InvalidProblem(
@@ -155,17 +159,11 @@ impl VardiEstimator {
         let cov_hat: Vec<f64> = moments.cov_vech.iter().map(|v| v / stot).collect();
 
         // Stack [A; √w·M] and [t̂; √w·vech Σ̂]. The stacked matrix depends
-        // only on the routing pattern and σ⁻², so a streaming warm-start
-        // handle caches it across intervals.
+        // only on the routing pattern and σ⁻², so a streaming carry
+        // caches it across intervals.
         let w = self.moment_weight.sqrt();
-        let (mut warm, cached_stack) = match warm {
-            Some(state) => {
-                let stack = state.stacked.take();
-                (Some(state), stack)
-            }
-            None => (None, None),
-        };
-        let b = match cached_stack {
+        let (mut warm, mut cache) = warm.unzip();
+        let b = match cache.as_mut().and_then(|c| c.stacked.take()) {
             Some(b) => b,
             None => {
                 let sys = msys.second_moments();
@@ -237,11 +235,10 @@ impl VardiEstimator {
             }
             None => false,
         };
-        if let Some(state) = warm
-            .as_deref_mut()
-            .filter(|_| drift_ok && a.cols() <= SSN_MAX_PAIRS)
-        {
-            x_solution = self.ssn_step(msys, state, &b, &rhs, &x0);
+        if let (Some(state), Some(cache)) = (warm.as_deref_mut(), cache.as_deref_mut()) {
+            if drift_ok && a.cols() <= SSN_MAX_PAIRS {
+                x_solution = self.ssn_step(msys, state, &mut cache.gram, &b, &rhs, &x0);
+            }
         }
         let result_x = match x_solution {
             Some(x) => x,
@@ -271,8 +268,10 @@ impl VardiEstimator {
         };
 
         let demands: Vec<f64> = result_x.iter().map(|&v| v * stot).collect();
+        if let Some(cache) = cache {
+            cache.stacked = Some(b);
+        }
         if let Some(state) = warm {
-            state.stacked = Some(b);
             state.demands = demands.clone();
             state.step = final_step;
             // The SSN path records its own report inside `ssn_step`;
@@ -321,15 +320,13 @@ impl VardiEstimator {
         &self,
         msys: &MeasurementSystem<'_>,
         state: &mut VardiWarmStart,
+        gram: &mut Option<Csr>,
         b: &Csr,
         rhs: &[f64],
         x0: &[f64],
     ) -> Option<Vec<f64>> {
-        if state.gram.is_none() {
-            state.gram = Some(msys.moment_kernel().weighted_gram(self.moment_weight));
-        }
         let kern = msys.moment_kernel();
-        let gram = state.gram.as_ref().expect("installed above");
+        let gram = gram.get_or_insert_with(|| kern.weighted_gram(self.moment_weight));
         match nnls::ssn_nnls(
             b,
             rhs,
@@ -351,19 +348,14 @@ impl VardiEstimator {
 }
 
 /// Warm-start state carried across the intervals of a streaming sweep —
-/// see [`VardiEstimator::estimate_from_moments`].
+/// see `VardiCarry`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct VardiWarmStart {
-    /// Cached stacked system `[A; √w·M]` (constant across intervals).
-    stacked: Option<Csr>,
+pub(crate) struct VardiWarmStart {
     /// Previous interval's demand estimate (raw Mbps units).
     demands: Vec<f64>,
     /// Final spectral step of the previous SPG run (`0` after a
     /// semismooth-Newton tick).
     step: f64,
-    /// Cached weighted stacked Gram `AᵀA + w·MᵀM` (constant across
-    /// intervals — its factor is reused whenever the active set holds).
-    gram: Option<Csr>,
     /// Carried semismooth-Newton active set + factor.
     ssn: SsnState,
     /// Previous tick's normalized covariance vector (the drift gate's
@@ -393,11 +385,23 @@ fn scale_csr(m: &Csr, factor: f64) -> Csr {
     m.scale_cols(&scale).expect("dimensions match")
 }
 
+/// The streaming solve's matrix caches: the stacked system `[A; √w·M]`
+/// and its weighted Gram `AᵀA + w·MᵀM`, whose factor is reused whenever
+/// the active set holds. Both are functions of the routing matrix and
+/// σ⁻² alone, built on first use and kept across quarantines; a
+/// checkpoint does not carry them.
+#[derive(Default)]
+pub(crate) struct VardiCache {
+    stacked: Option<Csr>,
+    gram: Option<Csr>,
+}
+
 /// Vardi in a warm stream: rolling second moments of the window plus
 /// the previous solution carried from tick to tick.
 pub(crate) struct VardiCarry {
     pub(crate) est: VardiEstimator,
     pub(crate) warm: VardiWarmStart,
+    pub(crate) cache: VardiCache,
     pub(crate) rolling: RollingMoments,
 }
 
@@ -410,8 +414,12 @@ impl WarmMethod for VardiCarry {
         }
         Some(self.rolling.moments().and_then(|m| {
             let mean_ingress = self.rolling.mean_ingress();
-            self.est
-                .estimate_from_moments(tick.anchor, &m, mean_ingress, Some(&mut self.warm))
+            self.est.solve(
+                tick.anchor,
+                &m,
+                mean_ingress,
+                Some((&mut self.warm, &mut self.cache)),
+            )
         }))
     }
 
@@ -424,14 +432,19 @@ impl WarmMethod for VardiCarry {
     }
 
     fn checkpoint(&self) -> Value {
-        payload("vardi", &[("warm", &self.warm), ("rolling", &self.rolling)])
+        Value::tagged(
+            "vardi",
+            &[
+                ("warm", &self.warm),
+                ("rolling", &self.rolling.checkpoint()),
+            ],
+        )
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "vardi")?;
+    fn restore(&mut self, v: &Value, history: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("vardi")?;
         self.warm = Deserialize::from_value(v.field("warm")?)?;
-        self.rolling = Deserialize::from_value(v.field("rolling")?)?;
-        Ok(())
+        self.rolling.restore(v.field("rolling")?, history)
     }
 }
 

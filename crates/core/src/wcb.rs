@@ -47,10 +47,9 @@ use tm_linalg::{Csr, Workspace};
 use tm_opt::revised::RevisedSimplex;
 use tm_opt::OptError;
 
-use crate::checkpoint::{expect_kind, payload};
 use crate::error::EstimationError;
 use crate::problem::{Estimate, EstimationProblem, Estimator};
-use crate::stream::{Tick, WarmMethod};
+use crate::stream::{History, Tick, WarmMethod};
 use crate::system::MeasurementSystem;
 use crate::Result;
 
@@ -528,11 +527,11 @@ impl WarmMethod for WcbCarry {
     /// The bases are not checkpointed: the first tick after a restore
     /// runs a fresh phase 1 (see [`crate::checkpoint`]).
     fn checkpoint(&self) -> Value {
-        payload("wcb", &[])
+        Value::tagged("wcb", &[])
     }
 
-    fn restore(&mut self, v: &Value) -> std::result::Result<(), DeError> {
-        expect_kind(v, "wcb")
+    fn restore(&mut self, v: &Value, _: &History<'_>) -> std::result::Result<(), DeError> {
+        v.expect_kind("wcb")
     }
 
     #[cfg(test)]

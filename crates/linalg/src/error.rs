@@ -51,48 +51,37 @@ impl std::error::Error for LinalgError {}
 // fields, exact for the daemon's cross-process transport.
 impl Serialize for LinalgError {
     fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        Value::Map(match self {
-            LinalgError::ShapeMismatch { context } => vec![
-                kind("shape_mismatch"),
-                ("context".to_string(), context.to_value()),
-            ],
-            LinalgError::Singular { pivot } => {
-                vec![kind("singular"), ("pivot".to_string(), pivot.to_value())]
+        match self {
+            LinalgError::ShapeMismatch { context } => {
+                Value::tagged("shape_mismatch", &[("context", context)])
             }
-            LinalgError::NotPositiveDefinite { index } => vec![
-                kind("not_positive_definite"),
-                ("index".to_string(), index.to_value()),
-            ],
-            LinalgError::InvalidArgument(msg) => vec![
-                kind("invalid_argument"),
-                ("message".to_string(), msg.to_value()),
-            ],
-        })
+            LinalgError::Singular { pivot } => Value::tagged("singular", &[("pivot", pivot)]),
+            LinalgError::NotPositiveDefinite { index } => {
+                Value::tagged("not_positive_definite", &[("index", index)])
+            }
+            LinalgError::InvalidArgument(msg) => {
+                Value::tagged("invalid_argument", &[("message", msg)])
+            }
+        }
     }
 }
 
 impl Deserialize for LinalgError {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.field("kind")? {
-            Value::Str(k) => match k.as_str() {
-                "shape_mismatch" => Ok(LinalgError::ShapeMismatch {
-                    context: String::from_value(v.field("context")?)?,
-                }),
-                "singular" => Ok(LinalgError::Singular {
-                    pivot: usize::from_value(v.field("pivot")?)?,
-                }),
-                "not_positive_definite" => Ok(LinalgError::NotPositiveDefinite {
-                    index: usize::from_value(v.field("index")?)?,
-                }),
-                "invalid_argument" => Ok(LinalgError::InvalidArgument(String::from_value(
-                    v.field("message")?,
-                )?)),
-                other => Err(DeError(format!("unknown LinalgError kind `{other}`"))),
-            },
-            other => Err(DeError(format!(
-                "LinalgError kind must be a string: {other:?}"
-            ))),
+        match v.kind()? {
+            "shape_mismatch" => Ok(LinalgError::ShapeMismatch {
+                context: String::from_value(v.field("context")?)?,
+            }),
+            "singular" => Ok(LinalgError::Singular {
+                pivot: usize::from_value(v.field("pivot")?)?,
+            }),
+            "not_positive_definite" => Ok(LinalgError::NotPositiveDefinite {
+                index: usize::from_value(v.field("index")?)?,
+            }),
+            "invalid_argument" => Ok(LinalgError::InvalidArgument(String::from_value(
+                v.field("message")?,
+            )?)),
+            other => Err(DeError(format!("unknown LinalgError kind `{other}`"))),
         }
     }
 }

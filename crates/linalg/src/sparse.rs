@@ -4,14 +4,12 @@
 //! handful of links), and the Vardi second-moment system has `L(L+1)/2`
 //! rows of which most are empty. CSR keeps both matvec directions cheap.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dense::Mat;
 use crate::error::LinalgError;
 use crate::Result;
 
 /// Compressed sparse row matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     rows: usize,
     cols: usize,
@@ -876,13 +874,5 @@ mod tests {
             }
         }
         assert!(m.with_data(vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = sample();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Csr = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 }

@@ -20,13 +20,6 @@ pub enum NetError {
         /// Destination node index.
         dst: usize,
     },
-    /// Parse failure in the text format.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
     /// Mismatched input sizes (demand vectors vs pair counts etc.).
     Dimension(String),
 }
@@ -40,9 +33,6 @@ impl fmt::Display for NetError {
             NetError::NoPath { src, dst } => {
                 write!(f, "no path from node {src} to node {dst}")
             }
-            NetError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
             NetError::Dimension(msg) => write!(f, "dimension mismatch: {msg}"),
         }
     }
@@ -55,60 +45,36 @@ impl std::error::Error for NetError {}
 // cross-process transport.
 impl Serialize for NetError {
     fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        Value::Map(match self {
-            NetError::UnknownNode(id) => {
-                vec![kind("unknown_node"), ("id".to_string(), id.to_value())]
+        match self {
+            NetError::UnknownNode(id) => Value::tagged("unknown_node", &[("id", id)]),
+            NetError::UnknownLink(id) => Value::tagged("unknown_link", &[("id", id)]),
+            NetError::InvalidTopology(msg) => {
+                Value::tagged("invalid_topology", &[("message", msg)])
             }
-            NetError::UnknownLink(id) => {
-                vec![kind("unknown_link"), ("id".to_string(), id.to_value())]
+            NetError::NoPath { src, dst } => {
+                Value::tagged("no_path", &[("src", src), ("dst", dst)])
             }
-            NetError::InvalidTopology(msg) => vec![
-                kind("invalid_topology"),
-                ("message".to_string(), msg.to_value()),
-            ],
-            NetError::NoPath { src, dst } => vec![
-                kind("no_path"),
-                ("src".to_string(), src.to_value()),
-                ("dst".to_string(), dst.to_value()),
-            ],
-            NetError::Parse { line, message } => vec![
-                kind("parse"),
-                ("line".to_string(), line.to_value()),
-                ("message".to_string(), message.to_value()),
-            ],
-            NetError::Dimension(msg) => {
-                vec![kind("dimension"), ("message".to_string(), msg.to_value())]
-            }
-        })
+            NetError::Dimension(msg) => Value::tagged("dimension", &[("message", msg)]),
+        }
     }
 }
 
 impl Deserialize for NetError {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.field("kind")? {
-            Value::Str(k) => match k.as_str() {
-                "unknown_node" => Ok(NetError::UnknownNode(usize::from_value(v.field("id")?)?)),
-                "unknown_link" => Ok(NetError::UnknownLink(usize::from_value(v.field("id")?)?)),
-                "invalid_topology" => Ok(NetError::InvalidTopology(String::from_value(
-                    v.field("message")?,
-                )?)),
-                "no_path" => Ok(NetError::NoPath {
-                    src: usize::from_value(v.field("src")?)?,
-                    dst: usize::from_value(v.field("dst")?)?,
-                }),
-                "parse" => Ok(NetError::Parse {
-                    line: usize::from_value(v.field("line")?)?,
-                    message: String::from_value(v.field("message")?)?,
-                }),
-                "dimension" => Ok(NetError::Dimension(String::from_value(
-                    v.field("message")?,
-                )?)),
-                other => Err(DeError(format!("unknown NetError kind `{other}`"))),
-            },
-            other => Err(DeError(format!(
-                "NetError kind must be a string: {other:?}"
-            ))),
+        match v.kind()? {
+            "unknown_node" => Ok(NetError::UnknownNode(usize::from_value(v.field("id")?)?)),
+            "unknown_link" => Ok(NetError::UnknownLink(usize::from_value(v.field("id")?)?)),
+            "invalid_topology" => Ok(NetError::InvalidTopology(String::from_value(
+                v.field("message")?,
+            )?)),
+            "no_path" => Ok(NetError::NoPath {
+                src: usize::from_value(v.field("src")?)?,
+                dst: usize::from_value(v.field("dst")?)?,
+            }),
+            "dimension" => Ok(NetError::Dimension(String::from_value(
+                v.field("message")?,
+            )?)),
+            other => Err(DeError(format!("unknown NetError kind `{other}`"))),
         }
     }
 }
@@ -124,12 +90,6 @@ mod tests {
         assert!(NetError::NoPath { src: 1, dst: 2 }
             .to_string()
             .contains("1"));
-        assert!(NetError::Parse {
-            line: 12,
-            message: "bad".into()
-        }
-        .to_string()
-        .contains("12"));
         assert!(NetError::InvalidTopology("dup".into())
             .to_string()
             .contains("dup"));
@@ -143,10 +103,6 @@ mod tests {
             NetError::UnknownLink(7),
             NetError::InvalidTopology("dup".into()),
             NetError::NoPath { src: 1, dst: 2 },
-            NetError::Parse {
-                line: 12,
-                message: "bad".into(),
-            },
             NetError::Dimension("x".into()),
         ] {
             assert_eq!(NetError::from_value(&e.to_value()).unwrap(), e);

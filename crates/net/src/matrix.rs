@@ -7,7 +7,6 @@
 //! `x(m)` (all traffic leaving at `m`); those are available as extra row
 //! blocks so estimators can choose which measurements to consume.
 
-use serde::{Deserialize, Serialize};
 use tm_linalg::Csr;
 
 use crate::error::NetError;
@@ -17,7 +16,7 @@ use crate::Result;
 
 /// Enumeration of ordered node pairs: `p = src·(N−1) + dst'` where
 /// `dst' = dst` if `dst < src`, else `dst − 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OdPairs {
     n: usize,
 }
@@ -90,7 +89,7 @@ impl OdPairs {
 }
 
 /// The routing matrix plus the paths it was built from.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoutingMatrix {
     n_nodes: usize,
     n_links: usize,
@@ -336,15 +335,5 @@ mod tests {
         assert!(rm.interior_loads(&[1.0]).is_err());
         assert!(rm.ingress_loads(&[1.0]).is_err());
         assert!(rm.egress_loads(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = line3();
-        let pairs = OdPairs::new(3);
-        let rm = route_lsp_mesh(&t, &vec![1.0; pairs.count()], CspfConfig::default()).unwrap();
-        let json = serde_json::to_string(&rm).unwrap();
-        let back: RoutingMatrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.interior(), rm.interior());
     }
 }

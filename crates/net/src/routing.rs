@@ -20,7 +20,7 @@ use crate::topology::{LinkId, NodeId, Topology};
 use crate::Result;
 
 /// A routed path: the link ids traversed from source to destination.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     /// Links in traversal order.
     pub links: Vec<LinkId>,

@@ -4,22 +4,20 @@
 //! before aggregation); links model unidirectional adjacencies with an
 //! IGP metric and a capacity used by CSPF admission control.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetError;
 use crate::Result;
 
 /// Index of a node within its topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 /// Index of a link within its topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub usize);
 
 /// Role of an edge node, used by the generalized gravity model (peering
 /// traffic behaves differently from access traffic, §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRole {
     /// Customer access point: sources and sinks demand traffic.
     Access,
@@ -32,7 +30,7 @@ pub enum NodeRole {
 }
 
 /// A node (PoP or router).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Human-readable name (city code, router name, ...).
     pub name: String,
@@ -41,7 +39,7 @@ pub struct Node {
 }
 
 /// A directed link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Source node.
     pub src: NodeId,
@@ -54,7 +52,7 @@ pub struct Link {
 }
 
 /// A directed multigraph of nodes and links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     name: String,
     nodes: Vec<Node>,
@@ -336,13 +334,5 @@ mod tests {
         t.add_node("T", NodeRole::Transit);
         let d = t.demand_nodes();
         assert_eq!(d, vec![NodeId(0), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = triangle();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Topology = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -69,50 +69,40 @@ impl From<LinalgError> for OptError {
 // `LinalgError`'s own wire form.
 impl Serialize for OptError {
     fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::Str(k.to_string()));
-        Value::Map(match self {
-            OptError::Infeasible { residual } => vec![
-                kind("infeasible"),
-                ("residual".to_string(), residual.to_value()),
-            ],
-            OptError::Unbounded => vec![kind("unbounded")],
+        match self {
+            OptError::Infeasible { residual } => {
+                Value::tagged("infeasible", &[("residual", residual)])
+            }
+            OptError::Unbounded => Value::tagged("unbounded", &[]),
             OptError::DidNotConverge {
                 iterations,
                 measure,
-            } => vec![
-                kind("did_not_converge"),
-                ("iterations".to_string(), iterations.to_value()),
-                ("measure".to_string(), measure.to_value()),
-            ],
-            OptError::Invalid(msg) => {
-                vec![kind("invalid"), ("message".to_string(), msg.to_value())]
-            }
-            OptError::Linalg(e) => vec![kind("linalg"), ("error".to_string(), e.to_value())],
-        })
+            } => Value::tagged(
+                "did_not_converge",
+                &[("iterations", iterations), ("measure", measure)],
+            ),
+            OptError::Invalid(msg) => Value::tagged("invalid", &[("message", msg)]),
+            OptError::Linalg(e) => Value::tagged("linalg", &[("error", e)]),
+        }
     }
 }
 
 impl Deserialize for OptError {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v.field("kind")? {
-            Value::Str(k) => match k.as_str() {
-                "infeasible" => Ok(OptError::Infeasible {
-                    residual: f64::from_value(v.field("residual")?)?,
-                }),
-                "unbounded" => Ok(OptError::Unbounded),
-                "did_not_converge" => Ok(OptError::DidNotConverge {
-                    iterations: usize::from_value(v.field("iterations")?)?,
-                    measure: f64::from_value(v.field("measure")?)?,
-                }),
-                "invalid" => Ok(OptError::Invalid(String::from_value(v.field("message")?)?)),
-                "linalg" => Ok(OptError::Linalg(LinalgError::from_value(
-                    v.field("error")?,
-                )?)),
-                other => Err(DeError(format!("unknown OptError kind `{other}`"))),
-            },
-            other => Err(DeError(format!(
-                "OptError kind must be a string: {other:?}"
-            ))),
+        match v.kind()? {
+            "infeasible" => Ok(OptError::Infeasible {
+                residual: f64::from_value(v.field("residual")?)?,
+            }),
+            "unbounded" => Ok(OptError::Unbounded),
+            "did_not_converge" => Ok(OptError::DidNotConverge {
+                iterations: usize::from_value(v.field("iterations")?)?,
+                measure: f64::from_value(v.field("measure")?)?,
+            }),
+            "invalid" => Ok(OptError::Invalid(String::from_value(v.field("message")?)?)),
+            "linalg" => Ok(OptError::Linalg(LinalgError::from_value(
+                v.field("error")?,
+            )?)),
+            other => Err(DeError(format!("unknown OptError kind `{other}`"))),
         }
     }
 }

@@ -68,7 +68,7 @@ impl DatasetSpec {
 }
 
 /// A complete, self-consistent evaluation dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalDataset {
     /// PoP-level topology.
     pub topology: Topology,
@@ -302,14 +302,5 @@ mod tests {
         }
         assert!(d.intervals(0..10_000).is_err());
         assert_eq!(d.intervals(3..3).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let d = EvalDataset::generate(DatasetSpec::tiny(), 4).unwrap();
-        let json = serde_json::to_string(&d).unwrap();
-        let back: EvalDataset = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.series.samples, d.series.samples);
-        assert_eq!(back.topology.n_nodes(), d.topology.n_nodes());
     }
 }

@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use tm_net::OdPairs;
 
 use crate::diurnal::DiurnalProfile;
@@ -27,7 +26,7 @@ use crate::Result;
 const FANOUT_AR1_RHO: f64 = 0.97;
 
 /// A generated demand time series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DemandSeries {
     /// `samples[k][p]` = demand of OD pair `p` at interval `k`, in Mbps.
     pub samples: Vec<Vec<f64>>,

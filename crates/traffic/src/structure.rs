@@ -141,7 +141,7 @@ impl TrafficSpec {
 }
 
 /// The static (busy-hour mean) demand structure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DemandStructure {
     /// Number of nodes.
     pub n_nodes: usize,
