@@ -331,6 +331,9 @@ where
     let mut v = vec![0.0; m];
     let mut w = vec![0.0; n];
     let mut d = vec![0.0; n];
+    // PCG state, overwritten before each solve reads it.
+    let (mut r, mut z, mut p, mut hv) = (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let mut ybuf = vec![0.0; m];
     let mut kmat = Mat::zeros(m, m);
     let mut pg_norm = f64::INFINITY;
     // Cached: free set, the factored kernel, and the D snapshot the
@@ -391,10 +394,14 @@ where
         let mut redone = false;
         loop {
             if factor_now {
-                // K = ½I + Σ_{j free} (1/D_j)·a_j·a_jᵀ.
-                kmat.scale(0.0);
+                // K = ½I + Σ_{j free} (1/D_j)·a_j·a_jᵀ, lower triangle
+                // only: all that `factor_fast` reads. The column indices
+                // of a CSR row ascend, so `idx[..=k1]` are the entries
+                // on or left of the diagonal in row `r1`.
                 for i in 0..m {
-                    kmat.set(i, i, 0.5);
+                    let row = &mut kmat.row_mut(i)[..=i];
+                    row.fill(0.0);
+                    row[i] = 0.5;
                 }
                 for (j, &fr) in free.iter().enumerate() {
                     if !fr {
@@ -403,8 +410,10 @@ where
                     let inv = 1.0 / dvals[j];
                     let (idx, val) = at.row(j);
                     for (k1, &r1) in idx.iter().enumerate() {
-                        for (k2, &r2) in idx.iter().enumerate() {
-                            kmat.add_to(r1, r2, inv * val[k1] * val[k2]);
+                        let s = inv * val[k1];
+                        let row = kmat.row_mut(r1);
+                        for (&r2, &v2) in idx[..=k1].iter().zip(val) {
+                            row[r2] += s * v2;
                         }
                     }
                 }
@@ -457,10 +466,6 @@ where
                 true
             };
             d.fill(0.0);
-            let mut r = vec![0.0; n];
-            let mut z = vec![0.0; n];
-            let mut hv = vec![0.0; n];
-            let mut ybuf = vec![0.0; m];
             for j in 0..n {
                 r[j] = if free[j] { -grad[j] } else { 0.0 };
             }
@@ -468,7 +473,7 @@ where
             if !precond(&r, &mut z, &mut u, &mut v, &mut w, &mut ybuf) {
                 return bail(x, f, it, pg_norm);
             }
-            let mut p = z.clone();
+            p.copy_from_slice(&z);
             let mut rz = vector::dot(&r, &z);
             let mut pcg_ok = false;
             let mut steps = 0usize;
