@@ -15,9 +15,8 @@
 //!   32-bit multi-wrap hazard, demonstrated in tests;
 //! * [`sim`] — distributed pollers on scoped OS threads
 //!   (`std::sync::mpsc` channels), deterministic response jitter,
-//!   UDP-style loss with backup-poller retry or exponential-backoff
-//!   retry under per-link deadlines, central collection, per-cell
-//!   quality tagging, and gap interpolation;
+//!   UDP-style loss with a backup-poller retry, central collection,
+//!   per-cell quality tagging, and gap interpolation;
 //! * [`fault`] — seeded, config-driven fault injection (missing polls,
 //!   counter wraps/resets, stale readings, noise bursts, per-link
 //!   outages) applied to the raw reading log before rate
@@ -44,7 +43,7 @@ pub mod wire;
 pub use counters::{CounterMode, RateSample, SuspectReading};
 pub use error::CollectError;
 pub use fault::{FaultPlan, FaultSpec};
-pub use sim::{run_collection, CellQuality, CollectionConfig, CollectionResult, RetryPolicy};
+pub use sim::{run_collection, CellQuality, CollectionConfig, CollectionResult};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CollectError>;

@@ -40,11 +40,7 @@ pub struct CollectionConfig {
     pub counter_mode: CounterMode,
     /// When a poll is lost, whether the neighbour poller retries it in
     /// the same interval (the paper's backup-poller arrangement).
-    /// Ignored when `retry` is set.
     pub backup_poller: bool,
-    /// Exponential-backoff retry with a per-link deadline. `None`
-    /// keeps the legacy single-retry backup-poller model bit-identical.
-    pub retry: Option<RetryPolicy>,
     /// Deterministic fault schedule applied to the raw reading log
     /// before rate reconstruction. `None` = clean collection.
     pub fault_plan: Option<FaultPlan>,
@@ -62,36 +58,8 @@ impl Default for CollectionConfig {
             pollers: 4,
             counter_mode: CounterMode::Counter64,
             backup_poller: true,
-            retry: None,
             fault_plan: None,
             max_rate_mbps: DEFAULT_MAX_RATE_MBPS,
-        }
-    }
-}
-
-/// Exponential-backoff polling retry with a per-link deadline.
-///
-/// Attempt `i` (0-based) is sent `base_backoff_s · (2^i − 1)` seconds
-/// after the boundary (plus jitter); attempts whose send time would
-/// exceed `deadline_s` are not made and the poll counts as lost. The
-/// backoff delay shifts the reading's timestamp, so recovered rates are
-/// adjusted for the *actual* measurement interval exactly like jitter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (≥ 1).
-    pub max_attempts: usize,
-    /// Backoff unit in seconds (doubles per retry).
-    pub base_backoff_s: f64,
-    /// Give-up deadline in seconds after the interval boundary.
-    pub deadline_s: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_s: 2.0,
-            deadline_s: 30.0,
         }
     }
 }
@@ -277,13 +245,6 @@ pub fn run_collection(
             "max_rate_mbps must be positive".into(),
         ));
     }
-    if let Some(rp) = &config.retry {
-        if rp.max_attempts == 0 || rp.base_backoff_s < 0.0 || rp.deadline_s <= 0.0 {
-            return Err(CollectError::InvalidConfig(
-                "retry: attempts >= 1, backoff >= 0, deadline > 0 required".into(),
-            ));
-        }
-    }
     if let Some(plan) = &config.fault_plan {
         plan.validate().map_err(CollectError::InvalidConfig)?;
     }
@@ -354,29 +315,17 @@ pub fn run_collection(
                         if agent.objects.is_empty() {
                             continue;
                         }
-                        // Attempt schedule: either the legacy
-                        // primary-plus-backup-poller pair, or
-                        // exponential backoff under a per-link
-                        // deadline. Each entry is (attempt index,
-                        // delay after the boundary in seconds).
-                        let schedule: Vec<(usize, f64)> = match &cfg.retry {
-                            Some(rp) => (0..rp.max_attempts)
-                                .map(|i| (i, rp.base_backoff_s * ((1u64 << i) as f64 - 1.0)))
-                                .take_while(|&(_, delay)| delay <= rp.deadline_s)
-                                .collect(),
-                            None => {
-                                let attempts = if cfg.backup_poller { 2 } else { 1 };
-                                (0..attempts).map(|i| (i, 0.0)).collect()
-                            }
-                        };
+                        // The primary poller, then (if it is lost) the
+                        // backup poller, both at the boundary.
+                        let attempts = if cfg.backup_poller { 2 } else { 1 };
                         let mut delivered = false;
-                        for (attempt, delay_s) in schedule {
+                        for attempt in 0..attempts {
                             if rng.random::<f64>() < cfg.loss_probability {
                                 continue; // datagram lost
                             }
                             let jitter = rng.random::<f64>() * cfg.jitter_max_s;
-                            let ts_ms = ((boundary as f64 * cfg.interval_s + delay_s + jitter)
-                                * 1000.0) as u64;
+                            let ts_ms =
+                                ((boundary as f64 * cfg.interval_s + jitter) * 1000.0) as u64;
                             let req = PollRequest {
                                 poller_id: (poller + attempt * cfg.pollers) as u16,
                                 router_id: agent.router_id,
@@ -891,71 +840,6 @@ mod tests {
         assert!(res.rates[2][2].abs() < 1e-9, "{}", res.rates[2][2]);
         // Release interval reports the whole backlog in one interval.
         assert!(res.rates[3][2] > d[3][2], "{}", res.rates[3][2]);
-    }
-
-    #[test]
-    fn retry_policy_beats_single_shot_under_heavy_loss() {
-        let d = demands();
-        let single = CollectionConfig {
-            loss_probability: 0.4,
-            backup_poller: false,
-            ..Default::default()
-        };
-        let with_retry = CollectionConfig {
-            loss_probability: 0.4,
-            backup_poller: false,
-            retry: Some(RetryPolicy {
-                max_attempts: 5,
-                base_backoff_s: 1.0,
-                deadline_s: 60.0,
-            }),
-            ..Default::default()
-        };
-        let a = run_collection(&d, &[0, 1, 2, 0], 3, &single, 3).unwrap();
-        let b = run_collection(&d, &[0, 1, 2, 0], 3, &with_retry, 3).unwrap();
-        assert!(
-            b.lost_polls < a.lost_polls,
-            "retry {} vs single {}",
-            b.lost_polls,
-            a.lost_polls
-        );
-        // Backoff delays shift timestamps; rate adjustment keeps values
-        // close to truth wherever both polls arrived.
-        for k in 0..6 {
-            for p in 0..4 {
-                if b.quality[k][p] == CellQuality::Clean {
-                    let tol = 0.05 * d[k][p].max(1.0) + 0.5;
-                    assert!((b.rates[k][p] - d[k][p]).abs() < tol, "k={k} p={p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn retry_deadline_caps_attempts() {
-        // deadline below the first backoff: only the primary attempt.
-        let d = demands();
-        let cfg = CollectionConfig {
-            loss_probability: 0.4,
-            backup_poller: true, // ignored when retry is set
-            retry: Some(RetryPolicy {
-                max_attempts: 5,
-                base_backoff_s: 10.0,
-                deadline_s: 5.0,
-            }),
-            ..Default::default()
-        };
-        let single = CollectionConfig {
-            loss_probability: 0.4,
-            backup_poller: false,
-            ..Default::default()
-        };
-        let a = run_collection(&d, &[0, 1, 2, 0], 3, &cfg, 3).unwrap();
-        let b = run_collection(&d, &[0, 1, 2, 0], 3, &single, 3).unwrap();
-        assert_eq!(
-            a.lost_polls, b.lost_polls,
-            "a 5 s deadline under a 10 s backoff means one attempt"
-        );
     }
 
     #[test]

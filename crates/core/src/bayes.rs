@@ -92,9 +92,9 @@ impl BayesianEstimator {
         let mu = 1.0 / self.lambda;
         let sol = match warm {
             Some(state) => {
-                nnls::ridge_nnls_kernel(a, sys.transpose(), &t, mu, &prior, 0, &mut state.kernel)?
+                nnls::ridge_nnls_kernel(a, sys.transpose(), &t, mu, &prior, &mut state.kernel)?
             }
-            None => nnls::ridge_nnls(a, sys.transpose(), &t, mu, &prior, 0, None)?,
+            None => nnls::ridge_nnls(a, sys.transpose(), &t, mu, &prior, None)?,
         };
         let mut demands = ws.take(sol.x.len());
         for (d, &v) in demands.iter_mut().zip(&sol.x) {

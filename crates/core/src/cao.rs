@@ -19,7 +19,7 @@
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::vector;
-use tm_opt::nnls::{self, SsnOptions, SsnState};
+use tm_opt::nnls::{self, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
@@ -399,7 +399,6 @@ impl CaoEstimator {
             &kern.sym,
             &mut state.ssn,
             false,
-            SsnOptions::default(),
         ) {
             Err(_) => Ok(GnOutcome::Stalled),
             Ok(sol) => {

@@ -170,13 +170,6 @@ impl EntropyEstimator {
                     x0.clone(),
                     NewtonOptions {
                         tol: opts.tol,
-                        // Refactor the reduced Hessian every few
-                        // steps: the KL diagonal drifts slowly enough
-                        // that a handful of cheap O(n²) metric steps
-                        // per factorization wins over classic
-                        // one-factor-per-step Newton (measured sweet
-                        // spot on the Europe system).
-                        refresh_every: 8,
                         ..Default::default()
                     },
                 )?;
@@ -189,9 +182,9 @@ impl EntropyEstimator {
         if x_solution.is_none() && q.len() > NEWTON_MAX_PAIRS && q.len() <= NEWTON_DUAL_MAX_PAIRS {
             let lo = vec![FLOOR; q.len()];
             // The KL diagonal drifts by orders of magnitude near the
-            // floor, so stale-metric steps converge only linearly at
-            // this scale — refresh the factorization every step; the
-            // dual kernel makes it cheap.
+            // floor, so each step solves with the current diagonal by
+            // PCG, preconditioned by the last factored kernel; the
+            // engine refactors when PCG needs too many steps.
             let newton = newton::projected_newton_dual(
                 &mut value_grad,
                 |x: &[f64], d: &mut [f64]| {
@@ -205,7 +198,6 @@ impl EntropyEstimator {
                 x0.clone(),
                 NewtonOptions {
                     tol: opts.tol,
-                    refresh_every: 1,
                     ..Default::default()
                 },
             )?;
@@ -263,8 +255,10 @@ fn spg_options() -> SpgOptions {
 const NEWTON_MAX_PAIRS: usize = 256;
 
 /// Above this many OD pairs the solve stays on SPG and never tries the
-/// dual Newton engine, which assembles and factors its `m×m` kernel
-/// every step. The largest backbone system, America, has 600 pairs.
+/// dual Newton engine, whose every step runs PCG over the pairs,
+/// preconditioned by an `m×m` kernel that is refactored whenever the
+/// free set changes or PCG needs too many steps. The largest backbone
+/// system, America, has 600 pairs.
 const NEWTON_DUAL_MAX_PAIRS: usize = 2048;
 
 /// Warm-start state carried across the intervals of a streaming sweep —

@@ -209,7 +209,7 @@ impl FanoutEstimator {
             let (cmat, dvec) = constraints.to_matrix(p_count)?;
             qp::solve_eq_qp(&h.to_dense(), &g, &cmat, &dvec, rho)?.x
         } else {
-            qp::solve_group_sum_qp_sparse(&h, &g, &constraints, rho, 1e-12, 0)?
+            qp::solve_group_sum_qp_sparse(&h, &g, &constraints, rho, 1e-12)?
         };
         qp::clip_and_renormalize(&mut alpha, &constraints);
 

@@ -68,12 +68,9 @@ impl KruithofEstimator {
 
     /// Project the prior onto the full measurement system `A·s = t`.
     ///
-    /// The GIS fixed-point iteration runs Anderson-accelerated (depth
-    /// 3, safeguarded — see [`IpfOptions::anderson_depth`]): the fixed
-    /// point, the I-projection of the prior, is unchanged; only the
-    /// sweep count collapses. This applies to the cold path too — the
-    /// projection is solver-independent, so cold and warm streaming
-    /// results agree as before.
+    /// A cold solve runs plain GIS (ω = 1); the streaming warm path
+    /// over-relaxes it (see [`KruithofEstimator::estimate_system_warm`]).
+    /// Both reach the same fixed point, the I-projection of the prior.
     pub fn full() -> Self {
         KruithofEstimator {
             mode: Mode::Full,
@@ -81,7 +78,6 @@ impl KruithofEstimator {
             opts: IpfOptions {
                 max_iter: 50_000,
                 tol: 1e-7,
-                anderson_depth: 3,
                 ..Default::default()
             },
         }
@@ -100,11 +96,6 @@ impl KruithofEstimator {
     pub fn with_options(mut self, opts: IpfOptions) -> Self {
         self.opts = opts;
         self
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> IpfOptions {
-        self.opts
     }
 
     /// [`Estimator::estimate_system`] with a warm-start handle carried

@@ -77,7 +77,7 @@ pub mod vardi;
 pub mod wcb;
 
 pub use error::EstimationError;
-pub use measure::{LoadFaultPlan, LoadOutage, LoadQuality, QualityOptions, RowQuality};
+pub use measure::{LoadFaultPlan, LoadOutage, LoadQuality, RowQuality};
 pub use method::{Method, MethodConfig};
 pub use problem::{DatasetExt, Estimate, EstimationProblem, Estimator, TimeSeriesData};
 pub use stream::{
@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::kruithof::KruithofEstimator;
     pub use crate::measure::{
         greedy_selection, largest_first_selection, LoadFaultPlan, LoadQuality, MeasuredEntropy,
-        QualityOptions, RowQuality,
+        RowQuality,
     };
     pub use crate::method::{Method, MethodConfig};
     pub use crate::metrics::{

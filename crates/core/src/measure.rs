@@ -288,26 +288,16 @@ impl RowQuality {
     }
 }
 
-/// Options for [`LoadQuality::assess`].
-#[derive(Debug, Clone, Copy)]
-pub struct QualityOptions {
-    /// Plausibility bound on any single measurement (Mbps). Matches the
-    /// collector's default wrap/reset bound (400 Gbps).
-    pub max_rate_mbps: f64,
-    /// Relative tolerance on the flow-conservation residual
-    /// `|Σ ingress − Σ egress| / max(Σ ingress, Σ egress)` over clean
-    /// rows. Jitter smearing keeps clean ticks well under 5%.
-    pub conservation_tol: f64,
-}
+/// Plausibility bound on any single measurement (Mbps) in
+/// [`LoadQuality::assess`]: the collector's wrap/reset bound,
+/// `tm_collect::counters::DEFAULT_MAX_RATE_MBPS` (400 Gbps).
+const MAX_RATE_MBPS: f64 = 400_000.0;
 
-impl Default for QualityOptions {
-    fn default() -> Self {
-        QualityOptions {
-            max_rate_mbps: 400_000.0,
-            conservation_tol: 0.05,
-        }
-    }
-}
+/// Relative tolerance on the flow-conservation residual
+/// `|Σ ingress − Σ egress| / max(Σ ingress, Σ egress)` over clean rows
+/// in [`LoadQuality::assess`]. Jitter smearing keeps clean ticks well
+/// under 5%.
+const CONSERVATION_TOL: f64 = 0.05;
 
 /// Per-tick measurement quality report: one [`RowQuality`] per load
 /// row plus the flow-conservation cross-check. This is the input
@@ -328,17 +318,14 @@ pub struct LoadQuality {
 }
 
 impl LoadQuality {
-    /// Classify a tick's load vectors.
-    pub fn assess(
-        link_loads: &[f64],
-        ingress: &[f64],
-        egress: &[f64],
-        opts: &QualityOptions,
-    ) -> LoadQuality {
+    /// Classify a tick's load vectors: a non-finite row is missing; a
+    /// negative one, or one above 400 Gbps, is suspect; and the clean
+    /// ingress and egress totals must balance to within 5%.
+    pub fn assess(link_loads: &[f64], ingress: &[f64], egress: &[f64]) -> LoadQuality {
         let classify = |v: f64| {
             if !v.is_finite() {
                 RowQuality::Missing
-            } else if v < 0.0 || v > opts.max_rate_mbps {
+            } else if !(0.0..=MAX_RATE_MBPS).contains(&v) {
                 RowQuality::Suspect
             } else {
                 RowQuality::Clean
@@ -364,7 +351,7 @@ impl LoadQuality {
             .map(|(v, _)| v)
             .sum();
         let conservation_residual = (sum_in - sum_eg).abs() / sum_in.max(sum_eg).max(1.0);
-        let conservation_ok = conservation_residual <= opts.conservation_tol;
+        let conservation_ok = conservation_residual <= CONSERVATION_TOL;
         LoadQuality {
             links,
             ingress: ingress_q,
@@ -593,13 +580,7 @@ mod tests {
 
     #[test]
     fn quality_classifies_rows() {
-        let opts = QualityOptions::default();
-        let q = LoadQuality::assess(
-            &[10.0, f64::NAN, -3.0, 1e9],
-            &[5.0, 5.0],
-            &[5.0, 5.0],
-            &opts,
-        );
+        let q = LoadQuality::assess(&[10.0, f64::NAN, -3.0, 1e9], &[5.0, 5.0], &[5.0, 5.0]);
         assert_eq!(q.links[0], RowQuality::Clean);
         assert_eq!(q.links[1], RowQuality::Missing);
         assert_eq!(q.links[2], RowQuality::Suspect);
@@ -610,14 +591,13 @@ mod tests {
 
     #[test]
     fn quality_all_clean_and_conservation_violation() {
-        let opts = QualityOptions::default();
         // 50% imbalance between clean totals: flagged.
-        let bad = LoadQuality::assess(&[1.0], &[100.0], &[50.0], &opts);
+        let bad = LoadQuality::assess(&[1.0], &[100.0], &[50.0]);
         assert!(!bad.conservation_ok);
         assert!(bad.conservation_residual > 0.4);
         // A missing ingress row is excluded from the balance, so a
         // half-observed tick doesn't fail conservation spuriously.
-        let part = LoadQuality::assess(&[1.0], &[f64::NAN, 50.0], &[25.0, 25.0], &opts);
+        let part = LoadQuality::assess(&[1.0], &[f64::NAN, 50.0], &[25.0, 25.0]);
         assert!(part.conservation_ok, "{}", part.conservation_residual);
     }
 

@@ -836,6 +836,48 @@ mod tests {
     }
 
     #[test]
+    fn registry_builds_match_direct_constructors_bitwise() {
+        // Each default method, built through the registry, must solve
+        // exactly as its direct constructor does: the registry may not
+        // rebuild options that drift from the constructor's.
+        use crate::problem::DatasetExt;
+        use tm_traffic::{DatasetSpec, EvalDataset};
+        let spec = DatasetSpec {
+            n_samples: 64,
+            ..DatasetSpec::tiny()
+        };
+        let d = EvalDataset::generate(spec, 31).unwrap();
+        let direct: Vec<Box<dyn Estimator>> = vec![
+            Box::new(GravityModel::simple()),
+            Box::new(GravityModel::generalized()),
+            Box::new(KruithofEstimator::marginals()),
+            Box::new(KruithofEstimator::full()),
+            Box::new(EntropyEstimator::new(1e3)),
+            Box::new(BayesianEstimator::new(1e3)),
+            Box::new(WcbEstimator::new()),
+            Box::new(FanoutEstimator::new()),
+            Box::new(VardiEstimator::new(0.01)),
+            Box::new(CaoEstimator::new(1.6, 0.01)),
+        ];
+        let methods = Method::all_defaults();
+        assert_eq!(methods.len(), direct.len());
+        let end = d.series.len();
+        for (m, est) in methods.iter().zip(&direct) {
+            // Windowed methods solve a time-series problem of their own
+            // window; the others the window's last snapshot.
+            let problem = match m.window() {
+                Some(w) => d.window_problem(end - w..end),
+                None => d.snapshot_problem(end - 1),
+            };
+            let built = m.build().estimate(&problem).unwrap();
+            let own = est.estimate(&problem).unwrap();
+            assert_eq!(built.method, own.method, "{m}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&built.demands), bits(&own.demands), "{m}");
+        }
+    }
+
+    #[test]
     fn build_constructs_the_described_estimator() {
         for m in Method::all_defaults() {
             let est = m.build();

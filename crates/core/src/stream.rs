@@ -64,7 +64,7 @@ use tm_traffic::{EvalDataset, IntervalLoads};
 
 use crate::checkpoint::{EngineCheckpoint, MethodCkpt, CHECKPOINT_VERSION};
 use crate::error::EstimationError;
-use crate::measure::{LoadQuality, QualityOptions};
+use crate::measure::LoadQuality;
 use crate::method::Method;
 use crate::problem::{Estimate, EstimationProblem, Estimator, TimeSeriesData};
 use crate::system::MeasurementSystem;
@@ -661,12 +661,7 @@ impl StreamEngine {
         }
         let use_edge = anchor_p.uses_edge_measurements();
         let n_links = anchor_p.n_links();
-        let q = LoadQuality::assess(
-            &loads.link_loads,
-            &loads.ingress,
-            &loads.egress,
-            &QualityOptions::default(),
-        );
+        let q = LoadQuality::assess(&loads.link_loads, &loads.ingress, &loads.egress);
 
         // Repair pass over the extended row space
         // [links | ingress | egress] (kept even when edge rows are not

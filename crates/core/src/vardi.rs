@@ -16,7 +16,7 @@
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use tm_linalg::{vector, Csr};
-use tm_opt::nnls::{self, SsnOptions, SsnState};
+use tm_opt::nnls::{self, SsnState};
 use tm_opt::spg::{self, SpgOptions};
 use tm_opt::Convergence;
 
@@ -336,7 +336,6 @@ impl VardiEstimator {
             &kern.sym,
             &mut state.ssn,
             true,
-            SsnOptions::default(),
         ) {
             Ok(sol) => {
                 state.last_convergence = Some(sol.convergence());

@@ -30,19 +30,6 @@ pub struct IpfOptions {
     /// converges. ω ≈ 3 cuts sweep counts ~3x on the backbone systems.
     /// Ignored by RAS.
     pub relaxation: f64,
-    /// Anderson-acceleration depth for the GIS fixed-point iteration
-    /// (`0` = off, bit-identical to the plain/relaxed update). The GIS
-    /// sweep is a fixed-point map in the log-iterate `u = ln s`; with
-    /// depth `m` the next iterate extrapolates through the last `m`
-    /// (step, iterate) pairs by a tiny least-squares mix. Iterates stay
-    /// on the prior's exponential manifold (every step is a span of
-    /// `Rᵀ`-rows over `C`), so the fixed point — the I-projection — is
-    /// unchanged. Safeguards: a non-finite or oversized extrapolation
-    /// falls back to the plain ω-relaxed step for that sweep, and any
-    /// violation growth clears the mixing history. Depth ~3 is the
-    /// sweet spot; larger depths buy nothing on these systems. Ignored
-    /// by RAS.
-    pub anderson_depth: usize,
 }
 
 impl Default for IpfOptions {
@@ -51,7 +38,6 @@ impl Default for IpfOptions {
             max_iter: 2000,
             tol: 1e-10,
             relaxation: 1.0,
-            anderson_depth: 0,
         }
     }
 }
@@ -327,16 +313,6 @@ pub fn gis(
     let mut omega = omega_cap;
     let mut prev_violation = f64::INFINITY;
     let mut calm_sweeps = 0usize;
-    // Anderson mixing state: the support index list and the last
-    // `depth` (log-iterate, step) pairs, all compacted to the support.
-    let depth = opts.anderson_depth;
-    let support: Vec<usize> = if depth > 0 {
-        (0..p).filter(|&j| s[j] > 0.0).collect()
-    } else {
-        Vec::new()
-    };
-    let mut aa_hist: std::collections::VecDeque<(Vec<f64>, Vec<f64>)> =
-        std::collections::VecDeque::with_capacity(depth);
     // Hot loop: the active-row index list is precomputed above and every
     // buffer is hoisted, so one sweep is two passes over the active rows
     // (marginals + violation, then the log-ratio transpose product) with
@@ -383,11 +359,6 @@ pub fn gis(
                 }
             }
         }
-        if depth > 0 && violation > prev_violation {
-            // A grown violation means the recent extrapolations went
-            // sour: restart the mixing from the plain iteration.
-            aa_hist.clear();
-        }
         prev_violation = violation;
         // s_p *= exp( Σ_l r_lp/C · log_ratio_l ) via transpose product.
         rt.fill(0.0);
@@ -406,67 +377,9 @@ pub fn gis(
                 rt[j] += v * log_ratio;
             }
         }
-        if depth == 0 {
-            for j in 0..p {
-                if s[j] > 0.0 {
-                    s[j] *= (omega * rt[j] / c).exp();
-                }
-            }
-        } else {
-            // Anderson mixing on the log-iterate over the support:
-            // u = ln s, step f = ω·(Rᵀ log-ratio)/C.
-            let u: Vec<f64> = support.iter().map(|&j| s[j].ln()).collect();
-            let f: Vec<f64> = support.iter().map(|&j| omega * rt[j] / c).collect();
-            let mut u_new: Vec<f64> = u.iter().zip(&f).map(|(a, b)| a + b).collect();
-            let d_hist = aa_hist.len();
-            if d_hist > 0 {
-                // Least-squares mix over the difference columns
-                // ΔF_i = f − f_i, ΔU_i = u − u_i: minimize
-                // ‖f − ΔF·γ‖ (tiny d×d normal equations), then
-                // u⁺ = (u + f) − Σ γ_i (ΔU_i + ΔF_i).
-                let mut df: Vec<Vec<f64>> = Vec::with_capacity(d_hist);
-                let mut du: Vec<Vec<f64>> = Vec::with_capacity(d_hist);
-                for (ui, fi) in &aa_hist {
-                    df.push(f.iter().zip(fi).map(|(a, b)| a - b).collect());
-                    du.push(u.iter().zip(ui).map(|(a, b)| a - b).collect());
-                }
-                let mut m = Mat::zeros(d_hist, d_hist);
-                let mut rhs_g = vec![0.0; d_hist];
-                for a in 0..d_hist {
-                    for b in a..d_hist {
-                        let v = vector::dot(&df[a], &df[b]);
-                        m.set(a, b, v);
-                        m.set(b, a, v);
-                    }
-                    rhs_g[a] = vector::dot(&df[a], &f);
-                }
-                if let Ok(gamma) = tm_linalg::decomp::lu::solve(&m, &rhs_g) {
-                    let f_norm = vector::norm_inf(&f);
-                    let mut cand: Vec<f64> = u_new.clone();
-                    for (i, g) in gamma.iter().enumerate() {
-                        for (cv, (dfv, duv)) in cand.iter_mut().zip(df[i].iter().zip(&du[i])) {
-                            *cv -= g * (duv + dfv);
-                        }
-                    }
-                    // Safeguard: accept only finite, moderately sized
-                    // extrapolations (within 10x of the plain step).
-                    let mut step_norm = 0.0f64;
-                    let ok = cand.iter().zip(&u).all(|(c, uv)| {
-                        let st = c - uv;
-                        step_norm = step_norm.max(st.abs());
-                        c.is_finite()
-                    }) && step_norm <= 10.0 * f_norm.max(1e-300);
-                    if ok {
-                        u_new = cand;
-                    }
-                }
-            }
-            if aa_hist.len() == depth {
-                aa_hist.pop_front();
-            }
-            aa_hist.push_back((u, f));
-            for (&j, &uv) in support.iter().zip(&u_new) {
-                s[j] = uv.exp();
+        for j in 0..p {
+            if s[j] > 0.0 {
+                s[j] *= (omega * rt[j] / c).exp();
             }
         }
     }
@@ -745,11 +658,11 @@ mod tests {
     }
 
     #[test]
-    fn anderson_reaches_the_same_fixed_point() {
+    fn relaxed_gis_reaches_the_plain_fixed_point() {
         // A moderately coupled system where plain GIS needs many
-        // sweeps. The Anderson-accelerated run must land on the same
-        // I-projection (the fixed point is pinned by the exponential
-        // manifold argument) in no more sweeps.
+        // sweeps. The over-relaxed run (ω = 3, safeguarded) must land
+        // on the same I-projection: the fixed point is pinned by the
+        // exponential manifold argument.
         let r = Csr::from_triplets(
             4,
             6,
@@ -775,84 +688,27 @@ mod tests {
             tol: 1e-11,
             ..Default::default()
         };
+        let relaxed_opts = IpfOptions {
+            relaxation: 3.0,
+            ..opts
+        };
         let plain = gis(&prior, &r, &t, &plan, opts, None).unwrap();
-        let aa = gis(
-            &prior,
-            &r,
-            &t,
-            &plan,
-            IpfOptions {
-                anderson_depth: 3,
-                ..opts
-            },
-            None,
-        )
-        .unwrap();
-        for (a, b) in aa.values.iter().zip(&plain.values) {
+        let relaxed = gis(&prior, &r, &t, &plan, relaxed_opts, None).unwrap();
+        for (a, b) in relaxed.values.iter().zip(&plain.values) {
             assert!(
                 (a - b).abs() < 1e-7 * (1.0 + b.abs()),
-                "anderson {a} vs plain {b}"
+                "relaxed {a} vs plain {b}"
             );
         }
-        assert!(
-            aa.iterations <= plain.iterations,
-            "anderson {} vs plain {} sweeps",
-            aa.iterations,
-            plain.iterations
-        );
-        // Depth 0 is bit-identical to the plain path (fixed point AND
-        // trajectory).
-        let zero = gis(
-            &prior,
-            &r,
-            &t,
-            &plan,
-            IpfOptions {
-                anderson_depth: 0,
-                ..opts
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(zero.values, plain.values);
-        assert_eq!(zero.iterations, plain.iterations);
-        // Anderson composes with over-relaxation and its safeguard.
-        let both = gis(
-            &prior,
-            &r,
-            &t,
-            &plan,
-            IpfOptions {
-                anderson_depth: 3,
-                relaxation: 3.0,
-                ..opts
-            },
-            None,
-        )
-        .unwrap();
-        for (a, b) in both.values.iter().zip(&plain.values) {
-            assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()));
-        }
-        // Zero-load rows (pinned demands) survive acceleration.
+        // Zero-load rows (pinned demands) stay pinned under relaxation.
         let t0 = vec![0.0, 2.0, 3.0, 5.0];
         let plan0 = GisPlan::build(&r, &t0).unwrap();
-        let aa0 = gis(
-            &prior,
-            &r,
-            &t0,
-            &plan0,
-            IpfOptions {
-                anderson_depth: 3,
-                ..opts
-            },
-            None,
-        )
-        .unwrap();
+        let relaxed0 = gis(&prior, &r, &t0, &plan0, relaxed_opts, None).unwrap();
         let plain0 = gis(&prior, &r, &t0, &plan0, opts, None).unwrap();
-        assert_eq!(aa0.values[0], 0.0);
-        assert_eq!(aa0.values[1], 0.0);
-        assert_eq!(aa0.values[2], 0.0);
-        for (a, b) in aa0.values.iter().zip(&plain0.values) {
+        assert_eq!(relaxed0.values[0], 0.0);
+        assert_eq!(relaxed0.values[1], 0.0);
+        assert_eq!(relaxed0.values[2], 0.0);
+        for (a, b) in relaxed0.values.iter().zip(&plain0.values) {
             assert!((a - b).abs() < 1e-7 * (1.0 + b.abs()));
         }
     }

@@ -26,24 +26,6 @@ use crate::convergence::Convergence;
 use crate::error::OptError;
 use crate::Result;
 
-/// Options for [`lawson_hanson`].
-#[derive(Debug, Clone, Copy)]
-pub struct NnlsOptions {
-    /// Dual-feasibility tolerance on the gradient `w = Aᵀ(b − Ax)`.
-    pub tol: f64,
-    /// Cap on outer iterations (defaults to `3·n`).
-    pub max_iter: usize,
-}
-
-impl Default for NnlsOptions {
-    fn default() -> Self {
-        NnlsOptions {
-            tol: 1e-10,
-            max_iter: 0, // 0 = auto (3n)
-        }
-    }
-}
-
 /// Solution of an NNLS problem.
 #[derive(Debug, Clone)]
 pub struct NnlsSolution {
@@ -70,8 +52,10 @@ impl NnlsSolution {
     }
 }
 
-/// Lawson–Hanson active-set NNLS: `min ‖A·x − b‖₂  s.t.  x ≥ 0`.
-pub fn lawson_hanson(a: &Mat, b: &[f64], opts: NnlsOptions) -> Result<NnlsSolution> {
+/// Lawson–Hanson active-set NNLS: `min ‖A·x − b‖₂  s.t.  x ≥ 0`, to a
+/// dual-feasibility tolerance of `1e-10` (scaled by `‖b‖∞`) on the
+/// gradient `w = Aᵀ(b − Ax)`, within `3n + 10` inner iterations.
+pub fn lawson_hanson(a: &Mat, b: &[f64]) -> Result<NnlsSolution> {
     let (m, n) = a.shape();
     if b.len() != m {
         return Err(OptError::Invalid(format!(
@@ -80,13 +64,9 @@ pub fn lawson_hanson(a: &Mat, b: &[f64], opts: NnlsOptions) -> Result<NnlsSoluti
             m
         )));
     }
-    let max_iter = if opts.max_iter == 0 {
-        3 * n + 10
-    } else {
-        opts.max_iter
-    };
+    let max_iter = 3 * n + 10;
     let scale = vector::norm_inf(b).max(1.0);
-    let tol = opts.tol * scale;
+    let tol = 1e-10 * scale;
 
     let mut x = vec![0.0; n];
     let mut passive = vec![false; n];
@@ -411,7 +391,6 @@ pub fn ridge_nnls(
     b: &[f64],
     mu: f64,
     x0: &[f64],
-    max_outer: usize,
     seed: Option<&[f64]>,
 ) -> Result<NnlsSolution> {
     let (m, n) = (a.rows(), a.cols());
@@ -447,11 +426,7 @@ pub fn ridge_nnls(
             w.iter().map(|&v| v > 0.0).collect()
         }
     };
-    let max_outer = if max_outer == 0 {
-        3 * n + 20
-    } else {
-        max_outer
-    };
+    let max_outer = 3 * n + 20;
     let mut x = vec![0.0; n];
 
     // M = A_F A_Fᵀ + μI is maintained *incrementally*: the first outer
@@ -621,7 +596,6 @@ pub fn ridge_nnls_kernel(
     b: &[f64],
     mu: f64,
     x0: &[f64],
-    max_outer: usize,
     kernel: &mut Option<RidgeKernel>,
 ) -> Result<NnlsSolution> {
     let (m, n) = (a.rows(), a.cols());
@@ -644,7 +618,7 @@ pub fn ridge_nnls_kernel(
         }
     }
     // Slow path: run the active-set loop from the remembered seed.
-    let sol = ridge_nnls(a, at, b, mu, x0, max_outer, warm_seed.as_deref())?;
+    let sol = ridge_nnls(a, at, b, mu, x0, warm_seed.as_deref())?;
     // Re-factor the kernel for the new support.
     let free: Vec<bool> = sol.x.iter().map(|&v| v > 0.0).collect();
     let mut mmat = Mat::zeros(m, m);
@@ -785,23 +759,11 @@ fn ridge_kernel_incremental(
     }
 }
 
-/// Options for [`ssn_nnls`].
-#[derive(Debug, Clone, Copy)]
-pub struct SsnOptions {
-    /// Cap on semismooth-Newton iterations (`0` = auto, 40).
-    pub max_iter: usize,
-    /// Relative KKT tolerance (scaled by `‖Aᵀb + μx₀‖∞`).
-    pub tol: f64,
-}
+/// Cap on semismooth-Newton iterations in [`ssn_nnls`].
+const SSN_MAX_ITER: usize = 40;
 
-impl Default for SsnOptions {
-    fn default() -> Self {
-        SsnOptions {
-            max_iter: 0,
-            tol: 1e-9,
-        }
-    }
-}
+/// Relative KKT tolerance of [`ssn_nnls`] (scaled by `‖Aᵀb + μx₀‖∞`).
+const SSN_TOL: f64 = 1e-9;
 
 /// Warm-start state of [`ssn_nnls`] carried across the intervals of a
 /// streaming sweep: the terminal active set, and the numeric sparse
@@ -920,7 +882,6 @@ pub fn ssn_nnls(
     sym: &SparseCholSymbolic,
     state: &mut SsnState,
     gram_reusable: bool,
-    opts: SsnOptions,
 ) -> Result<NnlsSolution> {
     let (m, n) = (a.rows(), a.cols());
     if b.len() != m {
@@ -948,12 +909,6 @@ pub fn ssn_nnls(
             sym.n()
         )));
     }
-    let max_iter = if opts.max_iter == 0 {
-        40
-    } else {
-        opts.max_iter
-    };
-
     // h = Aᵀb + μx₀.
     let mut h = a.tr_matvec(b);
     if let Some(x0) = x0 {
@@ -962,7 +917,7 @@ pub fn ssn_nnls(
         }
     }
     let scale = vector::norm_inf(&h).max(1.0);
-    let tol = opts.tol * scale;
+    let tol = SSN_TOL * scale;
 
     // Initial set: the carried one, else the seed's support, else all
     // free.
@@ -1066,7 +1021,7 @@ pub fn ssn_nnls(
     // the caller vouches for the Gram values; one built inside this
     // call is valid for the rest of it regardless.
     let mut factor_current = gram_reusable;
-    for _it in 0..max_iter {
+    for _it in 0..SSN_MAX_ITER {
         // Factor for the current set: reuse the carried one when the
         // set matches, repair the dense one by up/downdates when the
         // set moved a little, rebuild otherwise.
@@ -1184,7 +1139,7 @@ pub fn ssn_nnls(
     // so a hard instance should fail fast here rather than burn
     // hundreds of sweeps.
     state.factor = None;
-    let sol = cd_nnls_sparse(a, b, mu, x0, 5_000, opts.tol.max(1e-12))?;
+    let sol = cd_nnls_sparse(a, b, mu, x0, 5_000, SSN_TOL)?;
     state.free = sol.x.iter().map(|&v| v > 0.0).collect();
     Ok(sol)
 }
@@ -1254,7 +1209,7 @@ mod tests {
         // A = I: solution is just max(b, 0) = b when b >= 0.
         let a = Mat::identity(3);
         let b = [1.0, 2.0, 3.0];
-        let s = lawson_hanson(&a, &b, NnlsOptions::default()).unwrap();
+        let s = lawson_hanson(&a, &b).unwrap();
         for i in 0..3 {
             assert!((s.x[i] - b[i]).abs() < 1e-10);
         }
@@ -1265,7 +1220,7 @@ mod tests {
     fn clips_negative_components() {
         let a = Mat::identity(3);
         let b = [1.0, -2.0, 3.0];
-        let s = lawson_hanson(&a, &b, NnlsOptions::default()).unwrap();
+        let s = lawson_hanson(&a, &b).unwrap();
         assert!((s.x[0] - 1.0).abs() < 1e-10);
         assert_eq!(s.x[1], 0.0);
         assert!((s.x[2] - 3.0).abs() < 1e-10);
@@ -1280,7 +1235,7 @@ mod tests {
             vec![1.0, 1.0, 1.0],
         ]);
         let b = [1.0, -4.0, 2.0, 0.5];
-        let s = lawson_hanson(&a, &b, NnlsOptions::default()).unwrap();
+        let s = lawson_hanson(&a, &b).unwrap();
         assert!(kkt_violation(&a, &b, 0.0, None, &s.x) < 1e-8);
     }
 
@@ -1293,7 +1248,7 @@ mod tests {
             vec![1.0, 1.0, 1.0],
         ]);
         let b = [1.0, -4.0, 2.0, 0.5];
-        let lh = lawson_hanson(&a, &b, NnlsOptions::default()).unwrap();
+        let lh = lawson_hanson(&a, &b).unwrap();
         let cd = cd_nnls(&a, &b, 0.0, None, 10_000, 1e-12).unwrap();
         for j in 0..3 {
             assert!(
@@ -1377,7 +1332,7 @@ mod tests {
         let a = Csr::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, 1.0)]).unwrap();
         let b = [2.0];
         let prior = [5.0, 5.0];
-        let s = ridge_nnls(&a, &a.transpose(), &b, 1e-8, &prior, 0, None).unwrap();
+        let s = ridge_nnls(&a, &a.transpose(), &b, 1e-8, &prior, None).unwrap();
         assert!((s.x[0] + s.x[1] - 2.0).abs() < 1e-6, "{:?}", s.x);
         // Among all feasible x, closest to the prior: symmetric split.
         assert!((s.x[0] - s.x[1]).abs() < 1e-6, "{:?}", s.x);
@@ -1395,7 +1350,7 @@ mod tests {
         let b = [1.0, -4.0, 2.0, 0.5];
         let prior = [0.1, 0.2, 0.3];
         let cd = cd_nnls(&a_dense, &b, 0.5, Some(&prior), 50_000, 1e-13).unwrap();
-        let ridge = ridge_nnls(&a, &a.transpose(), &b, 0.5, &prior, 0, None).unwrap();
+        let ridge = ridge_nnls(&a, &a.transpose(), &b, 0.5, &prior, None).unwrap();
         for j in 0..3 {
             assert!(
                 (cd.x[j] - ridge.x[j]).abs() < 1e-6,
@@ -1413,7 +1368,7 @@ mod tests {
         let a = Csr::from_dense(&Mat::identity(3), 0.0);
         let b = [1.0, -5.0, 2.0];
         let prior = [0.0, 0.0, 0.0];
-        let s = ridge_nnls(&a, &a.transpose(), &b, 0.1, &prior, 0, None).unwrap();
+        let s = ridge_nnls(&a, &a.transpose(), &b, 0.1, &prior, None).unwrap();
         assert!(s.x[0] > 0.0);
         assert_eq!(s.x[1], 0.0);
         assert!(s.x[2] > 0.0);
@@ -1424,9 +1379,9 @@ mod tests {
     #[test]
     fn ridge_validates_inputs() {
         let a = Csr::from_dense(&Mat::identity(2), 0.0);
-        assert!(ridge_nnls(&a, &a.transpose(), &[1.0], 1.0, &[0.0, 0.0], 0, None).is_err());
-        assert!(ridge_nnls(&a, &a.transpose(), &[1.0, 1.0], 0.0, &[0.0, 0.0], 0, None).is_err());
-        assert!(ridge_nnls(&a, &a.transpose(), &[1.0, 1.0], 1.0, &[0.0], 0, None).is_err());
+        assert!(ridge_nnls(&a, &a.transpose(), &[1.0], 1.0, &[0.0, 0.0], None).is_err());
+        assert!(ridge_nnls(&a, &a.transpose(), &[1.0, 1.0], 0.0, &[0.0, 0.0], None).is_err());
+        assert!(ridge_nnls(&a, &a.transpose(), &[1.0, 1.0], 1.0, &[0.0], None).is_err());
     }
 
     #[test]
@@ -1440,12 +1395,12 @@ mod tests {
         let at = a.transpose();
         let prior = [0.2, 0.1, 0.0, 0.3];
         let b1 = [1.0, -4.0, 2.0];
-        let cold1 = ridge_nnls(&a, &a.transpose(), &b1, 0.05, &prior, 0, None).unwrap();
+        let cold1 = ridge_nnls(&a, &a.transpose(), &b1, 0.05, &prior, None).unwrap();
         // A drifted RHS: warm-start the free set from the previous
         // support; the strictly convex objective pins the answer.
         let b2 = [1.1, -3.8, 2.1];
-        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, 0, None).unwrap();
-        let warm2 = ridge_nnls(&a, &at, &b2, 0.05, &prior, 0, Some(&cold1.x)).unwrap();
+        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, None).unwrap();
+        let warm2 = ridge_nnls(&a, &at, &b2, 0.05, &prior, Some(&cold1.x)).unwrap();
         for j in 0..4 {
             assert!(
                 (warm2.x[j] - cold2.x[j]).abs() < 1e-8,
@@ -1464,12 +1419,12 @@ mod tests {
         // An all-zero warm support still reaches the optimum through
         // the dual release loop.
         let zero = [0.0; 4];
-        let released = ridge_nnls(&a, &at, &b2, 0.05, &prior, 0, Some(&zero)).unwrap();
+        let released = ridge_nnls(&a, &at, &b2, 0.05, &prior, Some(&zero)).unwrap();
         for j in 0..4 {
             assert!((released.x[j] - cold2.x[j]).abs() < 1e-8, "j={j}");
         }
         // Validation: wrong warm length.
-        assert!(ridge_nnls(&a, &at, &b2, 0.05, &prior, 0, Some(&[1.0])).is_err());
+        assert!(ridge_nnls(&a, &at, &b2, 0.05, &prior, Some(&[1.0])).is_err());
     }
 
     #[test]
@@ -1485,14 +1440,14 @@ mod tests {
         let mut kernel = None;
         // First call: slow path installs the kernel.
         let b1 = [1.0, -4.0, 2.0];
-        let s1 = ridge_nnls_kernel(&a, &at, &b1, 0.05, &prior, 0, &mut kernel).unwrap();
+        let s1 = ridge_nnls_kernel(&a, &at, &b1, 0.05, &prior, &mut kernel).unwrap();
         assert!(kernel.is_some());
         assert!(s1.iterations > 0, "first call runs the active-set loop");
         // Drifted RHS with the same active set: fast path (0 outer
         // iterations) must reproduce the from-scratch solution.
         let b2 = [1.05, -3.9, 2.05];
-        let s2 = ridge_nnls_kernel(&a, &at, &b2, 0.05, &prior, 0, &mut kernel).unwrap();
-        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, 0, None).unwrap();
+        let s2 = ridge_nnls_kernel(&a, &at, &b2, 0.05, &prior, &mut kernel).unwrap();
+        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, None).unwrap();
         for j in 0..4 {
             assert!(
                 (s2.x[j] - cold2.x[j]).abs() < 1e-8,
@@ -1506,8 +1461,8 @@ mod tests {
         // A RHS that flips the active set: the fast path must refuse and
         // the slow path must recover (and re-install the kernel).
         let b3 = [1.0, 4.0, 2.0];
-        let s3 = ridge_nnls_kernel(&a, &at, &b3, 0.05, &prior, 0, &mut kernel).unwrap();
-        let cold3 = ridge_nnls(&a, &a.transpose(), &b3, 0.05, &prior, 0, None).unwrap();
+        let s3 = ridge_nnls_kernel(&a, &at, &b3, 0.05, &prior, &mut kernel).unwrap();
+        let cold3 = ridge_nnls(&a, &a.transpose(), &b3, 0.05, &prior, None).unwrap();
         for j in 0..4 {
             assert!((s3.x[j] - cold3.x[j]).abs() < 1e-8, "j={j}");
         }
@@ -1537,19 +1492,8 @@ mod tests {
         let b = [1.0, -4.0, 2.0];
         let prior = [0.2, 0.1, 0.0, 0.3];
         let mut state = SsnState::default();
-        let ssn = ssn_nnls(
-            &a,
-            &b,
-            0.05,
-            Some(&prior),
-            &g,
-            &sym,
-            &mut state,
-            false,
-            SsnOptions::default(),
-        )
-        .unwrap();
-        let ridge = ridge_nnls(&a, &a.transpose(), &b, 0.05, &prior, 0, None).unwrap();
+        let ssn = ssn_nnls(&a, &b, 0.05, Some(&prior), &g, &sym, &mut state, false).unwrap();
+        let ridge = ridge_nnls(&a, &a.transpose(), &b, 0.05, &prior, None).unwrap();
         for j in 0..4 {
             assert!(
                 (ssn.x[j] - ridge.x[j]).abs() < 1e-7,
@@ -1577,35 +1521,13 @@ mod tests {
         let prior = [0.2, 0.1, 0.0, 0.3];
         let mut state = SsnState::default();
         let b1 = [1.0, -4.0, 2.0];
-        let s1 = ssn_nnls(
-            &a,
-            &b1,
-            0.05,
-            Some(&prior),
-            &g,
-            &sym,
-            &mut state,
-            true,
-            SsnOptions::default(),
-        )
-        .unwrap();
+        let s1 = ssn_nnls(&a, &b1, 0.05, Some(&prior), &g, &sym, &mut state, true).unwrap();
         assert!(kkt_violation(&a_dense, &b1, 0.05, Some(&prior), &s1.x) < 1e-7);
         // A drifted RHS with the same Gram: the carried factor answers
         // (gram_reusable = true) and the result matches a cold solve.
         let b2 = [1.05, -3.9, 2.05];
-        let s2 = ssn_nnls(
-            &a,
-            &b2,
-            0.05,
-            Some(&prior),
-            &g,
-            &sym,
-            &mut state,
-            true,
-            SsnOptions::default(),
-        )
-        .unwrap();
-        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, 0, None).unwrap();
+        let s2 = ssn_nnls(&a, &b2, 0.05, Some(&prior), &g, &sym, &mut state, true).unwrap();
+        let cold2 = ridge_nnls(&a, &a.transpose(), &b2, 0.05, &prior, None).unwrap();
         for j in 0..4 {
             assert!(
                 (s2.x[j] - cold2.x[j]).abs() < 1e-7,
@@ -1617,19 +1539,8 @@ mod tests {
         assert_eq!(s2.iterations, 1, "unchanged set resolves in one step");
         // A sign-flipping RHS moves the active set; still correct.
         let b3 = [1.0, 4.0, 2.0];
-        let s3 = ssn_nnls(
-            &a,
-            &b3,
-            0.05,
-            Some(&prior),
-            &g,
-            &sym,
-            &mut state,
-            true,
-            SsnOptions::default(),
-        )
-        .unwrap();
-        let cold3 = ridge_nnls(&a, &a.transpose(), &b3, 0.05, &prior, 0, None).unwrap();
+        let s3 = ssn_nnls(&a, &b3, 0.05, Some(&prior), &g, &sym, &mut state, true).unwrap();
+        let cold3 = ridge_nnls(&a, &a.transpose(), &b3, 0.05, &prior, None).unwrap();
         for j in 0..4 {
             assert!((s3.x[j] - cold3.x[j]).abs() < 1e-7, "j={j}");
         }
@@ -1644,18 +1555,7 @@ mod tests {
         let (a, g, sym) = ssn_setup(&a_dense);
         let b = [2.0, 3.0];
         let mut state = SsnState::default();
-        let s = ssn_nnls(
-            &a,
-            &b,
-            0.0,
-            None,
-            &g,
-            &sym,
-            &mut state,
-            false,
-            SsnOptions::default(),
-        )
-        .unwrap();
+        let s = ssn_nnls(&a, &b, 0.0, None, &g, &sym, &mut state, false).unwrap();
         assert!(kkt_violation(&a_dense, &b, 0.0, None, &s.x) < 1e-7);
         assert!((s.x[0] + s.x[1] - 2.0).abs() < 1e-7);
         assert!((s.x[2] - 3.0).abs() < 1e-9);
@@ -1704,18 +1604,7 @@ mod tests {
         let g = a.gram().plus_diag(0.0).unwrap();
         let sym = SparseCholSymbolic::analyze(&g).unwrap();
         let mut state = SsnState::default();
-        let sol = ssn_nnls(
-            &a,
-            &b,
-            mu,
-            Some(&prior),
-            &g,
-            &sym,
-            &mut state,
-            false,
-            SsnOptions::default(),
-        )
-        .unwrap();
+        let sol = ssn_nnls(&a, &b, mu, Some(&prior), &g, &sym, &mut state, false).unwrap();
         assert!(
             kkt_violation(&a, &b, mu, Some(&prior), &sol.x) < 1e-7,
             "kkt {}",
@@ -1729,20 +1618,8 @@ mod tests {
         let a_dense = Mat::identity(2);
         let (a, g, sym) = ssn_setup(&a_dense);
         let mut state = SsnState::default();
-        let opts = SsnOptions::default();
-        assert!(ssn_nnls(&a, &[1.0], 0.1, None, &g, &sym, &mut state, false, opts).is_err());
-        assert!(ssn_nnls(
-            &a,
-            &[1.0, 1.0],
-            -0.1,
-            None,
-            &g,
-            &sym,
-            &mut state,
-            false,
-            opts
-        )
-        .is_err());
+        assert!(ssn_nnls(&a, &[1.0], 0.1, None, &g, &sym, &mut state, false).is_err());
+        assert!(ssn_nnls(&a, &[1.0, 1.0], -0.1, None, &g, &sym, &mut state, false).is_err());
         assert!(ssn_nnls(
             &a,
             &[1.0, 1.0],
@@ -1751,8 +1628,7 @@ mod tests {
             &g,
             &sym,
             &mut state,
-            false,
-            opts
+            false
         )
         .is_err());
         let wrong_g = Csr::from_dense(&Mat::identity(3), 0.0);
@@ -1764,8 +1640,7 @@ mod tests {
             &wrong_g,
             &sym,
             &mut state,
-            false,
-            opts
+            false
         )
         .is_err());
     }
@@ -1782,7 +1657,7 @@ mod tests {
     #[test]
     fn rejects_bad_shapes() {
         let a = Mat::identity(2);
-        assert!(lawson_hanson(&a, &[1.0], NnlsOptions::default()).is_err());
+        assert!(lawson_hanson(&a, &[1.0]).is_err());
         assert!(cd_nnls(&a, &[1.0], 0.0, None, 10, 1e-6).is_err());
         assert!(cd_nnls(&a, &[1.0, 2.0], -1.0, None, 10, 1e-6).is_err());
         assert!(cd_nnls(&a, &[1.0, 2.0], 0.0, Some(&[1.0]), 10, 1e-6).is_err());
@@ -1791,7 +1666,7 @@ mod tests {
     #[test]
     fn zero_rhs_gives_zero() {
         let a = Mat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let s = lawson_hanson(&a, &[0.0, 0.0], NnlsOptions::default()).unwrap();
+        let s = lawson_hanson(&a, &[0.0, 0.0]).unwrap();
         assert_eq!(s.x, vec![0.0, 0.0]);
         assert_eq!(s.iterations, 0);
     }

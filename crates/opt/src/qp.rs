@@ -138,14 +138,14 @@ impl SumConstraints {
 ///
 /// `H + ρI` must be positive definite on the constraint null space
 /// (guaranteed for the fanout Hessian with any `ridge > 0`; with
-/// `ridge = 0` it holds exactly when the window is identifiable).
+/// `ridge = 0` it holds exactly when the window is identifiable). CG
+/// runs at most `10n + 50` iterations.
 pub fn solve_group_sum_qp_sparse(
     h: &Csr,
     g: &[f64],
     constraints: &SumConstraints,
     ridge: f64,
     tol: f64,
-    max_iter: usize,
 ) -> Result<Vec<f64>> {
     let n = h.rows();
     if h.cols() != n {
@@ -221,7 +221,7 @@ pub fn solve_group_sum_qp_sparse(
     }
     let mut p = r.clone();
     let mut rr = r0 * r0;
-    let budget = if max_iter == 0 { 10 * n + 50 } else { max_iter };
+    let budget = 10 * n + 50;
     for _ in 0..budget {
         apply(&p, &mut mv);
         project(&mut mv);
@@ -388,7 +388,7 @@ mod tests {
         let (c, d) = sc.to_matrix(4).unwrap();
         let dense = solve_eq_qp(&h, &g, &c, &d, 0.0).unwrap();
         let h_sparse = Csr::from_dense(&h, 0.0);
-        let sparse = solve_group_sum_qp_sparse(&h_sparse, &g, &sc, 0.0, 1e-14, 0).unwrap();
+        let sparse = solve_group_sum_qp_sparse(&h_sparse, &g, &sc, 0.0, 1e-14).unwrap();
         for j in 0..4 {
             assert!(
                 (dense.x[j] - sparse[j]).abs() < 1e-9,
@@ -409,23 +409,23 @@ mod tests {
             groups: vec![vec![0, 1], vec![1, 2]],
             sums: vec![1.0, 1.0],
         };
-        assert!(solve_group_sum_qp_sparse(&h, &[0.0; 3], &sc_overlap, 0.0, 1e-12, 0).is_err());
+        assert!(solve_group_sum_qp_sparse(&h, &[0.0; 3], &sc_overlap, 0.0, 1e-12).is_err());
         let sc_oob = SumConstraints {
             groups: vec![vec![7]],
             sums: vec![1.0],
         };
-        assert!(solve_group_sum_qp_sparse(&h, &[0.0; 3], &sc_oob, 0.0, 1e-12, 0).is_err());
+        assert!(solve_group_sum_qp_sparse(&h, &[0.0; 3], &sc_oob, 0.0, 1e-12).is_err());
         let sc_len = SumConstraints {
             groups: vec![vec![0]],
             sums: vec![],
         };
-        assert!(solve_group_sum_qp_sparse(&h, &[0.0; 3], &sc_len, 0.0, 1e-12, 0).is_err());
+        assert!(solve_group_sum_qp_sparse(&h, &[0.0; 3], &sc_len, 0.0, 1e-12).is_err());
         let not_square = Csr::zeros(2, 3);
         let sc = SumConstraints {
             groups: vec![vec![0]],
             sums: vec![1.0],
         };
-        assert!(solve_group_sum_qp_sparse(&not_square, &[0.0; 2], &sc, 0.0, 1e-12, 0).is_err());
+        assert!(solve_group_sum_qp_sparse(&not_square, &[0.0; 2], &sc, 0.0, 1e-12).is_err());
     }
 
     #[test]

@@ -8,12 +8,22 @@
 //!
 //! The implementation follows Birgin, Martínez & Raydan (2000):
 //! Barzilai–Borwein spectral step lengths plus a nonmonotone Armijo line
-//! search over the last `memory` objective values.
+//! search over the last ten objective values.
 
 use tm_linalg::vector;
 
 use crate::error::OptError;
 use crate::Result;
+
+/// Nonmonotone memory length: the Armijo test compares against the
+/// largest of the last `MEMORY` objective values.
+const MEMORY: usize = 10;
+/// Armijo sufficient-decrease constant.
+const GAMMA: f64 = 1e-4;
+/// Lower clamp for the spectral step.
+const STEP_MIN: f64 = 1e-12;
+/// Upper clamp for the spectral step.
+const STEP_MAX: f64 = 1e12;
 
 /// Options for [`spg`].
 #[derive(Debug, Clone, Copy)]
@@ -22,14 +32,6 @@ pub struct SpgOptions {
     pub max_iter: usize,
     /// Convergence tolerance on `‖P(x − ∇f) − x‖∞` (scaled).
     pub tol: f64,
-    /// Nonmonotone memory length (1 = classical monotone Armijo).
-    pub memory: usize,
-    /// Armijo sufficient-decrease constant.
-    pub gamma: f64,
-    /// Spectral step clamping bounds.
-    pub step_min: f64,
-    /// Upper clamp for the spectral step.
-    pub step_max: f64,
     /// Warm-start spectral step carried over from a previous, related
     /// solve (`0.0` = derive the first step from the projected gradient
     /// as usual). Streaming estimators re-solve almost-identical
@@ -44,10 +46,6 @@ impl Default for SpgOptions {
         SpgOptions {
             max_iter: 2000,
             tol: 1e-8,
-            memory: 10,
-            gamma: 1e-4,
-            step_min: 1e-12,
-            step_max: 1e12,
             initial_step: 0.0,
         }
     }
@@ -112,11 +110,11 @@ where
         ));
     }
 
-    let mut history = std::collections::VecDeque::with_capacity(opts.memory.max(1));
+    let mut history = std::collections::VecDeque::with_capacity(MEMORY);
     history.push_back(f);
 
     let mut step = if opts.initial_step > 0.0 {
-        opts.initial_step.clamp(opts.step_min, opts.step_max)
+        opts.initial_step.clamp(STEP_MIN, STEP_MAX)
     } else {
         // Initial spectral step: 1/‖pg‖∞ heuristic.
         let mut pg = x.clone();
@@ -128,7 +126,7 @@ where
         }
         let dn = vector::norm_inf(&d);
         if dn > 0.0 {
-            (1.0 / dn).clamp(opts.step_min, opts.step_max)
+            (1.0 / dn).clamp(STEP_MIN, STEP_MAX)
         } else {
             1.0
         }
@@ -184,7 +182,7 @@ where
                 xnew[i] = x[i] + lambda * d[i];
             }
             fnew = value_grad(&xnew, &mut gnew);
-            if fnew.is_finite() && fnew <= fmax + opts.gamma * lambda * gtd {
+            if fnew.is_finite() && fnew <= fmax + GAMMA * lambda * gtd {
                 // Accept; Barzilai–Borwein step from s = Δx, y = Δgrad
                 // without materializing either vector.
                 let mut sts = 0.0;
@@ -195,14 +193,14 @@ where
                     sty += si * (gnew[i] - grad[i]);
                 }
                 step = if sty > 0.0 {
-                    (sts / sty).clamp(opts.step_min, opts.step_max)
+                    (sts / sty).clamp(STEP_MIN, STEP_MAX)
                 } else {
-                    opts.step_max
+                    STEP_MAX
                 };
                 x.copy_from_slice(&xnew);
                 grad.copy_from_slice(&gnew);
                 f = fnew;
-                if history.len() == opts.memory.max(1) {
+                if history.len() == MEMORY {
                     history.pop_front();
                 }
                 history.push_back(f);

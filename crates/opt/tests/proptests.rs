@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tm_linalg::{vector, Csr, Mat};
 use tm_opt::ipf::{gis, GisPlan, IpfOptions};
-use tm_opt::nnls::{cd_nnls, kkt_violation, lawson_hanson, ridge_nnls, NnlsOptions};
+use tm_opt::nnls::{cd_nnls, kkt_violation, lawson_hanson, ridge_nnls};
 use tm_opt::qp::solve_eq_qp;
 use tm_opt::simplex::{solve_lp, StandardLp};
 
@@ -22,7 +22,7 @@ proptest! {
         a in mat_strategy(6, 4, -3.0, 3.0),
         b in proptest::collection::vec(-4.0f64..4.0, 6),
     ) {
-        if let Ok(sol) = lawson_hanson(&a, &b, NnlsOptions::default()) {
+        if let Ok(sol) = lawson_hanson(&a, &b) {
             prop_assert!(sol.x.iter().all(|&v| v >= 0.0));
             prop_assert!(kkt_violation(&a, &b, 0.0, None, &sol.x) < 1e-6);
         }
@@ -47,7 +47,7 @@ proptest! {
         mu in 0.05f64..2.0,
     ) {
         let csr = Csr::from_dense(&a, 0.0);
-        let sol = ridge_nnls(&csr, &csr.transpose(), &b, mu, &prior, 0, None).unwrap();
+        let sol = ridge_nnls(&csr, &csr.transpose(), &b, mu, &prior, None).unwrap();
         prop_assert!(sol.x.iter().all(|&v| v >= 0.0));
         prop_assert!(
             kkt_violation(&a, &b, mu, Some(&prior), &sol.x) < 1e-6,
@@ -209,7 +209,7 @@ proptest! {
         let dense = solve_eq_qp(&h, &g, &c, &d, 0.0).unwrap();
         let h_sparse = Csr::from_dense(&h, 0.0);
         let sparse =
-            tm_opt::qp::solve_group_sum_qp_sparse(&h_sparse, &g, &sc, 0.0, 1e-14, 0).unwrap();
+            tm_opt::qp::solve_group_sum_qp_sparse(&h_sparse, &g, &sc, 0.0, 1e-14).unwrap();
         for j in 0..6 {
             prop_assert!(
                 (dense.x[j] - sparse[j]).abs() < 1e-8,
@@ -435,7 +435,7 @@ proptest! {
         a in mat_strategy(5, 3, -2.0, 2.0),
         b in proptest::collection::vec(-3.0f64..3.0, 5),
     ) {
-        let lh = lawson_hanson(&a, &b, NnlsOptions::default());
+        let lh = lawson_hanson(&a, &b);
         let res = tm_opt::spg::spg(
             |x, grad| {
                 let r = vector::sub(&a.matvec(x), &b);
@@ -467,7 +467,7 @@ proptest! {
         prior in proptest::collection::vec(0.0f64..2.0, 5),
     ) {
         use tm_linalg::decomp::SparseCholSymbolic;
-        use tm_opt::nnls::{ssn_nnls, SsnOptions, SsnState};
+        use tm_opt::nnls::{ssn_nnls, SsnState};
         let trips: Vec<(usize, usize, f64)> =
             pattern.into_iter().map(|(i, j)| (i, j, 1.0)).collect();
         let a = Csr::from_triplets(7, 5, trips).unwrap();
@@ -476,7 +476,6 @@ proptest! {
         let mut state = SsnState::default();
         let ssn = ssn_nnls(
             &a, &b, mu, Some(&prior), &g, &sym, &mut state, false,
-            SsnOptions::default(),
         ).unwrap();
         let cd = cd_nnls(&a.to_dense(), &b, mu, Some(&prior), 200_000, 1e-12).unwrap();
         // Both must satisfy the same KKT system to solver tolerance...
@@ -496,7 +495,6 @@ proptest! {
         // the same solution.
         let again = ssn_nnls(
             &a, &b, mu, Some(&prior), &g, &sym, &mut state, true,
-            SsnOptions::default(),
         ).unwrap();
         for j in 0..5 {
             prop_assert!((again.x[j] - ssn.x[j]).abs() <= 1e-8 * (1.0 + ssn.x[j].abs()));

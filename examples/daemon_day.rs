@@ -10,6 +10,10 @@
 //! protocol session then exercises the full verb set, including the
 //! telemetry `stats` summaries and a `whatif` link-load projection.
 //!
+//! Lines that change from run to run (the live status lines, the count
+//! of live views consumed, the `stats` answers and their solve-wall
+//! percentiles) go to stderr, so stdout can be diffed between runs.
+//!
 //! ```sh
 //! cargo run --release --example daemon_day
 //! cargo run --release --example daemon_day -- path/to/other.toml
@@ -54,7 +58,7 @@ fn main() {
             seen = view.epoch;
             if view.uptime_ticks % 12 == 0 || !view.running {
                 let status = handle_line_view(&view, r#"{"cmd":"status"}"#);
-                println!("  [epoch {:>3}] < {}", view.epoch, truncate(&status, 120));
+                eprintln!("  [epoch {:>3}] < {}", view.epoch, truncate(&status, 120));
             }
             live_answers += 1;
             if !view.running {
@@ -67,7 +71,8 @@ fn main() {
     let live_answers = client.join().expect("client thread");
     assert!(report.all_completed(), "the kill must not lose intervals");
 
-    println!("\nsupervision summary ({live_answers} live views consumed)");
+    println!();
+    eprintln!("supervision summary ({live_answers} live views consumed)");
     for shard in &report.shards {
         println!(
             "  {:<6} {:?}: {} ticks, {} degraded, {} restarts, last checkpoint {:?}",
@@ -103,8 +108,13 @@ fn main() {
         r#"{"cmd":"whatif","shard":"south","method":"gravity","scale":1.3}"#.to_string(),
     ] {
         println!("  > {request}");
-        let response = handle_line_view(&view, &request);
-        println!("  < {}", truncate(&response, 160));
+        let response = truncate(&handle_line_view(&view, &request), 160);
+        // A `stats` answer carries solve walls, which vary between runs.
+        if request.contains(r#""stats""#) {
+            eprintln!("  < {response}");
+        } else {
+            println!("  < {response}");
+        }
     }
 
     // The merged solve-wall histograms, as `stats format=text` shows
@@ -113,8 +123,12 @@ fn main() {
     println!();
     let text = handle_line_view(&view, r#"{"cmd":"stats","format":"text"}"#);
     if let Some(start) = text.find("global solve walls") {
-        for line in text[start..].split("\\n").take(1 + report.labels.len()) {
-            println!("  {line}");
+        let mut lines = text[start..].split("\\n");
+        if let Some(header) = lines.next() {
+            println!("  {header}");
+        }
+        for line in lines.take(report.labels.len()) {
+            eprintln!("  {line}");
         }
     }
 }

@@ -66,7 +66,9 @@ fn main() {
         })
         .collect();
 
-    println!(
+    // The wall clock varies from run to run: stderr, so stdout can be
+    // diffed between runs.
+    eprintln!(
         "{} over {} intervals ({:?} mode): {:.2} s wall, {:.2} ms/interval",
         method.label(),
         day,
